@@ -8,6 +8,7 @@ comes from the PROPFUSE_LOG environment variable (error, info or debug).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -23,23 +24,22 @@ from .errors import (
     VocabularyError,
 )
 from .evaluation import evaluate, self_consistency
-from .fusion import MATCH_MODES, METHODS, fuse_candidates
+from .fusion import fuse_candidates
 from .geometry import BBox, Detection
 from .io import DetectionRecord, read_detections, write_detections
 from .manifest import SequenceManifest, load_manifest
 from .pipeline import (
-    COMPOSITIONS,
-    MISS_POLICIES,
-    PROVIDERS,
-    SOURCE_COUNT_MODES,
+    FIELD_TYPES,
     PipelineConfig,
     build_provider,
     candidate_records,
+    gather_candidates,
+    label_records,
     load_config,
     run_pipeline,
     validate_flow_coverage,
 )
-from .propagation import CandidateSet, build_candidates
+from .propagation import CandidateSet
 from .synth import SceneSpec, generate, write_bundle
 
 log = logging.getLogger("propfuse.cli")
@@ -64,51 +64,22 @@ def _configure_logging() -> None:
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """--config plus one flag per PipelineConfig field, named after the field."""
     p.add_argument("--config", type=Path, default=None, help="key=value config file")
-    p.add_argument("--k", type=int, default=None, help="temporal reach in frames")
-    p.add_argument("--teacher-threshold", type=float, default=None, dest="teacher_threshold")
-    p.add_argument("--iou-threshold", type=float, default=None, dest="iou_threshold")
-    p.add_argument("--post-threshold", type=float, default=None, dest="post_threshold")
-    p.add_argument("--method", choices=METHODS, default=None)
-    p.add_argument("--composition", choices=COMPOSITIONS, default=None)
-    p.add_argument("--min-coverage", type=float, default=None, dest="min_coverage")
-    p.add_argument(
-        "--feature-provider", choices=PROVIDERS, default=None, dest="feature_provider"
-    )
-    p.add_argument("--embed-miss", choices=MISS_POLICIES, default=None, dest="embed_miss")
-    p.add_argument(
-        "--source-count-mode",
-        choices=SOURCE_COUNT_MODES,
-        default=None,
-        dest="source_count_mode",
-    )
-    p.add_argument("--match", choices=MATCH_MODES, default=None)
-    p.add_argument("--snms-sigma", type=float, default=None, dest="snms_sigma")
-    p.add_argument("--patch-size", type=int, default=None, dest="patch_size")
-    p.add_argument("--num-sources", type=int, default=None, dest="num_sources")
-
-
-_OVERRIDE_KEYS = (
-    "k",
-    "teacher_threshold",
-    "iou_threshold",
-    "post_threshold",
-    "method",
-    "composition",
-    "min_coverage",
-    "feature_provider",
-    "embed_miss",
-    "source_count_mode",
-    "match",
-    "snms_sigma",
-    "patch_size",
-    "num_sources",
-)
+    for f in dataclasses.fields(PipelineConfig):
+        p.add_argument(
+            "--" + f.name.replace("_", "-"),
+            dest=f.name,
+            type=FIELD_TYPES[f.name],
+            choices=f.metadata.get("choices"),
+            default=None,
+            help=f.metadata.get("help"),
+        )
 
 
 def _config_from_args(args) -> PipelineConfig:
-    overrides = {key: getattr(args, key, None) for key in _OVERRIDE_KEYS}
-    return load_config(getattr(args, "config", None), overrides)
+    overrides = {name: getattr(args, name) for name in FIELD_TYPES}
+    return load_config(args.config, overrides)
 
 
 def _parse_frames(text: str) -> list[int]:
@@ -153,18 +124,8 @@ def cmd_propagate(args) -> int:
     manifest = load_manifest(args.manifest)
     if not manifest.has_frame(args.frame):
         raise ValidationError(f"frame {args.frame} is not in the manifest")
-    if config.k > 0:
-        validate_flow_coverage(manifest, config.k, [args.frame])
-    candidates = build_candidates(
-        args.frame,
-        config.k,
-        manifest.teacher_labels,
-        manifest.flows,
-        manifest.size,
-        teacher_threshold=config.teacher_threshold,
-        mode=config.composition,
-        min_coverage=config.min_coverage,
-    )
+    validate_flow_coverage(manifest, config.k, [args.frame])
+    candidates = gather_candidates(manifest, config, args.frame)
     records, meta = candidate_records(candidates, manifest.class_name, config.k)
     write_detections(records, args.out, meta=meta)
     print(args.out)
@@ -214,13 +175,8 @@ def cmd_fuse(args) -> int:
     manifest = load_manifest(args.manifest) if args.manifest else None
     cands, id_to_name, meta = _candidates_from_file(args.dets, manifest)
 
-    if config.num_sources is not None:
-        num_sources = config.num_sources
-    elif config.source_count_mode == "literal":
-        k = meta.k if meta is not None else config.k
-        num_sources = 2 * k + 1
-    else:
-        num_sources = cands.effective_sources
+    k = meta.k if meta is not None else config.k
+    num_sources = config.source_count(cands.effective_sources, k)
 
     provider = None
     if config.method == "swbf":
@@ -231,24 +187,13 @@ def cmd_fuse(args) -> int:
         provider = build_provider(manifest, config)
 
     result = fuse_candidates(cands, config.fusion_config(num_sources), provider)
-    out_records = [
-        DetectionRecord(
-            frame=cands.frame_index,
-            class_name=id_to_name(d.class_id),
-            bbox=d.bbox.as_tuple(),
-            score=d.score,
-        )
-        for d in result.labels.detections
-    ]
-    write_detections(out_records, args.out)
+    write_detections(label_records(result.labels, id_to_name), args.out)
     print(args.out)
     return 0
 
 
 def cmd_pipeline(args) -> int:
     config = _config_from_args(args)
-    if args.jobs is not None:
-        config = config.replace(jobs=args.jobs)
     manifest = load_manifest(args.manifest)
     targets = _parse_frames(args.frames) if args.frames else None
     run = run_pipeline(
@@ -372,11 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--frames", default=None, help="subset, e.g. 3,5,8 or 2:10")
-    p.add_argument("--jobs", type=int, default=None, help="worker threads")
     p.add_argument(
         "--keep-going",
         action="store_true",
-        help="record per-frame failures in the report instead of aborting",
+        help="record frames that fail on bad input or I/O in the report instead of aborting",
     )
     _add_config_flags(p)
     p.set_defaults(func=cmd_pipeline)

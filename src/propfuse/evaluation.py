@@ -14,7 +14,7 @@ from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from .errors import ValidationError, VocabularyError
 from .geometry import BBox, Detection, FrameSize, LabelSet, iou
-from .motion import ComposedMotion, FlowStore, transfer_box
+from .motion import DEFAULT_MIN_COVERAGE, ComposedMotion, FlowStore, transfer_box
 
 __all__ = [
     "IOU_THRESHOLDS",
@@ -260,7 +260,7 @@ def self_consistency(
     k_hops: int,
     size: FrameSize,
     mode: str = "trajectory",
-    min_coverage: float = 0.25,
+    min_coverage: float = DEFAULT_MIN_COVERAGE,
     small_height_threshold: float = DEFAULT_SMALL_HEIGHT,
 ) -> ConsistencyReport:
     """Transport boxes k hops forward then k hops back and compare.

@@ -96,12 +96,16 @@ def write_detections(
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="ascii")
 
 
+_META_KEYS = ("frame", "effective_sources", "k")
+_RECORD_KEYS = ("frame", "class", "bbox", "score")
+
+
 def _parse_box(value, path, lineno, key) -> tuple[float, float, float, float]:
     if not isinstance(value, list) or len(value) != 4:
         raise ValidationError(f"{path}:{lineno}: {key} must be a list of 4 numbers")
     try:
         return tuple(float(v) for v in value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}:{lineno}: non-numeric {key}: {value}") from exc
 
 
@@ -120,29 +124,33 @@ def read_detections(path: str | Path) -> tuple[list[DetectionRecord], CandidateM
             raise ValidationError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise ValidationError(f"{path}:{lineno}: expected a JSON object")
-        if obj.get("type") == "candidate_meta":
-            meta = CandidateMeta(
-                frame=int(obj["frame"]),
-                effective_sources=int(obj["effective_sources"]),
-                k=int(obj["k"]),
-            )
-            continue
-        missing = [k for k in ("frame", "class", "bbox", "score") if k not in obj]
+        is_meta = obj.get("type") == "candidate_meta"
+        missing = [k for k in (_META_KEYS if is_meta else _RECORD_KEYS) if k not in obj]
         if missing:
             raise ValidationError(f"{path}:{lineno}: missing keys {missing}")
-        source_bbox = None
-        if obj.get("source_bbox") is not None:
-            source_bbox = _parse_box(obj["source_bbox"], path, lineno, "source_bbox")
-        records.append(
-            DetectionRecord(
-                frame=int(obj["frame"]),
-                class_name=str(obj["class"]),
-                bbox=_parse_box(obj["bbox"], path, lineno, "bbox"),
-                score=float(obj["score"]),
-                source_offset=int(obj.get("source_offset", 0)),
-                source_bbox=source_bbox,
+        try:
+            if is_meta:
+                meta = CandidateMeta(
+                    frame=int(obj["frame"]),
+                    effective_sources=int(obj["effective_sources"]),
+                    k=int(obj["k"]),
+                )
+                continue
+            source_bbox = None
+            if obj.get("source_bbox") is not None:
+                source_bbox = _parse_box(obj["source_bbox"], path, lineno, "source_bbox")
+            records.append(
+                DetectionRecord(
+                    frame=int(obj["frame"]),
+                    class_name=str(obj["class"]),
+                    bbox=_parse_box(obj["bbox"], path, lineno, "bbox"),
+                    score=float(obj["score"]),
+                    source_offset=int(obj.get("source_offset", 0)),
+                    source_bbox=source_bbox,
+                )
             )
-        )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"{path}:{lineno}: bad number: {exc}") from exc
     return records, meta
 
 
@@ -187,6 +195,8 @@ def read_frame(path: str | Path) -> Frame:
         except ValueError as exc:
             raise ValidationError(f"{path}: bad header token {token!r}") from exc
     width, height, maxval = fields
+    if width <= 0 or height <= 0:
+        raise ValidationError(f"{path}: invalid dimensions {width}x{height}")
     if maxval != 255:
         raise ValidationError(f"{path}: only maxval 255 is supported, got {maxval}")
     pos += 1  # single whitespace byte after maxval

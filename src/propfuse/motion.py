@@ -43,6 +43,8 @@ FLOW_MAGIC = 202021.25
 
 COMPOSITION_MODES = ("trajectory", "additive")
 
+DEFAULT_MIN_COVERAGE = 0.25
+
 
 @dataclass
 class MotionField:
@@ -242,7 +244,7 @@ def transfer_box(
     det: Detection,
     motion: ComposedMotion,
     size: FrameSize,
-    min_coverage: float = 0.25,
+    min_coverage: float = DEFAULT_MIN_COVERAGE,
 ) -> Detection | None:
     """Carry a detection's box through the chain.
 

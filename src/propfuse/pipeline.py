@@ -1,11 +1,18 @@
 """End-to-end per-frame processing: gather candidates, fuse, write labels.
 
+``PipelineConfig`` is the one definition of the configuration: its fields
+are the config-file keys and the command-line flags, their annotations give
+the value types, and the string fields carry their allowed choices in the
+field metadata.
+
 With k=0 there is nothing to carry in and nothing to corroborate, so the
 pipeline degenerates to the plain thresholded teacher labels; fusion is
 bypassed entirely in that case. With k>0 every target frame is processed
 independently (optionally across a thread pool) and the per-frame label
 files are written under <out>/labels/ named by frame index, so the output
-tree is identical no matter the completion order.
+tree is identical no matter the completion order. With ``keep_going`` a
+frame that fails on its input or on I/O is recorded in the report and the
+run moves on; any other exception is a bug and always propagates.
 """
 
 from __future__ import annotations
@@ -15,79 +22,80 @@ import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_args, get_type_hints
 
-from .errors import CliUsageError, ValidationError
-from .fusion import METHODS, FusionConfig, FusionResult, fuse_candidates
-from .geometry import Detection, LabelSet
+from .errors import CliUsageError, PropfuseError, ValidationError
+from .evaluation import DEFAULT_SMALL_HEIGHT
+from .fusion import MATCH_MODES, METHODS, FusionConfig, FusionResult, fuse_candidates
+from .geometry import LabelSet
 from .io import CandidateMeta, DetectionRecord, write_detections
 from .manifest import SequenceManifest
-from .propagation import CandidateSet, build_candidates, chain_pairs, offset_order, threshold_labels
-from .similarity import FallbackProvider, PatchDescriptor, PrecomputedEmbeddings
+from .motion import COMPOSITION_MODES, DEFAULT_MIN_COVERAGE
+from .propagation import (
+    DEFAULT_TEACHER_THRESHOLD,
+    CandidateSet,
+    build_candidates,
+    chain_pairs,
+    offset_order,
+)
+from .similarity import DEFAULT_PATCH_SIZE, FallbackProvider, PatchDescriptor, PrecomputedEmbeddings
 
 __all__ = [
     "PipelineConfig",
     "PipelineRun",
+    "FIELD_TYPES",
     "parse_config_file",
     "run_pipeline",
     "validate_flow_coverage",
     "build_provider",
+    "gather_candidates",
     "candidate_records",
+    "label_records",
 ]
 
 log = logging.getLogger("propfuse.pipeline")
 
-COMPOSITIONS = ("trajectory", "additive")
 PROVIDERS = ("patch", "precomputed")
 SOURCE_COUNT_MODES = ("effective", "literal")
 MISS_POLICIES = ("drop", "fallback")
+
+
+def _choice(default: str, choices: tuple[str, ...]):
+    return field(default=default, metadata={"choices": choices})
 
 
 @dataclass
 class PipelineConfig:
     """Every knob of the per-frame pipeline, file- and flag-configurable."""
 
-    k: int = 1
-    teacher_threshold: float = 0.4
+    k: int = field(default=1, metadata={"help": "temporal reach in frames"})
+    teacher_threshold: float = DEFAULT_TEACHER_THRESHOLD
     iou_threshold: float = 0.5
     post_threshold: float = 0.1
-    method: str = "swbf"
-    composition: str = "trajectory"
-    min_coverage: float = 0.25
-    feature_provider: str = "patch"
-    embed_miss: str = "drop"
-    source_count_mode: str = "effective"
-    match: str = "first"
+    method: str = _choice("swbf", METHODS)
+    composition: str = _choice("trajectory", COMPOSITION_MODES)
+    min_coverage: float = DEFAULT_MIN_COVERAGE
+    feature_provider: str = _choice("patch", PROVIDERS)
+    embed_miss: str = _choice("drop", MISS_POLICIES)
+    source_count_mode: str = _choice("effective", SOURCE_COUNT_MODES)
+    match: str = _choice("first", MATCH_MODES)
     snms_sigma: float = 0.5
-    patch_size: int = 16
+    patch_size: int = DEFAULT_PATCH_SIZE
     num_sources: Optional[int] = None
-    jobs: int = 1
-    small_height_threshold: float = 45.0
+    jobs: int = field(default=1, metadata={"help": "worker threads"})
+    small_height_threshold: float = DEFAULT_SMALL_HEIGHT
 
     def __post_init__(self):
         if self.k < 0:
             raise ValidationError(f"k must be >= 0, got {self.k}")
-        if self.method not in METHODS:
-            raise ValidationError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if self.composition not in COMPOSITIONS:
-            raise ValidationError(
-                f"unknown composition {self.composition!r}; expected one of {COMPOSITIONS}"
-            )
-        if self.feature_provider not in PROVIDERS:
-            raise ValidationError(
-                f"unknown feature provider {self.feature_provider!r}; expected one of {PROVIDERS}"
-            )
-        if self.embed_miss not in MISS_POLICIES:
-            raise ValidationError(
-                f"unknown embed_miss policy {self.embed_miss!r}; expected one of {MISS_POLICIES}"
-            )
-        if self.source_count_mode not in SOURCE_COUNT_MODES:
-            raise ValidationError(
-                f"unknown source_count_mode {self.source_count_mode!r}; "
-                f"expected one of {SOURCE_COUNT_MODES}"
-            )
+        for f in dataclasses.fields(self):
+            choices = f.metadata.get("choices")
+            value = getattr(self, f.name)
+            if choices is not None and value not in choices:
+                raise ValidationError(f"unknown {f.name} {value!r}; expected one of {choices}")
         for name in ("teacher_threshold", "post_threshold", "min_coverage"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -106,6 +114,18 @@ class PipelineConfig:
     def replace(self, **kw) -> "PipelineConfig":
         return dataclasses.replace(self, **kw)
 
+    def source_count(self, effective_sources: int, k: int) -> int:
+        """The rescale denominator for candidates gathered with reach k.
+
+        An explicit num_sources wins; otherwise 2k+1 in literal mode, or the
+        number of offsets that contributed in effective mode.
+        """
+        if self.num_sources is not None:
+            return self.num_sources
+        if self.source_count_mode == "literal":
+            return 2 * k + 1
+        return effective_sources
+
     def fusion_config(self, num_sources: int) -> FusionConfig:
         return FusionConfig(
             method=self.method,
@@ -120,23 +140,14 @@ class PipelineConfig:
         return dataclasses.asdict(self)
 
 
-_CONFIG_TYPES = {
-    "k": int,
-    "teacher_threshold": float,
-    "iou_threshold": float,
-    "post_threshold": float,
-    "method": str,
-    "composition": str,
-    "min_coverage": float,
-    "feature_provider": str,
-    "embed_miss": str,
-    "source_count_mode": str,
-    "match": str,
-    "snms_sigma": float,
-    "patch_size": int,
-    "num_sources": int,
-    "jobs": int,
-    "small_height_threshold": float,
+def _scalar_type(hint) -> type:
+    """The value type of a field annotation, with Optional[...] unwrapped."""
+    args = [a for a in get_args(hint) if a is not type(None)]
+    return args[0] if args else hint
+
+
+FIELD_TYPES: dict[str, type] = {
+    name: _scalar_type(hint) for name, hint in get_type_hints(PipelineConfig).items()
 }
 
 
@@ -153,7 +164,7 @@ def parse_config_file(path: str | Path) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.split("#", 1)[0].strip()
-        caster = _CONFIG_TYPES.get(key)
+        caster = FIELD_TYPES.get(key)
         if caster is None:
             raise CliUsageError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
@@ -171,7 +182,7 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     for key, val in (overrides or {}).items():
         if val is None:
             continue
-        if key not in _CONFIG_TYPES:
+        if key not in FIELD_TYPES:
             raise CliUsageError(f"unknown config key {key!r}")
         values[key] = val
     return PipelineConfig(**values)
@@ -217,6 +228,20 @@ def build_provider(manifest: SequenceManifest, config: PipelineConfig):
     return pre
 
 
+def gather_candidates(manifest: SequenceManifest, config: PipelineConfig, t: int) -> CandidateSet:
+    """Frame t's own and carried-in candidates under the config's propagation settings."""
+    return build_candidates(
+        t,
+        config.k,
+        manifest.teacher_labels,
+        manifest.flows,
+        manifest.size,
+        teacher_threshold=config.teacher_threshold,
+        mode=config.composition,
+        min_coverage=config.min_coverage,
+    )
+
+
 def candidate_records(
     candidates: CandidateSet,
     class_name,
@@ -241,6 +266,19 @@ def candidate_records(
         k=k,
     )
     return records, meta
+
+
+def label_records(labels: LabelSet, class_name) -> list[DetectionRecord]:
+    """A frame's final labels as serializable records."""
+    return [
+        DetectionRecord(
+            frame=labels.frame_index,
+            class_name=class_name(d.class_id),
+            bbox=d.bbox.as_tuple(),
+            score=d.score,
+        )
+        for d in labels.detections
+    ]
 
 
 @dataclass
@@ -282,8 +320,7 @@ def run_pipeline(
         unknown = [t for t in targets if not manifest.has_frame(t)]
         if unknown:
             raise ValidationError(f"target frames not in manifest: {unknown}")
-    if config.k > 0:
-        validate_flow_coverage(manifest, config.k, targets)
+    validate_flow_coverage(manifest, config.k, targets)
 
     provider = None
     if config.method == "swbf" and config.k > 0:
@@ -295,41 +332,19 @@ def run_pipeline(
         labels_dir = out_dir / "labels"
         labels_dir.mkdir(parents=True, exist_ok=True)
 
-    def process(t: int) -> tuple[int, LabelSet, dict]:
+    def process(t: int) -> tuple[LabelSet, dict]:
         t0 = time.perf_counter()
-        candidates = build_candidates(
-            t,
-            config.k,
-            manifest.teacher_labels,
-            manifest.flows,
-            manifest.size,
-            teacher_threshold=config.teacher_threshold,
-            mode=config.composition,
-            min_coverage=config.min_coverage,
-        )
+        candidates = gather_candidates(manifest, config, t)
         t1 = time.perf_counter()
         if config.k == 0:
             result = _teacher_passthrough(candidates, config)
             num_sources = 1
         else:
-            if config.num_sources is not None:
-                num_sources = config.num_sources
-            elif config.source_count_mode == "literal":
-                num_sources = 2 * config.k + 1
-            else:
-                num_sources = candidates.effective_sources
+            num_sources = config.source_count(candidates.effective_sources, config.k)
             result = fuse_candidates(candidates, config.fusion_config(num_sources), provider)
         t2 = time.perf_counter()
         if labels_dir is not None:
-            records = [
-                DetectionRecord(
-                    frame=t,
-                    class_name=manifest.class_name(d.class_id),
-                    bbox=d.bbox.as_tuple(),
-                    score=d.score,
-                )
-                for d in result.labels.detections
-            ]
+            records = label_records(result.labels, manifest.class_name)
             write_detections(records, labels_dir / f"fused_{t:06d}.jsonl")
         t3 = time.perf_counter()
         stats = {
@@ -345,38 +360,30 @@ def run_pipeline(
             "seconds": {"build": t1 - t0, "fuse": t2 - t1, "write": t3 - t2},
         }
         log.info("frame %d: %d candidates -> %d fused", t, stats["candidates"], stats["output"])
-        return t, result.labels, stats
+        return result.labels, stats
+
+    def attempt(t: int):
+        """process(t), or with keep_going the input or I/O error it raised."""
+        try:
+            return process(t)
+        except (PropfuseError, OSError) as exc:
+            if not keep_going:
+                raise
+            log.debug("frame %d failed: %s", t, exc)
+            return exc
 
     run = PipelineRun(out_dir=out_dir)
     frame_stats: dict[int, dict] = {}
     errors: list[dict] = []
     started = time.perf_counter()
-    if config.jobs == 1:
-        for t in targets:
-            try:
-                _, labels, stats = process(t)
-            except Exception as exc:
-                if not keep_going:
-                    raise
-                log.debug("frame %d failed: %s", t, exc)
-                errors.append({"frame": t, "error": str(exc)})
-                continue
-            run.labels[t] = labels
-            frame_stats[t] = stats
-    else:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            futures = {t: pool.submit(process, t) for t in targets}
-            for t in targets:
-                try:
-                    _, labels, stats = futures[t].result()
-                except Exception as exc:
-                    if not keep_going:
-                        raise
-                    log.debug("frame %d failed: %s", t, exc)
-                    errors.append({"frame": t, "error": str(exc)})
-                    continue
-                run.labels[t] = labels
-                frame_stats[t] = stats
+    # jobs=1 maps in this thread; the pool's map also yields in target order
+    with ThreadPoolExecutor(config.jobs) if config.jobs > 1 else nullcontext() as pool:
+        outcomes = map(attempt, targets) if pool is None else pool.map(attempt, targets)
+        for t, outcome in zip(targets, outcomes):
+            if isinstance(outcome, Exception):
+                errors.append({"frame": t, "error": str(outcome)})
+            else:
+                run.labels[t], frame_stats[t] = outcome
     total = time.perf_counter() - started
 
     ordered = [frame_stats[t] for t in sorted(frame_stats)]

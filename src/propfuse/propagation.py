@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 from .errors import MissingFlowError, ValidationError
 from .geometry import BBox, Detection, FrameSize, LabelSet
-from .motion import ComposedMotion, FlowStore, transfer_box
+from .motion import DEFAULT_MIN_COVERAGE, ComposedMotion, FlowStore, transfer_box
 
 __all__ = [
     "chain_pairs",
@@ -32,7 +32,6 @@ __all__ = [
 ]
 
 DEFAULT_TEACHER_THRESHOLD = 0.4
-DEFAULT_MIN_COVERAGE = 0.25
 
 
 def offset_order(k: int) -> list[int]:

@@ -35,6 +35,8 @@ __all__ = [
     "rescore",
 ]
 
+DEFAULT_PATCH_SIZE = 16
+
 
 @dataclass
 class FeatureVector:
@@ -93,7 +95,7 @@ class PatchDescriptor:
     which keeps the norm non-zero and compares equal to every other flat crop.
     """
 
-    def __init__(self, frame_loader: Callable[[int], Frame], patch_size: int = 16):
+    def __init__(self, frame_loader: Callable[[int], Frame], patch_size: int = DEFAULT_PATCH_SIZE):
         if patch_size < 2:
             raise ValidationError(f"patch size must be >= 2, got {patch_size}")
         self._loader = frame_loader

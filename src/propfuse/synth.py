@@ -27,8 +27,8 @@ import numpy as np
 from .errors import SceneValidationError, ValidationError
 from .geometry import BBox, Detection, FrameSize, LabelSet, clip_to_frame
 from .io import DetectionRecord, write_detections, write_frame
-from .motion import FlowStore, Frame, MotionField, write_flow
-from .similarity import PatchDescriptor, embedding_key
+from .motion import DEFAULT_MIN_COVERAGE, FlowStore, Frame, MotionField, write_flow
+from .similarity import DEFAULT_PATCH_SIZE, PatchDescriptor, embedding_key
 
 __all__ = [
     "ObjectSpec",
@@ -150,7 +150,7 @@ class SceneSpec:
     noise: DetectorNoise = field(default_factory=DetectorNoise)
     injected: list[InjectedFalsePositive] = field(default_factory=list)
     seed: int = 0
-    min_coverage: float = 0.25
+    min_coverage: float = DEFAULT_MIN_COVERAGE
     channels: int = 1
     background_mode: str = "noise"
     background_level: int = 96
@@ -276,7 +276,7 @@ class SceneSpec:
             noise=noise,
             injected=injected,
             seed=int(obj.get("seed", 0)),
-            min_coverage=float(obj.get("min_coverage", 0.25)),
+            min_coverage=float(obj.get("min_coverage", DEFAULT_MIN_COVERAGE)),
             channels=int(obj.get("channels", 1)),
             background_mode=str(bg.get("mode", "noise")),
             background_level=int(bg.get("level", 96)),
@@ -494,7 +494,7 @@ def generate(spec: SceneSpec, include_embeddings: bool = False) -> SequenceBundl
     return bundle
 
 
-def _bundle_embeddings(bundle: SequenceBundle, patch_size: int = 16) -> dict:
+def _bundle_embeddings(bundle: SequenceBundle, patch_size: int = DEFAULT_PATCH_SIZE) -> dict:
     descriptor = PatchDescriptor(lambda t: bundle.frames[t], patch_size=patch_size)
     table: dict = {}
     for labels in list(bundle.ground_truth) + list(bundle.detections):

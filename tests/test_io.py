@@ -88,6 +88,46 @@ class TestDetectionsFile:
         with pytest.raises(ValidationError):
             read_detections(path)
 
+    @pytest.mark.parametrize(
+        "line, needle",
+        [
+            ('{"type": "candidate_meta", "frame": 3, "k": 1}', "effective_sources"),
+            ('{"type": "candidate_meta", "frame": 3, "effective_sources": 3}', "'k'"),
+            ('{"type": "candidate_meta", "frame": 3, "effective_sources": "many", "k": 1}', "many"),
+            ('{"type": "candidate_meta", "frame": 3, "effective_sources": 3, "k": null}', "NoneType"),
+            ('{"frame": 0, "class": "a", "bbox": [1, 2, 3, 4], "score": "high"}', "high"),
+            ('{"frame": 0, "class": "a", "bbox": [1, 2, 3, 4], "score": null}', "NoneType"),
+            ('{"frame": "zero", "class": "a", "bbox": [1, 2, 3, 4], "score": 0.5}', "zero"),
+            ('{"frame": [0], "class": "a", "bbox": [1, 2, 3, 4], "score": 0.5}', "list"),
+            ('{"frame": 1e400, "class": "a", "bbox": [1, 2, 3, 4], "score": 0.5}', "infinity"),
+            (
+                '{"frame": 0, "class": "a", "bbox": [1, 2, 3, 4], "score": 0.5, "source_offset": "x"}',
+                "'x'",
+            ),
+            ('{"frame": 0, "class": "a", "bbox": [1, 2, 3, ' + "9" * 400 + '], "score": 0.5}', "bbox"),
+        ],
+        ids=[
+            "meta-no-effective-sources",
+            "meta-no-k",
+            "meta-text-sources",
+            "meta-null-k",
+            "text-score",
+            "null-score",
+            "text-frame",
+            "list-frame",
+            "infinite-frame",
+            "text-offset",
+            "overflowing-bbox",
+        ],
+    )
+    def test_malformed_line_names_path_and_line(self, tmp_path, line, needle):
+        path = tmp_path / "m.jsonl"
+        path.write_text(detection_line(rec()) + "\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as err:
+            read_detections(path)
+        assert str(err.value).startswith(f"{path}:2: ")
+        assert needle in str(err.value)
+
     @given(
         st.lists(
             st.tuples(
@@ -160,3 +200,12 @@ class TestFrameFiles:
         path.write_bytes(b"P7\n1 1\n255\n\x00")
         with pytest.raises(ValidationError):
             read_frame(path)
+
+    @pytest.mark.parametrize("dims", [b"-2 4", b"3 0", b"0 0"])
+    def test_non_positive_dimensions_rejected(self, tmp_path, dims):
+        path = tmp_path / "d.pgm"
+        path.write_bytes(b"P5\n" + dims + b"\n255\n")
+        with pytest.raises(ValidationError) as err:
+            read_frame(path)
+        width, height = dims.decode().split()
+        assert str(err.value) == f"{path}: invalid dimensions {width}x{height}"

@@ -1,11 +1,16 @@
+import dataclasses
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from propfuse.cli import _parse_frames, main
+import propfuse
+import propfuse.pipeline
+from propfuse.cli import _config_from_args, _parse_frames, build_parser, main
 from propfuse.errors import CliUsageError, ValidationError
 from propfuse.manifest import load_manifest
 from propfuse.pipeline import (
@@ -76,6 +81,40 @@ class TestConfig:
             PipelineConfig(k=-1)
         with pytest.raises(ValidationError):
             PipelineConfig(method="magic")
+
+    def test_every_choice_field_is_validated(self):
+        with pytest.raises(ValidationError) as err:
+            PipelineConfig(match="bogus")
+        assert "match" in str(err.value)
+        for f in dataclasses.fields(PipelineConfig):
+            if "choices" in f.metadata:
+                with pytest.raises(ValidationError):
+                    PipelineConfig(**{f.name: "bogus"})
+
+
+def _non_default(f: dataclasses.Field):
+    """A valid value of a config field that differs from its default."""
+    if "choices" in f.metadata:
+        return next(c for c in reversed(f.metadata["choices"]) if c != f.default)
+    if propfuse.pipeline.FIELD_TYPES[f.name] is int:
+        return (f.default or 1) + 1
+    return 0.3
+
+
+@pytest.mark.parametrize("f", dataclasses.fields(PipelineConfig), ids=lambda f: f.name)
+def test_field_is_config_key_and_flag(tmp_path, f):
+    value = _non_default(f)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{f.name} = {value}\n")
+    from_file = load_config(cfg_file)
+
+    flag = "--" + f.name.replace("_", "-")
+    args = build_parser().parse_args(["pipeline", "--manifest", "m", "--out", "o", flag, str(value)])
+    from_flag = _config_from_args(args)
+
+    assert getattr(from_file, f.name) == value
+    assert getattr(from_flag, f.name) == value
+    assert from_file == from_flag
 
 
 class TestRunPipeline:
@@ -174,6 +213,49 @@ class TestRunPipeline:
 
         with pytest.raises(Exception):
             run_pipeline(manifest, PipelineConfig(k=0, method="wbf"), keep_going=False)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_keep_going_records_validation_errors(self, clean_dir, monkeypatch, jobs):
+        real_fuse = propfuse.pipeline.fuse_candidates
+
+        def fuse(candidates, *args):
+            if candidates.frame_index == 3:
+                raise ValidationError("frame 3 is malformed")
+            return real_fuse(candidates, *args)
+
+        monkeypatch.setattr(propfuse.pipeline, "fuse_candidates", fuse)
+        manifest = load_manifest(clean_dir)
+        cfg = PipelineConfig(k=1, method="wbf", jobs=jobs)
+        run = run_pipeline(manifest, cfg, keep_going=True)
+        assert run.report["errors"] == [{"frame": 3, "error": "frame 3 is malformed"}]
+        assert sorted(run.labels) == [t for t in manifest.frame_indices() if t != 3]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_keep_going_lets_programming_errors_through(self, clean_dir, monkeypatch, jobs):
+        def fuse(*args):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(propfuse.pipeline, "fuse_candidates", fuse)
+        manifest = load_manifest(clean_dir)
+        with pytest.raises(RuntimeError, match="bug"):
+            run_pipeline(manifest, PipelineConfig(k=1, method="wbf", jobs=jobs), keep_going=True)
+
+    def test_serial_run_starts_no_thread_and_stops_at_first_failure(self, clean_dir, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("jobs=1 must not start a thread pool")
+
+        seen = []
+
+        def fuse(candidates, *args):
+            seen.append(candidates.frame_index)
+            raise ValidationError("broken")
+
+        monkeypatch.setattr(propfuse.pipeline, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(propfuse.pipeline, "fuse_candidates", fuse)
+        manifest = load_manifest(clean_dir)
+        with pytest.raises(ValidationError):
+            run_pipeline(manifest, PipelineConfig(k=1, method="wbf"))
+        assert seen == [manifest.frame_indices()[0]]
 
 
 def _bundles_simple_spec():
@@ -435,6 +517,37 @@ class TestCli:
         report = json.loads((tmp_path / "out" / "run_report.json").read_text())
         assert [e["frame"] for e in report["errors"]] == [1]
 
+    def test_bogus_config_choice_fails_before_any_frame(self, tmp_path, clean_dir, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("match = bogus\n")
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "pipeline",
+                "--manifest",
+                str(clean_dir),
+                "--out",
+                str(out),
+                "--config",
+                str(cfg_file),
+                "--k",
+                "0",
+            ]
+        )
+        assert rc == 1
+        assert "match" in capsys.readouterr().err
+        assert not list(out.glob("labels/*.jsonl"))
+
+    def test_fuse_reports_malformed_candidate_file(self, tmp_path, capsys):
+        cand = tmp_path / "cand.jsonl"
+        cand.write_text('{"type": "candidate_meta", "frame": 2, "k": 1}\n')
+        rc = main(["fuse", "--in", str(cand), "--method", "wbf", "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {cand}:1: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
     def test_eval_rejects_unknown_class(self, tmp_path, clean_dir, capsys):
         dets = tmp_path / "dets.jsonl"
         dets.write_text(
@@ -481,6 +594,7 @@ class TestCli:
             ],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(propfuse.__file__).parent.parent)},
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "bundle" / "manifest.json").is_file()
