@@ -11,6 +11,7 @@ line carrying the target frame, the number of available sources, and k.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -104,9 +105,19 @@ def _parse_box(value, path, lineno, key) -> tuple[float, float, float, float]:
     if not isinstance(value, list) or len(value) != 4:
         raise ValidationError(f"{path}:{lineno}: {key} must be a list of 4 numbers")
     try:
-        return tuple(float(v) for v in value)
+        box = tuple(float(v) for v in value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}:{lineno}: non-numeric {key}: {value}") from exc
+    if not all(math.isfinite(v) for v in box):
+        raise ValidationError(f"{path}:{lineno}: non-finite {key}: {value}")
+    return box
+
+
+def _parse_score(value, path, lineno) -> float:
+    score = float(value)
+    if not math.isfinite(score):
+        raise ValidationError(f"{path}:{lineno}: non-finite score: {value}")
+    return score
 
 
 def read_detections(path: str | Path) -> tuple[list[DetectionRecord], CandidateMeta | None]:
@@ -144,7 +155,7 @@ def read_detections(path: str | Path) -> tuple[list[DetectionRecord], CandidateM
                     frame=int(obj["frame"]),
                     class_name=str(obj["class"]),
                     bbox=_parse_box(obj["bbox"], path, lineno, "bbox"),
-                    score=float(obj["score"]),
+                    score=_parse_score(obj["score"], path, lineno),
                     source_offset=int(obj.get("source_offset", 0)),
                     source_bbox=source_bbox,
                 )

@@ -8,6 +8,7 @@ pairs in row-major order. Reads and writes are bit-exact round trips.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import threading
 from dataclasses import dataclass, replace
@@ -34,6 +35,10 @@ __all__ = [
     "write_flow",
     "sample",
     "sample_bilinear",
+    "carry",
+    "carried_position",
+    "box_corners",
+    "land_boxes",
     "transfer_point",
     "transfer_box",
     "constant_field",
@@ -161,36 +166,47 @@ def read_flow(
     from_frame: int | None = None,
     to_frame: int | None = None,
 ) -> MotionField:
-    """Parse a stored motion field, validating magic, header, and length."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 4:
-        raise FlowLengthError(f"{path}: file too short to hold a magic number")
-    (magic,) = struct.unpack("<f", raw[:4])
-    if magic != FLOW_MAGIC:
-        raise FlowFormatError(f"{path}: bad magic {magic!r}, expected {FLOW_MAGIC}")
-    if len(raw) < 12:
-        raise FlowLengthError(f"{path}: header truncated at {len(raw)} bytes")
-    width, height = struct.unpack("<ii", raw[4:12])
-    if width < 1 or height < 1:
-        raise FlowFormatError(f"{path}: invalid dimensions {width}x{height}")
-    expected = 12 + width * height * 8
-    if len(raw) != expected:
-        kind = "truncated" if len(raw) < expected else "oversized"
-        raise FlowLengthError(
-            f"{path}: {kind} payload, {len(raw)} bytes for declared {width}x{height} "
-            f"(expected {expected})"
-        )
-    data = np.frombuffer(raw, dtype="<f4", offset=12).reshape(height, width, 2).copy()
-    if not np.isfinite(data).all():
-        raise FlowFormatError(f"{path}: payload contains non-finite values")
-    return MotionField(FrameSize(width, height), data, from_frame, to_frame)
+    """Parse a stored motion field, validating magic, header, and length.
+
+    The header and the file size are checked before the payload is read
+    straight into its array.
+    """
+    with open(path, "rb") as fh:
+        nbytes = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if len(head) < 4:
+            raise FlowLengthError(f"{path}: file too short to hold a magic number")
+        (magic,) = struct.unpack("<f", head[:4])
+        if magic != FLOW_MAGIC:
+            raise FlowFormatError(f"{path}: bad magic {magic!r}, expected {FLOW_MAGIC}")
+        if len(head) < 12:
+            raise FlowLengthError(f"{path}: header truncated at {len(head)} bytes")
+        width, height = struct.unpack("<ii", head[4:12])
+        if width < 1 or height < 1:
+            raise FlowFormatError(f"{path}: invalid dimensions {width}x{height}")
+        expected = 12 + width * height * 8
+        if nbytes != expected:
+            kind = "truncated" if nbytes < expected else "oversized"
+            raise FlowLengthError(
+                f"{path}: {kind} payload, {nbytes} bytes for declared {width}x{height} "
+                f"(expected {expected})"
+            )
+        data = np.empty((height, width, 2), dtype="<f4")
+        got = fh.readinto(memoryview(data).cast("B"))
+    if got != data.nbytes:
+        raise FlowLengthError(f"{path}: payload ended after {12 + got} of {expected} bytes")
+    try:
+        return MotionField(FrameSize(width, height), data, from_frame, to_frame)
+    except ValidationError as exc:
+        raise FlowFormatError(f"{path}: payload contains non-finite values") from exc
 
 
 def sample_bilinear(data: np.ndarray, xs, ys) -> np.ndarray:
     """Bilinear lookup of an (h, w) or (h, w, c) array at continuous positions.
 
     The value of pixel (col, row) is taken to sit at coordinate (col, row);
-    queries outside the lattice clamp to the border.
+    queries outside the lattice clamp to the border. Only the four gathered
+    neighbours are cast to float64, which is exact for float32 data.
     """
     h, w = data.shape[:2]
     xs = np.clip(np.asarray(xs, dtype=np.float64), 0.0, w - 1.0)
@@ -204,13 +220,16 @@ def sample_bilinear(data: np.ndarray, xs, ys) -> np.ndarray:
     if data.ndim == 3:
         fx = fx[..., None]
         fy = fy[..., None]
-    d = data.astype(np.float64, copy=False)
+
+    def at(rows, cols):
+        return np.asarray(data[rows, cols], dtype=np.float64)
+
     # lerp form rather than the four-weight sum: constant patches then come
     # out exactly, since both deltas are exactly zero
-    v00 = d[y0, x0]
-    top = v00 + fx * (d[y0, x1] - v00)
-    v10 = d[y1, x0]
-    bottom = v10 + fx * (d[y1, x1] - v10)
+    v00 = at(y0, x0)
+    top = v00 + fx * (at(y0, x1) - v00)
+    v10 = at(y1, x0)
+    bottom = v10 + fx * (at(y1, x1) - v10)
     return top + fy * (bottom - top)
 
 
@@ -220,23 +239,81 @@ def sample(field: MotionField, u: float, v: float) -> tuple[float, float]:
     return float(vec[0]), float(vec[1])
 
 
+def carry(
+    start: np.ndarray,
+    fields: Sequence[MotionField],
+    mode: str,
+    acc: np.ndarray | None = None,
+) -> list[np.ndarray]:
+    """Carry (n, 2) continuous positions hop by hop along a chain of fields.
+
+    Returns the chain's running value after each hop, one (n, 2) array per
+    field: the position reached so far in ``trajectory`` mode, or in
+    ``additive`` mode the displacements sampled at ``start`` summed in
+    chain order (see ``carried_position``). ``acc`` resumes the chain from
+    the running value an earlier call returned for a prefix of it, so a
+    chain carried in pieces gives the same bits as one carried whole.
+    """
+    trajectory = mode == "trajectory"
+    if acc is None:
+        acc = start if trajectory else np.zeros_like(start)
+    out = []
+    for f in fields:
+        at = acc if trajectory else start
+        acc = acc + sample_bilinear(f.data, at[:, 0], at[:, 1])
+        out.append(acc)
+    return out
+
+
+def carried_position(start: np.ndarray, acc: np.ndarray, mode: str) -> np.ndarray:
+    """The continuous positions a running value from ``carry`` stands for."""
+    return acc if mode == "trajectory" else start + acc
+
+
+def box_corners(dets: Sequence[Detection]) -> np.ndarray:
+    """The four corners of each box as rows 4i..4i+3 of a (4n, 2) array."""
+    rows = []
+    for d in dets:
+        b = d.bbox
+        rows += ((b.x1, b.y1), (b.x2, b.y1), (b.x1, b.y2), (b.x2, b.y2))
+    return np.array(rows, dtype=np.float64).reshape(len(dets) * 4, 2)
+
+
+def land_boxes(
+    corners: np.ndarray,
+    size: FrameSize,
+    min_coverage: float = DEFAULT_MIN_COVERAGE,
+) -> list[BBox | None]:
+    """The box each group of four carried corners lands on, or None.
+
+    Rows 4i..4i+3 of ``corners`` are box i's continuous corner positions.
+    They are floored, their axis-aligned hull is clipped to the frame, and
+    the box is dropped when degenerate or when less than ``min_coverage``
+    of the hull survives the clip.
+    """
+    # + 0.0 turns a floored -0.0 into the 0.0 an integer floor gives
+    pts = (np.floor(corners) + 0.0).tolist()
+    out: list[BBox | None] = []
+    for i in range(0, len(pts), 4):
+        xs = [p[0] for p in pts[i : i + 4]]
+        ys = [p[1] for p in pts[i : i + 4]]
+        x1, x2 = min(xs), max(xs)
+        y1, y2 = min(ys), max(ys)
+        clipped = None
+        if x1 < x2 and y1 < y2:
+            clipped = clip_to_frame(BBox(x1, y1, x2, y2), size)
+        if clipped is None or clipped[1] < min_coverage:
+            out.append(None)
+        else:
+            out.append(clipped[0])
+    return out
+
+
 def transfer_point(u: float, v: float, motion: ComposedMotion) -> tuple[int, int]:
     """Carry a point through the chain, flooring once at the very end."""
-    if motion.mode == "trajectory":
-        cu, cv = float(u), float(v)
-        for f in motion.fields:
-            du, dv = sample(f, cu, cv)
-            cu += du
-            cv += dv
-    else:
-        total_u = 0.0
-        total_v = 0.0
-        for f in motion.fields:
-            du, dv = sample(f, u, v)
-            total_u += du
-            total_v += dv
-        cu = u + total_u
-        cv = v + total_v
+    start = np.array([[u, v]], dtype=np.float64)
+    acc = carry(start, motion.fields, motion.mode)[-1]
+    cu, cv = carried_position(start, acc, motion.mode)[0]
     return math.floor(cu), math.floor(cv)
 
 
@@ -252,19 +329,10 @@ def transfer_box(
     is clipped to the frame, and the result is dropped when degenerate or
     when less than ``min_coverage`` of the hull survives the clip.
     """
-    b = det.bbox
-    corners = ((b.x1, b.y1), (b.x2, b.y1), (b.x1, b.y2), (b.x2, b.y2))
-    pts = [transfer_point(u, v, motion) for u, v in corners]
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    x1, x2 = min(xs), max(xs)
-    y1, y2 = min(ys), max(ys)
-    if x1 >= x2 or y1 >= y2:
-        return None
-    clipped = clip_to_frame(BBox(float(x1), float(y1), float(x2), float(y2)), size)
-    if clipped is None or clipped[1] < min_coverage:
-        return None
-    return replace(det, bbox=clipped[0])
+    start = box_corners([det])
+    acc = carry(start, motion.fields, motion.mode)[-1]
+    box = land_boxes(carried_position(start, acc, motion.mode), size, min_coverage)[0]
+    return None if box is None else replace(det, bbox=box)
 
 
 class FlowStore:

@@ -8,9 +8,10 @@ field metadata.
 With k=0 there is nothing to carry in and nothing to corroborate, so the
 pipeline degenerates to the plain thresholded teacher labels; fusion is
 bypassed entirely in that case. With k>0 every target frame is processed
-independently (optionally across a thread pool) and the per-frame label
-files are written under <out>/labels/ named by frame index, so the output
-tree is identical no matter the completion order. With ``keep_going`` a
+on its own (optionally across a thread pool), sharing only the run's memo
+of boxes carried along the motion fields, and the per-frame label files are
+written under <out>/labels/ named by frame index, so the output tree is
+identical no matter the completion order. With ``keep_going`` a
 frame that fails on its input or on I/O is recorded in the report and the
 run moves on; any other exception is a bug and always propagates.
 """
@@ -37,6 +38,7 @@ from .motion import COMPOSITION_MODES, DEFAULT_MIN_COVERAGE
 from .propagation import (
     DEFAULT_TEACHER_THRESHOLD,
     CandidateSet,
+    SweepMemo,
     build_candidates,
     chain_pairs,
     offset_order,
@@ -228,8 +230,16 @@ def build_provider(manifest: SequenceManifest, config: PipelineConfig):
     return pre
 
 
-def gather_candidates(manifest: SequenceManifest, config: PipelineConfig, t: int) -> CandidateSet:
-    """Frame t's own and carried-in candidates under the config's propagation settings."""
+def gather_candidates(
+    manifest: SequenceManifest,
+    config: PipelineConfig,
+    t: int,
+    sweeps: SweepMemo,
+) -> CandidateSet:
+    """Frame t's own and carried-in candidates under the config's propagation settings.
+
+    ``sweeps`` is the run's memo of carried boxes (see ``SweepMemo``).
+    """
     return build_candidates(
         t,
         config.k,
@@ -239,6 +249,7 @@ def gather_candidates(manifest: SequenceManifest, config: PipelineConfig, t: int
         teacher_threshold=config.teacher_threshold,
         mode=config.composition,
         min_coverage=config.min_coverage,
+        sweeps=sweeps,
     )
 
 
@@ -331,10 +342,11 @@ def run_pipeline(
         out_dir = Path(out_dir)
         labels_dir = out_dir / "labels"
         labels_dir.mkdir(parents=True, exist_ok=True)
+    sweeps = SweepMemo(targets)
 
     def process(t: int) -> tuple[LabelSet, dict]:
         t0 = time.perf_counter()
-        candidates = gather_candidates(manifest, config, t)
+        candidates = gather_candidates(manifest, config, t, sweeps)
         t1 = time.perf_counter()
         if config.k == 0:
             result = _teacher_passthrough(candidates, config)

@@ -7,17 +7,34 @@ forward motion fields (T-i -> T-i+1 -> ... -> T), negative offsets walk the
 backward fields from future frames (T+|i| -> ... -> T). Offsets whose source
 frame or motion chain is unavailable are simply omitted; the number of
 offsets that did participate is reported as ``effective_sources``.
+
+``build_candidates`` does not compose each offset's chain afresh. Every
+source frame's kept boxes are swept once forward and once backward, hop by
+hop, and offset +-j reads the position after hop j. That is exact: the
+floor comes only at the end of a chain and additive sums run in chain order,
+so hop j's position is bit for bit the one the j-hop chain gives.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
-from .errors import MissingFlowError, ValidationError
+import numpy as np
+
+from .errors import ValidationError
 from .geometry import BBox, Detection, FrameSize, LabelSet
-from .motion import DEFAULT_MIN_COVERAGE, ComposedMotion, FlowStore, transfer_box
+from .motion import (
+    DEFAULT_MIN_COVERAGE,
+    ComposedMotion,
+    FlowStore,
+    box_corners,
+    carried_position,
+    carry,
+    land_boxes,
+    transfer_box,
+)
 
 __all__ = [
     "chain_pairs",
@@ -26,6 +43,7 @@ __all__ = [
     "plan_offsets",
     "propagate_from_offset",
     "CandidateSet",
+    "SweepMemo",
     "build_candidates",
     "threshold_labels",
     "offset_order",
@@ -102,14 +120,6 @@ def threshold_labels(labels: LabelSet, threshold: float) -> list[Detection]:
     return [d for d in labels.detections if d.score > threshold]
 
 
-def _composed(
-    pairs,
-    flows: FlowStore,
-    mode: str,
-) -> ComposedMotion:
-    return ComposedMotion([flows.get(a, b) for a, b in pairs], mode=mode)
-
-
 def propagate_from_offset(
     offset: int,
     source_labels: LabelSet,
@@ -127,19 +137,13 @@ def propagate_from_offset(
         raise ValidationError("offset 0 does not propagate; use the teacher labels directly")
     target = source_labels.frame_index + offset
     pairs = chain_pairs(target, offset)
-    motion = _composed(pairs, flows, mode)
+    motion = ComposedMotion([flows.get(a, b) for a, b in pairs], mode=mode)
     out = LabelSet(frame_index=target)
-    for det, moved in _propagate_pairs(source_labels.detections, motion, size, min_coverage, offset):
-        out.detections.append(moved)
-    return out
-
-
-def _propagate_pairs(detections, motion, size, min_coverage, offset):
-    """Yield (source detection, transferred detection) for surviving boxes."""
-    for det in detections:
+    for det in source_labels.detections:
         moved = transfer_box(det, motion, size, min_coverage=min_coverage)
         if moved is not None:
-            yield det, replace(moved, source_offset=offset)
+            out.detections.append(replace(moved, source_offset=offset))
+    return out
 
 
 @dataclass
@@ -172,6 +176,71 @@ class CandidateSet:
         return LabelSet(self.frame_index, list(self.detections))
 
 
+class _Sweep(NamedTuple):
+    """One source frame's kept boxes carried some hops in one direction."""
+
+    kept: tuple[Detection, ...]
+    corners: np.ndarray  # (4n, 2) corner positions on the source frame
+    hops: tuple[np.ndarray, ...]  # the running value of ``carry`` after each hop
+
+
+class SweepMemo:
+    """Each source frame's boxes carried hop by hop, shared across targets.
+
+    Entries are keyed by (source frame, step), step +1 for the forward sweep
+    and -1 for the backward one. A sweep is extended only as far as the
+    chain of the target asking for it, so no flow outside a requested
+    target's chains is read. Entries are immutable and replaced whole, so
+    concurrent targets can share the memo without a lock; two threads
+    extending one sweep at once compute the same bits. An entry is dropped
+    once every target of ``targets`` that could read it has been released,
+    which bounds the memo by the reach, not by the sequence length.
+
+    One memo serves one run: the same labels, flows, teacher threshold and
+    composition mode throughout.
+    """
+
+    def __init__(self, targets: Iterable[int]):
+        self._targets = frozenset(targets)
+        self._entries: dict[tuple[int, int], _Sweep] = {}
+        self._done: set[int] = set()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def carried(
+        self,
+        chain: OffsetChain,
+        get_labels: Callable[[int], Optional[LabelSet]],
+        flows: FlowStore,
+        teacher_threshold: float,
+        mode: str,
+    ) -> tuple[tuple[Detection, ...], np.ndarray]:
+        """The source's kept boxes and their corner positions at the chain's end."""
+        key = (chain.source_frame, 1 if chain.offset > 0 else -1)
+        sweep = self._entries.get(key)
+        if sweep is None:
+            kept = tuple(threshold_labels(get_labels(chain.source_frame), teacher_threshold))
+            sweep = _Sweep(kept, box_corners(kept), ())
+        have = len(sweep.hops)
+        if have < len(chain.pairs):
+            fields = [flows.get(a, b) for a, b in chain.pairs[have:]]
+            acc = sweep.hops[-1] if have else None
+            hops = sweep.hops + tuple(carry(sweep.corners, fields, mode, acc))
+            sweep = self._entries[key] = sweep._replace(hops=hops)
+        acc = sweep.hops[len(chain.pairs) - 1]
+        return sweep.kept, carried_position(sweep.corners, acc, mode)
+
+    def release(self, target: int, k: int) -> None:
+        """Record that target is done; drop the sweeps no pending target can read."""
+        self._done.add(target)
+        for j in range(1, k + 1):
+            for source, step in ((target - j, 1), (target + j, -1)):
+                readers = (source + step * i for i in range(1, k + 1))
+                if all(t in self._done or t not in self._targets for t in readers):
+                    self._entries.pop((source, step), None)
+
+
 def build_candidates(
     target: int,
     k: int,
@@ -181,29 +250,35 @@ def build_candidates(
     teacher_threshold: float = DEFAULT_TEACHER_THRESHOLD,
     mode: str = "trajectory",
     min_coverage: float = DEFAULT_MIN_COVERAGE,
+    sweeps: Optional[SweepMemo] = None,
 ) -> CandidateSet:
     """Union of thresholded teacher labels and carried neighbour detections.
 
     The teacher threshold is applied to the target frame and to every source
     frame before its boxes are carried over. With k=0 the result is exactly
-    the thresholded teacher labels.
+    the thresholded teacher labels. ``sweeps`` shares carried positions
+    between the targets of one run; without it each call carries its own.
     """
-    teacher = get_labels(target)
-    if teacher is None:
-        raise ValidationError(f"no teacher labels available for target frame {target}")
-    cand = CandidateSet(frame_index=target)
-    for det in threshold_labels(teacher, teacher_threshold):
-        if det.source_offset != 0:
-            det = replace(det, source_offset=0)
-        cand.detections.append(det)
-        cand.source_boxes.append(None)
-    plan = plan_offsets(target, k, lambda f: get_labels(f) is not None, flows)
-    for chain in plan.chains:
-        source_labels = get_labels(chain.source_frame)
-        kept = threshold_labels(source_labels, teacher_threshold)
-        motion = _composed(chain.pairs, flows, mode)
-        for src, moved in _propagate_pairs(kept, motion, size, min_coverage, chain.offset):
-            cand.detections.append(moved)
-            cand.source_boxes.append(src.bbox)
-    cand.effective_sources = plan.effective_sources
-    return cand
+    if sweeps is None:
+        sweeps = SweepMemo([target])
+    try:
+        teacher = get_labels(target)
+        if teacher is None:
+            raise ValidationError(f"no teacher labels available for target frame {target}")
+        cand = CandidateSet(frame_index=target)
+        for det in threshold_labels(teacher, teacher_threshold):
+            if det.source_offset != 0:
+                det = replace(det, source_offset=0)
+            cand.detections.append(det)
+            cand.source_boxes.append(None)
+        plan = plan_offsets(target, k, lambda f: get_labels(f) is not None, flows)
+        for chain in plan.chains:
+            kept, corners = sweeps.carried(chain, get_labels, flows, teacher_threshold, mode)
+            for src, box in zip(kept, land_boxes(corners, size, min_coverage)):
+                if box is not None:
+                    cand.detections.append(replace(src, bbox=box, source_offset=chain.offset))
+                    cand.source_boxes.append(src.bbox)
+        cand.effective_sources = plan.effective_sources
+        return cand
+    finally:
+        sweeps.release(target, k)

@@ -206,3 +206,87 @@ def oracle_map(dets_by_class, gts_by_class, thresholds):
     if not per_class:
         return None
     return sum(per_class) / len(per_class)
+
+
+def ref_bilinear(field, x, y):
+    """(du, dv) of an (h, w, 2) field at continuous (x, y), one float at a time.
+
+    The query clamps to the pixel lattice; each channel is lerped along x on
+    the two rows, then along y between them.
+    """
+    h, w = len(field), len(field[0])
+    x = min(max(x, 0.0), w - 1.0)
+    y = min(max(y, 0.0), h - 1.0)
+    c0, r0 = math.floor(x), math.floor(y)
+    c1, r1 = min(c0 + 1, w - 1), min(r0 + 1, h - 1)
+    fx, fy = x - c0, y - r0
+    out = []
+    for ch in (0, 1):
+        v00, v01 = float(field[r0][c0][ch]), float(field[r0][c1][ch])
+        v10, v11 = float(field[r1][c0][ch]), float(field[r1][c1][ch])
+        top = v00 + fx * (v01 - v00)
+        bottom = v10 + fx * (v11 - v10)
+        out.append(top + fy * (bottom - top))
+    return out[0], out[1]
+
+
+def ref_chain_point(u, v, fields, mode):
+    """A point carried through a chain of fields, floored once at the end.
+
+    trajectory samples each hop where the point has got to; additive samples
+    every hop at the start and adds the hop sums in chain order.
+    """
+    if mode == "trajectory":
+        for f in fields:
+            du, dv = ref_bilinear(f, u, v)
+            u, v = u + du, v + dv
+        return math.floor(u), math.floor(v)
+    su = sv = 0.0
+    for f in fields:
+        du, dv = ref_bilinear(f, u, v)
+        su, sv = su + du, sv + dv
+    return math.floor(u + su), math.floor(v + sv)
+
+
+def ref_chain_box(box: Box, fields, mode, width, height, min_coverage):
+    """A box carried corner by corner, hulled, clipped and coverage-checked."""
+    x1, y1, x2, y2 = box
+    pts = [ref_chain_point(u, v, fields, mode) for u, v in ((x1, y1), (x2, y1), (x1, y2), (x2, y2))]
+    hx1, hx2 = min(p[0] for p in pts), max(p[0] for p in pts)
+    hy1, hy2 = min(p[1] for p in pts), max(p[1] for p in pts)
+    if hx1 >= hx2 or hy1 >= hy2:
+        return None
+    cx1, cy1 = max(hx1, 0), max(hy1, 0)
+    cx2, cy2 = min(hx2, width), min(hy2, height)
+    if cx1 >= cx2 or cy1 >= cy2:
+        return None
+    if (cx2 - cx1) * (cy2 - cy1) / ((hx2 - hx1) * (hy2 - hy1)) < min_coverage:
+        return None
+    return (float(cx1), float(cy1), float(cx2), float(cy2))
+
+
+def ref_candidates(target, k, labels, fields, width, height, threshold, mode, min_coverage):
+    """Candidates of one target frame: its teacher boxes, then offsets 1, -1, 2, -2, ...
+
+    labels: {frame: [(class_id, box, score), ...]}; fields: {(from, to): (h, w, 2)}.
+    An offset whose source frame or any field of its chain is absent is
+    skipped. Returns [(class_id, box, score, offset, source box or None)].
+    """
+    out = [(c, b, s, 0, None) for c, b, s in labels[target] if s > threshold]
+    for step in range(1, k + 1):
+        for offset in (step, -step):
+            source = target - offset
+            if offset > 0:
+                pairs = [(f, f + 1) for f in range(source, target)]
+            else:
+                pairs = [(f, f - 1) for f in range(source, target, -1)]
+            if source not in labels or any(p not in fields for p in pairs):
+                continue
+            chain = [fields[p] for p in pairs]
+            for c, b, s in labels[source]:
+                if s <= threshold:
+                    continue
+                moved = ref_chain_box(b, chain, mode, width, height, min_coverage)
+                if moved is not None:
+                    out.append((c, moved, s, offset, b))
+    return out

@@ -105,6 +105,15 @@ class TestDetectionsFile:
                 "'x'",
             ),
             ('{"frame": 0, "class": "a", "bbox": [1, 2, 3, ' + "9" * 400 + '], "score": 0.5}', "bbox"),
+            ('{"frame": 0, "class": "a", "bbox": [1, 2, 3, 1e999], "score": 0.5}', "non-finite bbox"),
+            ('{"frame": 0, "class": "a", "bbox": [1, 2, NaN, 4], "score": 0.5}', "non-finite bbox"),
+            ('{"frame": 0, "class": "a", "bbox": [1, 2, 3, 4], "score": NaN}', "non-finite score"),
+            ('{"frame": 0, "class": "a", "bbox": [1, 2, 3, 4], "score": 1e999}', "non-finite score"),
+            (
+                '{"frame": 0, "class": "a", "bbox": [1, 2, 3, 4], "score": 0.5, '
+                '"source_bbox": [-Infinity, 2, 3, 4]}',
+                "non-finite source_bbox",
+            ),
         ],
         ids=[
             "meta-no-effective-sources",
@@ -118,6 +127,11 @@ class TestDetectionsFile:
             "infinite-frame",
             "text-offset",
             "overflowing-bbox",
+            "infinite-bbox",
+            "nan-bbox",
+            "nan-score",
+            "infinite-score",
+            "infinite-source-bbox",
         ],
     )
     def test_malformed_line_names_path_and_line(self, tmp_path, line, needle):

@@ -88,6 +88,17 @@ class TestFlowFile:
         with pytest.raises(FlowFormatError):
             read_flow(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_names_path(self, tmp_path, bad):
+        payload = np.zeros((2, 3, 2), dtype="<f4")
+        payload[1, 2, 0] = bad
+        path = tmp_path / "n.flo"
+        path.write_bytes(struct.pack("<fii", 202021.25, 3, 2) + payload.tobytes())
+        with pytest.raises(FlowFormatError) as err:
+            read_flow(path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert "non-finite" in str(err.value)
+
     @settings(max_examples=40)
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
     def test_roundtrip_property(self, w, h, seed):

@@ -11,7 +11,7 @@ import pytest
 import propfuse
 import propfuse.pipeline
 from propfuse.cli import _config_from_args, _parse_frames, build_parser, main
-from propfuse.errors import CliUsageError, ValidationError
+from propfuse.errors import CliUsageError, FlowFormatError, ValidationError
 from propfuse.manifest import load_manifest
 from propfuse.pipeline import (
     PipelineConfig,
@@ -138,9 +138,14 @@ class TestRunPipeline:
             want = thresholded_lines(noisy_dir.parent / "dets" / f"det_{t:04d}.jsonl", 0.7)
             assert got == want
 
-    def test_parallel_matches_serial(self, tmp_path, noisy_dir):
+    @pytest.mark.parametrize(
+        "k, composition",
+        [(1, "trajectory"), (1, "additive"), (3, "trajectory"), (3, "additive")],
+        ids=["k1-trajectory", "k1-additive", "k3-trajectory", "k3-additive"],
+    )
+    def test_parallel_matches_serial(self, tmp_path, noisy_dir, k, composition):
         manifest = load_manifest(noisy_dir)
-        base = PipelineConfig(k=1, method="swbf")
+        base = PipelineConfig(k=k, method="swbf", composition=composition)
         out1 = tmp_path / "serial"
         out4 = tmp_path / "parallel"
         run_pipeline(manifest, base, out_dir=out1)
@@ -196,6 +201,21 @@ class TestRunPipeline:
         assert "2->3" in str(err.value)
         with pytest.raises(ValidationError):
             run_pipeline(manifest, PipelineConfig(k=1, method="wbf"))
+
+    def test_target_subset_reads_only_its_chains(self, tmp_path):
+        write_bundle(generate(_bundles_simple_spec()), tmp_path)
+        manifest_path = tmp_path / "manifest.json"
+        flows = json.loads(manifest_path.read_text())["flows"]
+        corrupt = tmp_path / next(e["path"] for e in flows if (e["from"], e["to"]) == (2, 3))
+        corrupt.write_bytes(b"not a flow file")
+        # frame 2 at k=2 needs 0->1->2, 1->2, 3->2 and 4->3->2, never 2->3
+        manifest = load_manifest(manifest_path)
+        run = run_pipeline(manifest, PipelineConfig(k=2, method="wbf"), targets=[2])
+        assert run.report["errors"] == []
+        assert run.report["frames"][0]["effective_sources"] == 5
+        with pytest.raises(FlowFormatError) as err:
+            run_pipeline(load_manifest(manifest_path), PipelineConfig(k=2, method="wbf"))
+        assert str(corrupt) in str(err.value)
 
     def test_keep_going_records_bad_frames(self, tmp_path):
         write_bundle(generate(_bundles_simple_spec()), tmp_path / "bundle")

@@ -1,11 +1,15 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from propfuse.errors import MissingFlowError, ValidationError
 from propfuse.geometry import BBox, Detection, FrameSize, LabelSet
-from propfuse.motion import FlowStore, constant_field
+from propfuse.motion import COMPOSITION_MODES, FlowStore, MotionField, constant_field
 from propfuse.propagation import (
+    SweepMemo,
     build_candidates,
     chain_pairs,
     offset_order,
@@ -14,6 +18,7 @@ from propfuse.propagation import (
     threshold_labels,
 )
 
+from _oracles import ref_candidates
 
 SIZE = FrameSize(100, 100)
 
@@ -207,3 +212,132 @@ class TestBuildCandidates:
         got = carried[0].bbox
         for a, c in zip(got.as_tuple(), b.as_tuple()):
             assert -1.0 < a - c <= 0.0
+
+
+@st.composite
+def sequences(draw):
+    """A short sequence with random non-uniform fields and boxes, some off-frame.
+
+    One field pair and one frame's labels may each be missing.
+    """
+    n = draw(st.integers(2, 7))
+    w, h = draw(st.integers(4, 24)), draw(st.integers(4, 24))
+    scale = draw(st.sampled_from([0.0, 0.7, 1.5, 3.0, 25.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fields = {}
+    for t in range(n - 1):
+        for pair in ((t, t + 1), (t + 1, t)):
+            fields[pair] = (rng.standard_normal((h, w, 2)) * scale).astype(np.float32)
+    missing = draw(st.sampled_from([None] + sorted(fields)))
+    fields.pop(missing, None)
+    labels = {}
+    for t in range(n):
+        dets = []
+        for _ in range(int(rng.integers(0, 7))):
+            x1, y1 = rng.uniform(-0.4 * w, 0.9 * w), rng.uniform(-0.4 * h, 0.9 * h)
+            x2, y2 = x1 + rng.uniform(1.0, 0.8 * w), y1 + rng.uniform(1.0, 0.8 * h)
+            dets.append((int(rng.integers(0, 2)), (x1, y1, x2, y2), float(rng.uniform())))
+        labels[t] = dets
+    gap = draw(st.sampled_from([None] + list(range(n))))
+    labels.pop(gap, None)
+    return FrameSize(w, h), fields, labels
+
+
+class TestSweep:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        sequences(),
+        st.integers(0, 3),
+        st.sampled_from(COMPOSITION_MODES),
+        st.sampled_from([0.0, 0.25, 0.9]),
+        st.randoms(use_true_random=False),
+    )
+    def test_build_candidates_equals_per_corner_chains(self, seq, k, mode, coverage, rnd):
+        size, fields, labels = seq
+        store = FlowStore({p: MotionField(size, a) for p, a in fields.items()})
+        table = {
+            t: LabelSet(t, [Detection(c, BBox(*b), s) for c, b, s in dets])
+            for t, dets in labels.items()
+        }
+        plain = {p: a.tolist() for p, a in fields.items()}
+        targets = sorted(table)
+        rnd.shuffle(targets)
+        memo = SweepMemo(targets)
+        for t in targets:
+            cand = build_candidates(t, k, table.get, store, size, 0.4, mode, coverage, sweeps=memo)
+            got = [
+                (d.class_id, d.bbox.as_tuple(), d.score, d.source_offset, b and b.as_tuple())
+                for d, b in zip(cand.detections, cand.source_boxes)
+            ]
+            want = ref_candidates(t, k, labels, plain, size.width, size.height, 0.4, mode, coverage)
+            assert got == want
+        # every sweep is dropped once the last target that reads it is done
+        assert len(memo) == 0
+
+    def test_sweep_extended_by_another_target_midway(self):
+        # target 3 extends source 5's backward sweep while target 2 is still
+        # reading the fields for it, as a second worker thread could
+        n, size, k = 7, FrameSize(24, 24), 3
+        rng = np.random.default_rng(11)
+        fields = {}
+        for t in range(n - 1):
+            for pair in ((t, t + 1), (t + 1, t)):
+                fields[pair] = (rng.standard_normal((24, 24, 2)) * 2.0).astype(np.float32)
+        labels = {
+            t: [(0, (x, x + 1.5, x + 9.0, x + 8.0), 0.9) for x in (2.25, 7.5, 12.75)]
+            for t in range(n)
+        }
+        table = {
+            t: LabelSet(t, [Detection(c, BBox(*b), s) for c, b, s in dets])
+            for t, dets in labels.items()
+        }
+        memo = SweepMemo(range(n))
+        got = {}
+        nested = []
+
+        class Interleaving(FlowStore):
+            def get(self, a, b):
+                if (a, b) == (4, 3) and not nested:
+                    nested.append(3)
+                    got[3] = build_candidates(3, k, table.get, self, size, sweeps=memo)
+                return super().get(a, b)
+
+        store = Interleaving({p: MotionField(size, a) for p, a in fields.items()})
+        got[2] = build_candidates(2, k, table.get, store, size, sweeps=memo)
+        plain = {p: a.tolist() for p, a in fields.items()}
+        for t in (2, 3):
+            want = ref_candidates(t, k, labels, plain, 24, 24, 0.4, "trajectory", 0.25)
+            assert len(want) > 3 * 4
+            assert [(d.bbox.as_tuple(), d.source_offset) for d in got[t].detections] == [
+                (c[1], c[3]) for c in want
+            ]
+
+    def test_threads_sharing_the_memo_match_serial(self):
+        n, size, k = 12, FrameSize(32, 32), 3
+        rng = np.random.default_rng(5)
+        store = FlowStore()
+        for t in range(n - 1):
+            for a, b in ((t, t + 1), (t + 1, t)):
+                data = (rng.standard_normal((32, 32, 2)) * 2.0).astype(np.float32)
+                store.add(a, b, MotionField(size, data))
+        table = {
+            t: LabelSet(t, [det(0.9, (x, x + 2, x + 9, x + 8)) for x in (1.5, 6.25, 11.0, 19.75)])
+            for t in range(n)
+        }
+
+        def boxes(t, memo):
+            cand = build_candidates(t, k, table.get, store, size, sweeps=memo)
+            return [(d.bbox.as_tuple(), d.source_offset) for d in cand.detections]
+
+        serial = {t: boxes(t, None) for t in range(n)}
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                memo = SweepMemo(range(n))
+                with ThreadPoolExecutor(4) as pool:
+                    futures = {t: pool.submit(boxes, t, memo) for t in range(n)}
+                    assert {t: f.result(timeout=60) for t, f in futures.items()} == serial
+                assert len(memo) == 0
+        finally:
+            sys.setswitchinterval(old)
