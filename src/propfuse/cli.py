@@ -26,7 +26,7 @@ from .errors import (
 from .evaluation import evaluate, self_consistency
 from .fusion import fuse_candidates
 from .geometry import BBox, Detection
-from .io import DetectionRecord, read_detections, write_detections
+from .io import DetectionRecord, read_detections, read_text, write_atomic, write_detections
 from .manifest import SequenceManifest, load_manifest
 from .pipeline import (
     FIELD_TYPES,
@@ -107,7 +107,7 @@ def _parse_frames(text: str) -> list[int]:
 
 def cmd_synth(args) -> int:
     try:
-        obj = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+        obj = json.loads(read_text(args.spec, "utf-8"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{args.spec}: not valid JSON: {exc}") from exc
     if args.seed is not None:
@@ -249,9 +249,9 @@ def cmd_eval(args) -> int:
         classes=range(len(names)),
     )
     payload = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
-    Path(args.out).write_text(payload, encoding="utf-8")
+    write_atomic(args.out, payload, "utf-8")
     if args.csv:
-        Path(args.csv).write_text(report.to_csv(), encoding="utf-8")
+        write_atomic(args.csv, report.to_csv(), "utf-8")
     print(args.out)
     return 0
 
@@ -278,7 +278,7 @@ def cmd_selfcheck(args) -> int:
         small_height_threshold=config.small_height_threshold,
     )
     payload = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
-    Path(args.out).write_text(payload, encoding="utf-8")
+    write_atomic(args.out, payload, "utf-8")
     print(args.out)
     return 0
 

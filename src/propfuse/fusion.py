@@ -241,24 +241,37 @@ class FusionResult:
 
 
 def _apply_rescoring(candidates: CandidateSet, provider) -> tuple[list[Detection], int]:
+    """Rescore every carried candidate, its frames' crops embedded a frame at a time.
+
+    The provider is asked once per frame (the target, and each source) for
+    all the crops of this candidate set, so ``rescore`` finds them computed.
+    """
     if provider is None:
         raise ValidationError("the swbf method needs a feature provider for rescoring")
+    target = candidates.frame_index
+    crops: dict[int, list[BBox]] = {}
+    for det, src_box in zip(candidates.detections, candidates.source_boxes):
+        if det.source_offset == 0:
+            continue
+        if src_box is None:
+            raise ValidationError(f"carried candidate on frame {target} has no source box")
+        crops.setdefault(target, []).append(det.bbox)
+        crops.setdefault(target - det.source_offset, []).append(src_box)
+    for frame, boxes in crops.items():
+        provider.embed_many(frame, boxes)
+
     kept: list[Detection] = []
     dropped = 0
     for det, src_box in zip(candidates.detections, candidates.source_boxes):
         if det.source_offset == 0:
             kept.append(det)
             continue
-        if src_box is None:
-            raise ValidationError(
-                f"carried candidate on frame {candidates.frame_index} has no source box"
-            )
         scored = rescore(
             det,
             src_box,
             provider,
-            target_frame=candidates.frame_index,
-            source_frame=candidates.frame_index - det.source_offset,
+            target_frame=target,
+            source_frame=target - det.source_offset,
         )
         if scored is None:
             dropped += 1

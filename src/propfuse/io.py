@@ -6,12 +6,18 @@ candidate files, the originating "source_bbox" on the source frame. Floats
 are always written with 6 decimal places so identical runs produce identical
 bytes. A candidate file may start with one {"type": "candidate_meta", ...}
 line carrying the target frame, the number of available sources, and k.
+
+Text outputs are written through ``write_atomic``: a reader, or a run that
+is killed, sees a file's old contents or its whole new contents, never a
+part.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,6 +33,8 @@ __all__ = [
     "detection_line",
     "write_detections",
     "read_detections",
+    "read_text",
+    "write_atomic",
     "write_frame",
     "read_frame",
 ]
@@ -51,6 +59,36 @@ class CandidateMeta:
     frame: int
     effective_sources: int
     k: int
+
+
+def read_text(path: str | Path, encoding: str) -> str:
+    """A text file's contents; undecodable bytes raise a ValidationError naming the line."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode(encoding)
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(
+            f"{path}:{lineno}: not {encoding} text: byte {raw[exc.start]:#04x} at offset {exc.start}"
+        ) from exc
+
+
+def write_atomic(path: str | Path, text: str, encoding: str) -> None:
+    """Write text to a sibling temporary file, then move it over ``path``.
+
+    The text is encoded before anything is opened. If writing fails the
+    temporary file is removed and ``path`` keeps whatever it held before.
+    """
+    path = Path(path)
+    data = text.encode(encoding)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _fmt(value: float) -> str:
@@ -94,7 +132,7 @@ def write_detections(
             )
         )
     lines.extend(detection_line(r) for r in records)
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="ascii")
+    write_atomic(path, "".join(line + "\n" for line in lines), "ascii")
 
 
 _META_KEYS = ("frame", "effective_sources", "k")
@@ -124,7 +162,7 @@ def read_detections(path: str | Path) -> tuple[list[DetectionRecord], CandidateM
     """Parse a detection or candidate JSONL file."""
     records: list[DetectionRecord] = []
     meta: CandidateMeta | None = None
-    text = Path(path).read_text(encoding="ascii")
+    text = read_text(path, "ascii")
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .errors import ValidationError, VocabularyError
 from .geometry import BBox, Detection, FrameSize, LabelSet
-from .io import read_detections, read_frame
+from .io import read_detections, read_frame, read_text
 from .motion import FlowStore, Frame
 
 __all__ = ["FrameEntry", "SequenceManifest", "load_manifest"]
@@ -143,9 +143,7 @@ def load_manifest(path: str | Path) -> SequenceManifest:
     """Parse and validate a manifest file; all referenced files must exist."""
     path = Path(path)
     try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except OSError:
-        raise
+        obj = json.loads(read_text(path, "utf-8"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):

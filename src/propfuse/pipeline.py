@@ -32,13 +32,14 @@ from .errors import CliUsageError, PropfuseError, ValidationError
 from .evaluation import DEFAULT_SMALL_HEIGHT
 from .fusion import MATCH_MODES, METHODS, FusionConfig, FusionResult, fuse_candidates
 from .geometry import LabelSet
-from .io import CandidateMeta, DetectionRecord, write_detections
+from .io import CandidateMeta, DetectionRecord, read_text, write_atomic, write_detections
 from .manifest import SequenceManifest
 from .motion import COMPOSITION_MODES, DEFAULT_MIN_COVERAGE
 from .propagation import (
     DEFAULT_TEACHER_THRESHOLD,
     CandidateSet,
     SweepMemo,
+    TargetLedger,
     build_candidates,
     chain_pairs,
     offset_order,
@@ -156,7 +157,10 @@ FIELD_TYPES: dict[str, type] = {
 def parse_config_file(path: str | Path) -> dict:
     """Flat key=value config, '#' comments, unknown keys rejected by name."""
     values: dict = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = read_text(path, "utf-8")
+    except ValidationError as exc:
+        raise CliUsageError(str(exc)) from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -343,6 +347,8 @@ def run_pipeline(
         labels_dir = out_dir / "labels"
         labels_dir.mkdir(parents=True, exist_ok=True)
     sweeps = SweepMemo(targets)
+    # frames whose crops no pending target reads are dropped from the provider
+    crop_frames = TargetLedger(targets)
 
     def process(t: int) -> tuple[LabelSet, dict]:
         t0 = time.perf_counter()
@@ -383,6 +389,10 @@ def run_pipeline(
                 raise
             log.debug("frame %d failed: %s", t, exc)
             return exc
+        finally:
+            if provider is not None:
+                for f in crop_frames.finish_frames(t, config.k):
+                    provider.release(f)
 
     run = PipelineRun(out_dir=out_dir)
     frame_stats: dict[int, dict] = {}
@@ -416,8 +426,6 @@ def run_pipeline(
         },
     }
     if out_dir is not None:
-        report_path = Path(out_dir) / "run_report.json"
-        report_path.write_text(
-            json.dumps(run.report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        report = json.dumps(run.report, indent=2, sort_keys=True) + "\n"
+        write_atomic(Path(out_dir) / "run_report.json", report, "utf-8")
     return run

@@ -43,6 +43,7 @@ __all__ = [
     "plan_offsets",
     "propagate_from_offset",
     "CandidateSet",
+    "TargetLedger",
     "SweepMemo",
     "build_candidates",
     "threshold_labels",
@@ -184,6 +185,36 @@ class _Sweep(NamedTuple):
     hops: tuple[np.ndarray, ...]  # the running value of ``carry`` after each hop
 
 
+class TargetLedger:
+    """The targets of one run and which of them are done.
+
+    Data that a known set of targets reads may be dropped once each of them
+    is done or is not a target of the run. A target is marked done before
+    anything is dropped for it, so of two targets finishing at once at least
+    the later one sees both done, and nothing outlives its last reader.
+    """
+
+    def __init__(self, targets: Iterable[int]):
+        self._targets = frozenset(targets)
+        self._done: set[int] = set()
+
+    def finish(self, target: int) -> None:
+        self._done.add(target)
+
+    def unread(self, readers: Iterable[int]) -> bool:
+        """Whether no pending target of the run is among ``readers``."""
+        return all(t in self._done or t not in self._targets for t in readers)
+
+    def finish_frames(self, target: int, k: int) -> list[int]:
+        """Mark target done; return the frames within +-k of it no pending target reads.
+
+        A target reads frames up to k away from it, so frame f is read by
+        targets f-k..f+k.
+        """
+        self.finish(target)
+        return [f for f in range(target - k, target + k + 1) if self.unread(range(f - k, f + k + 1))]
+
+
 class SweepMemo:
     """Each source frame's boxes carried hop by hop, shared across targets.
 
@@ -201,9 +232,8 @@ class SweepMemo:
     """
 
     def __init__(self, targets: Iterable[int]):
-        self._targets = frozenset(targets)
+        self._ledger = TargetLedger(targets)
         self._entries: dict[tuple[int, int], _Sweep] = {}
-        self._done: set[int] = set()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -233,11 +263,10 @@ class SweepMemo:
 
     def release(self, target: int, k: int) -> None:
         """Record that target is done; drop the sweeps no pending target can read."""
-        self._done.add(target)
+        self._ledger.finish(target)
         for j in range(1, k + 1):
             for source, step in ((target - j, 1), (target + j, -1)):
-                readers = (source + step * i for i in range(1, k + 1))
-                if all(t in self._done or t not in self._targets for t in readers):
+                if self._ledger.unread(source + step * i for i in range(1, k + 1)):
                     self._entries.pop((source, step), None)
 
 

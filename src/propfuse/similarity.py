@@ -5,6 +5,12 @@ detector score only to the extent that the image content at its new position
 still looks like the content it was detected on: the score is multiplied by
 the cosine similarity of the two crop descriptors. Descriptor values live in
 [0, 1], so a carried box can never gain confidence.
+
+Every provider answers ``embed(frame, box)`` for one crop and
+``embed_many(frame, boxes)`` for many crops of one frame; the latter gives
+None where ``embed`` would raise. ``PatchDescriptor`` computes a frame's new
+crops in one batch and keeps each descriptor, and the frame's luminance
+plane, until ``release(frame)``.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import math
 import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -23,6 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import BBox, Detection, FrameSize, clip_to_frame
+from .io import read_text
 from .motion import Frame, sample_bilinear
 
 __all__ = [
@@ -48,16 +55,32 @@ class FeatureVector:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 1 or self.values.size == 0:
             raise ValidationError("feature vector must be a non-empty 1-D array")
-        if not np.isfinite(self.values).all():
-            raise ValidationError("feature vector contains non-finite values")
-        if self.values.min() < 0.0 or self.values.max() > 1.0:
-            raise ValidationError("feature vector components must lie in [0, 1]")
-        if not self.values.any():
-            raise ValidationError("feature vector has zero norm")
+        _check_components(self.values)
+
+    @classmethod
+    def rows(cls, values: np.ndarray) -> list["FeatureVector"]:
+        """One vector per row of a non-empty (m, d) float64 array, checked as a whole."""
+        _check_components(values)
+        out = []
+        for row in values:
+            vec = cls.__new__(cls)
+            vec.values = row
+            out.append(vec)
+        return out
 
     @property
     def dim(self) -> int:
         return int(self.values.size)
+
+
+def _check_components(values: np.ndarray) -> None:
+    """The descriptor invariants, for one vector or for every row of a batch."""
+    if not np.isfinite(values).all():
+        raise ValidationError("feature vector contains non-finite values")
+    if values.min() < 0.0 or values.max() > 1.0:
+        raise ValidationError("feature vector components must lie in [0, 1]")
+    if not values.any(axis=-1).all():
+        raise ValidationError("feature vector has zero norm")
 
 
 def cosine_sim(a: FeatureVector, b: FeatureVector) -> float:
@@ -93,6 +116,9 @@ class PatchDescriptor:
     patch_size x patch_size grid of its luminance, flattened, and min-max
     normalised into [0, 1]. A perfectly flat crop maps to an all-0.5 vector,
     which keeps the norm non-zero and compares equal to every other flat crop.
+
+    Each (frame, box) descriptor is computed once and kept, with the frame's
+    luminance plane, until ``release`` drops the frame.
     """
 
     def __init__(self, frame_loader: Callable[[int], Frame], patch_size: int = DEFAULT_PATCH_SIZE):
@@ -101,11 +127,22 @@ class PatchDescriptor:
         self._loader = frame_loader
         self.patch_size = int(patch_size)
         self._lum_cache: dict[int, np.ndarray] = {}
+        # frame -> box -> descriptor, None where the crop lies outside the frame
+        self._memo: dict[int, dict[BBox, Optional[FeatureVector]]] = {}
         self._lock = threading.Lock()
 
     @property
     def dim(self) -> int:
         return self.patch_size * self.patch_size
+
+    def held_frames(self) -> set[int]:
+        """Frames whose descriptors or luminance plane are still kept."""
+        return set(self._memo) | set(self._lum_cache)
+
+    def release(self, frame_index: int) -> None:
+        """Drop the frame's descriptors and luminance plane."""
+        self._memo.pop(frame_index, None)
+        self._lum_cache.pop(frame_index, None)
 
     def _luminance(self, frame_index: int) -> np.ndarray:
         with self._lock:
@@ -116,23 +153,46 @@ class PatchDescriptor:
             return lum
 
     def embed(self, frame_index: int, bbox: BBox) -> FeatureVector:
+        (vec,) = self.embed_many(frame_index, (bbox,))
+        if vec is None:
+            raise EmptyCropError(f"box {bbox.as_tuple()} lies outside frame {frame_index}")
+        return vec
+
+    def embed_many(self, frame_index: int, boxes: Sequence[BBox]) -> list[Optional[FeatureVector]]:
+        """Descriptors of crops of one frame, None where a crop lies outside it.
+
+        The crops not computed before are computed together.
+        """
+        memo = self._memo.setdefault(frame_index, {})
+        todo = [b for b in dict.fromkeys(boxes) if b not in memo]
+        if todo:
+            memo.update(zip(todo, self._compute(frame_index, todo)))
+        return [memo[b] for b in boxes]
+
+    def _compute(self, frame_index: int, boxes: list[BBox]) -> list[Optional[FeatureVector]]:
+        """Every crop's sampling grid as one array, one bilinear lookup for all."""
         lum = self._luminance(frame_index)
         h, w = lum.shape
-        clipped = clip_to_frame(bbox, FrameSize(w, h))
-        if clipped is None:
-            raise EmptyCropError(f"box {bbox.as_tuple()} lies outside frame {frame_index}")
-        box = clipped[0]
+        clipped = [clip_to_frame(b, FrameSize(w, h)) for b in boxes]
+        inside = [i for i, c in enumerate(clipped) if c is not None]
+        out: list[Optional[FeatureVector]] = [None] * len(boxes)
+        if not inside:
+            return out
         n = self.patch_size
-        xs = box.x1 + (np.arange(n) + 0.5) * (box.width / n)
-        ys = box.y1 + (np.arange(n) + 0.5) * (box.height / n)
-        patch = sample_bilinear(lum, *np.meshgrid(xs, ys))
-        lo = patch.min()
-        hi = patch.max()
-        if hi == lo:
-            vals = np.full(n * n, 0.5)
-        else:
-            vals = ((patch - lo) / (hi - lo)).reshape(n * n)
-        return FeatureVector(vals)
+        x1, y1, x2, y2 = np.array([clipped[i][0].as_tuple() for i in inside]).T
+        # element by element the grid of a single crop: x1 + (j + 0.5) * (width / n)
+        steps = np.arange(n) + 0.5
+        xs = x1[:, None] + steps * ((x2 - x1) / n)[:, None]
+        ys = y1[:, None] + steps * ((y2 - y1) / n)[:, None]
+        # rows of crop b sample at ys[b, i], columns at xs[b, j]; the lookup broadcasts
+        patches = sample_bilinear(lum, xs[:, None, :], ys[:, :, None]).reshape(len(inside), n * n)
+        lo = patches.min(axis=1, keepdims=True)
+        span = patches.max(axis=1, keepdims=True) - lo
+        vals = (patches - lo) / np.where(span == 0.0, 1.0, span)
+        vals[span[:, 0] == 0.0] = 0.5
+        for i, vec in zip(inside, FeatureVector.rows(vals)):
+            out[i] = vec
+        return out
 
 
 class PrecomputedEmbeddings:
@@ -156,7 +216,7 @@ class PrecomputedEmbeddings:
         import json
 
         table: dict[tuple, FeatureVector] = {}
-        text = Path(path).read_text(encoding="ascii")
+        text = read_text(path, "ascii")
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line:
@@ -169,8 +229,8 @@ class PrecomputedEmbeddings:
                 frame = int(obj["frame"])
                 box = BBox.from_sequence(obj["box"])
                 vec = FeatureVector(np.asarray(obj["vec"], dtype=np.float64))
-            except (KeyError, TypeError) as exc:
-                raise ValidationError(f"{path}:{lineno}: malformed embedding record") from exc
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ValidationError(f"{path}:{lineno}: malformed embedding record: {exc}") from exc
             except ValidationError as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from exc
             table[embedding_key(frame, box)] = vec
@@ -182,6 +242,12 @@ class PrecomputedEmbeddings:
         if vec is None:
             raise EmbeddingLookupError(f"no embedding for frame {frame_index}, box {key[1:]}")
         return vec
+
+    def embed_many(self, frame_index: int, boxes: Sequence[BBox]) -> list[Optional[FeatureVector]]:
+        return [self._table.get(embedding_key(frame_index, b)) for b in boxes]
+
+    def release(self, frame_index: int) -> None:
+        """Nothing to drop: the table is the input itself."""
 
 
 class FallbackProvider:
@@ -196,6 +262,17 @@ class FallbackProvider:
             return self.primary.embed(frame_index, bbox)
         except EmbeddingLookupError:
             return self.fallback.embed(frame_index, bbox)
+
+    def embed_many(self, frame_index: int, boxes: Sequence[BBox]) -> list[Optional[FeatureVector]]:
+        """The primary's descriptors, with only its misses asked of the fallback."""
+        vecs = self.primary.embed_many(frame_index, boxes)
+        misses = [b for b, vec in zip(boxes, vecs) if vec is None]
+        found = iter(self.fallback.embed_many(frame_index, misses) if misses else ())
+        return [next(found) if vec is None else vec for vec in vecs]
+
+    def release(self, frame_index: int) -> None:
+        self.primary.release(frame_index)
+        self.fallback.release(frame_index)
 
 
 def rescore(

@@ -230,6 +230,52 @@ def ref_bilinear(field, x, y):
     return out[0], out[1]
 
 
+def ref_luminance(pixels):
+    """Float luminance rows of a grey (h, w) or RGB (h, w, 3) nested list, Rec. 601 weights."""
+    out = []
+    for row in pixels:
+        if isinstance(row[0], list):
+            out.append([0.299 * float(r) + 0.587 * float(g) + 0.114 * float(b) for r, g, b in row])
+        else:
+            out.append([float(p) for p in row])
+    return out
+
+
+def ref_bilinear_plane(plane, x, y):
+    """One value of an (h, w) plane at continuous (x, y), lerped as ref_bilinear does."""
+    h, w = len(plane), len(plane[0])
+    x = min(max(x, 0.0), w - 1.0)
+    y = min(max(y, 0.0), h - 1.0)
+    c0, r0 = math.floor(x), math.floor(y)
+    c1, r1 = min(c0 + 1, w - 1), min(r0 + 1, h - 1)
+    fx, fy = x - c0, y - r0
+    top = plane[r0][c0] + fx * (plane[r0][c1] - plane[r0][c0])
+    bottom = plane[r1][c0] + fx * (plane[r1][c1] - plane[r1][c0])
+    return top + fy * (bottom - top)
+
+
+def ref_patch_descriptor(pixels, box: Box, n: int):
+    """The n*n crop descriptor of a box, one float at a time, or None off the frame.
+
+    The box is clipped to the frame; cell (i, j) samples the luminance at
+    (x1 + (j + 0.5) * (width / n), y1 + (i + 0.5) * (height / n)); the
+    samples, row by row, are min-max normalised, and a flat crop gives 0.5s.
+    """
+    plane = ref_luminance(pixels)
+    h, w = len(plane), len(plane[0])
+    x1, y1 = max(box[0], 0.0), max(box[1], 0.0)
+    x2, y2 = min(box[2], float(w)), min(box[3], float(h))
+    if x1 >= x2 or y1 >= y2:
+        return None
+    xs = [x1 + (j + 0.5) * ((x2 - x1) / n) for j in range(n)]
+    ys = [y1 + (i + 0.5) * ((y2 - y1) / n) for i in range(n)]
+    patch = [ref_bilinear_plane(plane, x, y) for y in ys for x in xs]
+    lo, hi = min(patch), max(patch)
+    if hi == lo:
+        return [0.5] * (n * n)
+    return [(v - lo) / (hi - lo) for v in patch]
+
+
 def ref_chain_point(u, v, fields, mode):
     """A point carried through a chain of fields, floored once at the end.
 

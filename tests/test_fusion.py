@@ -361,3 +361,39 @@ class TestMatchModes:
             cfg(iou_threshold=0.0)
         with pytest.raises(ValidationError):
             cfg(iou_threshold=1.0)
+
+
+class TestBatchedRescoring:
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_scores_equal_per_candidate_rescore_with_fresh_provider(self, noisy_manifest, k):
+        from dataclasses import replace
+
+        from propfuse.pipeline import PipelineConfig, build_provider, gather_candidates
+        from propfuse.propagation import SweepMemo
+        from propfuse.similarity import rescore
+
+        config = PipelineConfig(k=k, method="swbf")
+        targets = noisy_manifest.frame_indices()
+        sweeps = SweepMemo(targets)
+        shared = build_provider(noisy_manifest, config)
+        carried = 0
+        for t in targets:
+            cands = gather_candidates(noisy_manifest, config, t, sweeps)
+            fcfg = config.fusion_config(config.source_count(cands.effective_sources, k))
+            got = fuse_candidates(cands, fcfg, shared)
+
+            rescored, dropped = [], 0
+            for d, src in zip(cands.detections, cands.source_boxes):
+                if d.source_offset != 0:
+                    carried += 1
+                    fresh = build_provider(noisy_manifest, config)
+                    d = rescore(d, src, fresh, t, t - d.source_offset)
+                if d is None:
+                    dropped += 1
+                else:
+                    rescored.append(d)
+            plain = CandidateSet(t, rescored, [None] * len(rescored), cands.effective_sources)
+            want = fuse_candidates(plain, replace(fcfg, method="wbf"))
+            assert got.labels == want.labels
+            assert got.dropped_rescore == dropped
+        assert carried > 0

@@ -10,6 +10,7 @@ from propfuse.io import (
     detection_line,
     read_detections,
     read_frame,
+    write_atomic,
     write_detections,
     write_frame,
 )
@@ -72,6 +73,13 @@ class TestDetectionsFile:
             read_detections(path)
         assert "bad.jsonl" in str(err.value)
         assert "2" in str(err.value)
+
+    def test_undecodable_bytes_report_path_and_line(self, tmp_path):
+        path = tmp_path / "u.jsonl"
+        path.write_bytes((detection_line(rec()) + "\n").encode() + b'{"class": "\xe9"}\n')
+        with pytest.raises(ValidationError) as err:
+            read_detections(path)
+        assert str(err.value).startswith(f"{path}:2: not ascii text: byte 0xe9")
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "m.jsonl"
@@ -180,6 +188,44 @@ class TestDetectionsFile:
             write_detections(records, path)
             back, _ = read_detections(path)
         assert back == records
+
+
+class TestAtomicWrite:
+    def test_replaces_whole_contents(self, tmp_path):
+        path = tmp_path / "out.json"
+        write_atomic(path, "first\n", "utf-8")
+        write_atomic(path, "second\n", "utf-8")
+        assert path.read_text() == "second\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_failure_partway_keeps_old_contents_and_no_temp(self, tmp_path, monkeypatch):
+        import propfuse.io
+
+        path = tmp_path / "fused_000001.jsonl"
+        write_detections([rec()], path)
+        before = path.read_bytes()
+        real_open = open
+
+        class Torn:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:10])
+                self.fh.flush()
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(propfuse.io, "open", lambda *a: Torn(real_open(*a)), raising=False)
+        with pytest.raises(OSError):
+            write_detections([rec(), rec(score=0.75)], path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 class TestFrameFiles:

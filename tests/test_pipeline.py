@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -9,17 +10,20 @@ from pathlib import Path
 import pytest
 
 import propfuse
+import propfuse.io
 import propfuse.pipeline
 from propfuse.cli import _config_from_args, _parse_frames, build_parser, main
 from propfuse.errors import CliUsageError, FlowFormatError, ValidationError
 from propfuse.manifest import load_manifest
 from propfuse.pipeline import (
     PipelineConfig,
+    build_provider,
     load_config,
     parse_config_file,
     run_pipeline,
     validate_flow_coverage,
 )
+from propfuse.similarity import PatchDescriptor
 from propfuse.synth import generate, write_bundle
 
 import _bundles
@@ -260,6 +264,79 @@ class TestRunPipeline:
         with pytest.raises(RuntimeError, match="bug"):
             run_pipeline(manifest, PipelineConfig(k=1, method="wbf", jobs=jobs), keep_going=True)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_provider_holds_nothing_after_the_run(self, noisy_dir, monkeypatch, jobs):
+        built = []
+
+        def build(manifest, config):
+            built.append(build_provider(manifest, config))
+            return built[-1]
+
+        monkeypatch.setattr(propfuse.pipeline, "build_provider", build)
+        manifest = load_manifest(noisy_dir)
+        targets = manifest.frame_indices()
+        random.Random(jobs).shuffle(targets)
+        run = run_pipeline(manifest, PipelineConfig(k=2, jobs=jobs), targets=targets)
+        assert sorted(run.labels) == sorted(targets)
+        assert built[0].held_frames() == set()
+
+    def test_provider_holds_at_most_the_window(self, noisy_dir, monkeypatch):
+        k = 2
+        held = []
+
+        class Watched(PatchDescriptor):
+            def embed_many(self, frame_index, boxes):
+                out = super().embed_many(frame_index, boxes)
+                held.append(len(self.held_frames()))
+                return out
+
+        monkeypatch.setattr(
+            propfuse.pipeline,
+            "build_provider",
+            lambda manifest, config: Watched(manifest.frame_image, config.patch_size),
+        )
+        manifest = load_manifest(noisy_dir)
+        run_pipeline(manifest, PipelineConfig(k=k))
+        assert len(manifest.frame_indices()) > 2 * k + 1
+        assert held and max(held) <= 2 * k + 1
+
+    def test_failed_label_write_leaves_no_partial_file(self, tmp_path, clean_dir, monkeypatch):
+        out = tmp_path / "out"
+        manifest = load_manifest(clean_dir)
+        config = PipelineConfig(k=1)
+        run_pipeline(manifest, config, out_dir=tmp_path / "whole")
+        whole = read_labels_tree(tmp_path / "whole")
+        real_open = open
+        opened = []
+
+        class HalfWrite:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                self.fh.flush()
+                raise OSError(28, "No space left on device")
+
+        def failing_open(path, mode="r", *args, **kwargs):
+            opened.append(path)
+            fh = real_open(path, mode, *args, **kwargs)
+            return HalfWrite(fh) if len(opened) == 3 else fh
+
+        monkeypatch.setattr(propfuse.io, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            run_pipeline(manifest, config, out_dir=out)
+        assert opened[2].name.endswith(".tmp")
+        names = sorted(p.name for p in (out / "labels").iterdir())
+        assert names == sorted(whole)[:2]
+        assert read_labels_tree(out) == {n: whole[n] for n in names}
+
     def test_serial_run_starts_no_thread_and_stops_at_first_failure(self, clean_dir, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("jobs=1 must not start a thread pool")
@@ -466,6 +543,13 @@ class TestCli:
         assert rc == 1
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_synth_rejects_undecodable_spec(self, tmp_path, capsys):
+        spec_path = tmp_path / "scene.json"
+        spec_path.write_bytes(b'{"classes": ["\xff"]}')
+        rc = main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "bundle")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {spec_path}:1: not utf-8 text")
+
     def test_exit_codes(self, tmp_path, clean_dir, capsys, monkeypatch):
         # missing manifest file: I/O problem
         rc = main(
@@ -567,6 +651,56 @@ class TestCli:
         assert err.startswith(f"error: {cand}:1: ")
         assert "Traceback" not in err
         assert not (tmp_path / "x").exists()
+
+    def _precomputed_bundle(self, tmp_path, clean_dir, embeddings: bytes) -> Path:
+        """A copy of the clean bundle whose manifest names the given embeddings file."""
+        root = tmp_path / "bundle"
+        shutil.copytree(clean_dir.parent, root)
+        (root / "emb.jsonl").write_bytes(embeddings)
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest["embeddings"] = "emb.jsonl"
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        return root
+
+    @pytest.mark.parametrize(
+        "embeddings, where",
+        [
+            (b'{"frame": 0, "box": [1, 2, 3, 4], "vec": [0.5]}\n{"frame": "zero"}\n', ":2: "),
+            (b'{"frame": 0, "box": [1, 2, 3, 4], "vec": [0.5\xff]}\n', ":1: not ascii text"),
+        ],
+        ids=["malformed-record", "undecodable"],
+    )
+    def test_bad_embeddings_file_exits_one(self, tmp_path, clean_dir, capsys, embeddings, where):
+        root = self._precomputed_bundle(tmp_path, clean_dir, embeddings)
+        argv = ["pipeline", "--manifest", str(root / "manifest.json"), "--out", str(tmp_path / "o")]
+        rc = main(argv + ["--feature-provider", "precomputed"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {root / 'emb.jsonl'}{where}")
+
+    def test_undecodable_detections_file_exits_one(self, tmp_path, capsys):
+        dets = tmp_path / "cand.jsonl"
+        dets.write_bytes(b'{"frame": 0, "class": "caf\xc3\xa9", "bbox": [0, 0, 5, 5], "score": 0.9}\n')
+        rc = main(["fuse", "--in", str(dets), "--method", "wbf", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {dets}:1: not ascii text")
+
+    def test_undecodable_manifest_exits_one(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(b'{"size": [4, 4],\n "classes": ["\xff"]}\n')
+        rc = main(["pipeline", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {manifest}:2: not utf-8 text")
+
+    def test_undecodable_config_file_exits_one(self, tmp_path, clean_dir, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_bytes(b"k = 1\n# caf\xe9\n")
+        argv = ["pipeline", "--manifest", str(clean_dir), "--out", str(tmp_path / "o")]
+        with pytest.raises(CliUsageError):
+            parse_config_file(cfg_file)
+        rc = main(argv + ["--config", str(cfg_file)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg_file}:2: not utf-8 text")
 
     def test_eval_rejects_unknown_class(self, tmp_path, clean_dir, capsys):
         dets = tmp_path / "dets.jsonl"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from propfuse.errors import EmbeddingLookupError, EmptyCropError, ValidationError
 from propfuse.geometry import BBox, Detection, FrameSize
@@ -15,7 +15,7 @@ from propfuse.similarity import (
     rescore,
 )
 
-from _oracles import ref_cosine
+from _oracles import ref_cosine, ref_patch_descriptor
 
 
 def vec(*values):
@@ -110,6 +110,85 @@ class TestPatchDescriptor:
         assert cosine_sim(desc.embed(0, box), desc.embed(1, box)) == 1.0
 
 
+@st.composite
+def frames_and_boxes(draw):
+    """A small grey or RGB frame, flat or not, and boxes inside, across and off it."""
+    w, h = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    shape = (h, w, 3) if draw(st.booleans()) else (h, w)
+    size = int(np.prod(shape))
+    if draw(st.booleans()):
+        data = np.full(shape, draw(st.integers(0, 255)), dtype=np.uint8)
+    else:
+        values = draw(st.lists(st.integers(0, 255), min_size=size, max_size=size))
+        data = np.asarray(values, dtype=np.uint8).reshape(shape)
+    coord = st.floats(-2.0 * max(w, h), 2.0 * max(w, h), allow_nan=False)
+    extent = st.floats(0.125, 2.0 * max(w, h), allow_nan=False)
+    boxes = draw(
+        st.lists(
+            st.builds(lambda x, y, bw, bh: BBox(x, y, x + bw, y + bh), coord, coord, extent, extent),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return Frame(FrameSize(w, h), data), boxes
+
+
+class TestPatchDescriptorBatch:
+    @settings(max_examples=150, deadline=None)
+    @given(frames_and_boxes(), st.integers(2, 5))
+    def test_embed_many_matches_reference_bit_for_bit(self, case, n):
+        frame, boxes = case
+        desc = PatchDescriptor(lambda t: frame, patch_size=n)
+        # a repeated box and a second call exercise the memo as well
+        for got, box in zip(desc.embed_many(3, boxes + boxes[:1]), boxes + boxes[:1]):
+            want = ref_patch_descriptor(frame.data.tolist(), box.as_tuple(), n)
+            if want is None:
+                assert got is None
+                with pytest.raises(EmptyCropError):
+                    desc.embed(3, box)
+            else:
+                assert got.values.tolist() == want
+                assert desc.embed(3, box) is got
+
+    def test_new_crops_share_one_bilinear_lookup(self, monkeypatch):
+        import propfuse.similarity as similarity
+
+        calls = []
+        real = similarity.sample_bilinear
+
+        def counting(*args):
+            calls.append(len(args[1]))
+            return real(*args)
+
+        monkeypatch.setattr(similarity, "sample_bilinear", counting)
+        desc = PatchDescriptor(lambda t: _gradient_frame(), patch_size=4)
+        boxes = [BBox(1.0, 1.0, 9.0, 9.0), BBox(5.0, 2.0, 20.0, 30.0), BBox(-9.0, -9.0, -1.0, -1.0)]
+        first = desc.embed_many(0, boxes)
+        assert calls == [2]
+        assert first[2] is None
+        again = desc.embed_many(0, boxes[:2] + [BBox(2.0, 2.0, 6.0, 6.0)])
+        assert calls == [2, 1]
+        assert again[:2] == first[:2]
+
+    def test_release_drops_descriptors_and_luminance(self):
+        loads = []
+
+        def loader(t):
+            loads.append(t)
+            return _gradient_frame()
+
+        desc = PatchDescriptor(loader, patch_size=4)
+        box = BBox(4.0, 4.0, 12.0, 12.0)
+        kept = desc.embed(0, box)
+        desc.embed(1, box)
+        assert desc.held_frames() == {0, 1}
+        desc.release(1)
+        assert desc.held_frames() == {0}
+        assert desc.embed(0, box) is kept
+        desc.embed(1, box)
+        assert loads == [0, 1, 1]
+
+
 class TestPrecomputed:
     def test_lookup_and_miss(self):
         box = BBox(1.0, 2.0, 3.0, 4.0)
@@ -146,6 +225,60 @@ class TestPrecomputed:
         combo = FallbackProvider(pre, patch)
         box = BBox(4.0, 4.0, 12.0, 12.0)
         assert np.array_equal(combo.embed(0, box).values, patch.embed(0, box).values)
+
+    def test_embed_many_looks_up_each_key(self):
+        box = BBox(1.0, 2.0, 3.0, 4.0)
+        pre = PrecomputedEmbeddings({embedding_key(0, box): vec(0.1, 0.9)})
+        got = pre.embed_many(0, [box, BBox(1.0, 2.0, 3.0, 5.0), box])
+        assert got[0] is got[2] is pre.embed(0, box)
+        assert got[1] is None
+
+    def test_fallback_batches_only_the_misses(self):
+        frame = _gradient_frame()
+        patch = PatchDescriptor(lambda t: frame, patch_size=4)
+        hit = BBox(1.0, 2.0, 9.0, 10.0)
+        misses = [BBox(4.0, 4.0, 12.0, 12.0), BBox(-8.0, -8.0, -2.0, -2.0)]
+        asked = []
+
+        class Spy:
+            def embed_many(self, frame_index, boxes):
+                asked.append(list(boxes))
+                return patch.embed_many(frame_index, boxes)
+
+        stored = vec(0.25, 0.5)
+        combo = FallbackProvider(PrecomputedEmbeddings({embedding_key(0, hit): stored}), Spy())
+        got = combo.embed_many(0, [misses[0], hit, misses[1]])
+        assert asked == [misses]
+        assert got[1] is stored
+        assert got[0] is patch.embed(0, misses[0])
+        assert got[2] is None
+
+    @pytest.mark.parametrize(
+        "line, needle",
+        [
+            ('{"frame": "zero", "box": [1, 2, 3, 4], "vec": [0.5]}', "zero"),
+            ('{"frame": 0, "box": [1, "two", 3, 4], "vec": [0.5]}', "two"),
+            ('{"frame": 0, "box": [1, 2, 3, 4], "vec": [0.5, "x"]}', "x"),
+            ('{"frame": 1e999, "box": [1, 2, 3, 4], "vec": [0.5]}', "infinity"),
+            ('{"frame": 0, "box": [1, 2, 3, 4], "vec": [[0.5], [0.5, 0.5]]}', "inhomogeneous"),
+            ('[0, [1, 2, 3, 4], [0.5]]', "malformed"),
+        ],
+        ids=["text-frame", "text-box", "text-vec", "infinite-frame", "ragged-vec", "not-an-object"],
+    )
+    def test_malformed_record_names_path_and_line(self, tmp_path, line, needle):
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"frame": 0, "box": [5, 6, 7, 8], "vec": [0.5]}\n' + line + "\n")
+        with pytest.raises(ValidationError) as err:
+            PrecomputedEmbeddings.load(path)
+        assert str(err.value).startswith(f"{path}:2: ")
+        assert needle in str(err.value)
+
+    def test_undecodable_file_names_path_and_line(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        path.write_bytes(b'{"frame": 0, "box": [5, 6, 7, 8], "vec": [0.5]}\n{"frame": \xff}\n')
+        with pytest.raises(ValidationError) as err:
+            PrecomputedEmbeddings.load(path)
+        assert str(err.value).startswith(f"{path}:2: not ascii text")
 
 
 class TestRescore:
