@@ -39,7 +39,7 @@ from .pipeline import (
     run_pipeline,
     validate_flow_coverage,
 )
-from .propagation import CandidateSet, SweepMemo
+from .propagation import CandidateSet, RunWindow
 from .synth import SceneSpec, generate, write_bundle
 
 log = logging.getLogger("propfuse.cli")
@@ -125,7 +125,8 @@ def cmd_propagate(args) -> int:
     if not manifest.has_frame(args.frame):
         raise ValidationError(f"frame {args.frame} is not in the manifest")
     validate_flow_coverage(manifest, config.k, [args.frame])
-    candidates = gather_candidates(manifest, config, args.frame, SweepMemo([args.frame]))
+    window = RunWindow([args.frame], config.k)
+    candidates = gather_candidates(manifest, config, args.frame, window)
     records, meta = candidate_records(candidates, manifest.class_name, config.k)
     write_detections(records, args.out, meta=meta)
     print(args.out)

@@ -7,9 +7,8 @@ are always written with 6 decimal places so identical runs produce identical
 bytes. A candidate file may start with one {"type": "candidate_meta", ...}
 line carrying the target frame, the number of available sources, and k.
 
-Text outputs are written through ``write_atomic``: a reader, or a run that
-is killed, sees a file's old contents or its whole new contents, never a
-part.
+Every file is written through ``write_atomic``: a reader, or a run that is
+killed, sees a file's old contents or its whole new contents, never a part.
 """
 
 from __future__ import annotations
@@ -73,14 +72,16 @@ def read_text(path: str | Path, encoding: str) -> str:
         ) from exc
 
 
-def write_atomic(path: str | Path, text: str, encoding: str) -> None:
-    """Write text to a sibling temporary file, then move it over ``path``.
+def write_atomic(path: str | Path, data: str | bytes, encoding: str | None = None) -> None:
+    """Write text or bytes to a sibling temporary file, then move it over ``path``.
 
-    The text is encoded before anything is opened. If writing fails the
-    temporary file is removed and ``path`` keeps whatever it held before.
+    Text is encoded with ``encoding`` before anything is opened. If writing
+    fails the temporary file is removed and ``path`` keeps whatever it held
+    before.
     """
     path = Path(path)
-    data = text.encode(encoding)
+    if isinstance(data, str):
+        data = data.encode(encoding)
     tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
     try:
         with open(tmp, "wb") as fh:
@@ -158,8 +159,13 @@ def _parse_score(value, path, lineno) -> float:
     return score
 
 
-def read_detections(path: str | Path) -> tuple[list[DetectionRecord], CandidateMeta | None]:
-    """Parse a detection or candidate JSONL file."""
+def read_detections(
+    path: str | Path, frame: int | None = None
+) -> tuple[list[DetectionRecord], CandidateMeta | None]:
+    """Parse a detection or candidate JSONL file.
+
+    With ``frame`` given, a record that names any other frame is an error.
+    """
     records: list[DetectionRecord] = []
     meta: CandidateMeta | None = None
     text = read_text(path, "ascii")
@@ -200,6 +206,10 @@ def read_detections(path: str | Path) -> tuple[list[DetectionRecord], CandidateM
             )
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{path}:{lineno}: bad number: {exc}") from exc
+        if frame is not None and records[-1].frame != frame:
+            raise ValidationError(
+                f"{path}:{lineno}: record names frame {records[-1].frame}, expected frame {frame}"
+            )
     return records, meta
 
 
@@ -207,9 +217,7 @@ def write_frame(frame: Frame, path: str | Path) -> None:
     """Write a frame as binary PGM (grayscale) or PPM (RGB), maxval 255."""
     magic = b"P5" if frame.channels == 1 else b"P6"
     header = magic + b"\n%d %d\n255\n" % (frame.size.width, frame.size.height)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(frame.data).tobytes())
+    write_atomic(path, header + np.ascontiguousarray(frame.data).tobytes())
 
 
 def _next_token(raw: bytes, pos: int, path) -> tuple[bytes, int]:

@@ -4,7 +4,8 @@ A manifest lists the frame size, the class vocabulary (index -> name), one
 entry per frame (frame image plus its teacher detections), the motion-field
 files keyed by ordered (from, to) frame pair, and optional ground-truth and
 embedding files. Paths are relative to the manifest's directory and must
-exist at load time.
+exist at load time. Frames and teacher labels are read on every request; a
+run keeps what it reads in its ``propagation.RunWindow``.
 """
 
 from __future__ import annotations
@@ -51,8 +52,6 @@ class SequenceManifest:
         self.gt_path = gt_path
         self.embeddings_path = embeddings_path
         self._class_to_id = {name: i for i, name in enumerate(classes)}
-        self._labels_cache: dict[int, LabelSet] = {}
-        self._frame_cache: dict[int, Frame] = {}
         self._gt_cache: Optional[dict[int, LabelSet]] = None
         self._lock = threading.Lock()
 
@@ -77,11 +76,18 @@ class SequenceManifest:
     def has_frame(self, index: int) -> bool:
         return index in self.frames
 
-    def _records_to_labels(self, records, frame_index: int) -> LabelSet:
-        labels = LabelSet(frame_index=frame_index)
+    def teacher_labels(self, index: int) -> Optional[LabelSet]:
+        """Frame ``index``'s teacher labels, read from its file on every call.
+
+        Every record in the file must name that frame. None if the manifest
+        lists no such frame.
+        """
+        entry = self.frames.get(index)
+        if entry is None:
+            return None
+        records, _ = read_detections(entry.detections_path, frame=index)
+        labels = LabelSet(frame_index=index)
         for rec in records:
-            if rec.frame != frame_index:
-                continue
             labels.detections.append(
                 Detection(
                     class_id=self.class_id(rec.class_name),
@@ -92,32 +98,15 @@ class SequenceManifest:
             )
         return labels
 
-    def teacher_labels(self, index: int) -> Optional[LabelSet]:
-        entry = self.frames.get(index)
-        if entry is None:
-            return None
-        with self._lock:
-            cached = self._labels_cache.get(index)
-            if cached is None:
-                records, _ = read_detections(entry.detections_path)
-                cached = self._records_to_labels(records, index)
-                self._labels_cache[index] = cached
-            return cached
-
     def frame_image(self, index: int) -> Frame:
+        """Frame ``index``'s image, read from its file on every call."""
         entry = self.frames.get(index)
         if entry is None:
             raise ValidationError(f"manifest has no frame {index}")
-        with self._lock:
-            cached = self._frame_cache.get(index)
-            if cached is None:
-                cached = read_frame(entry.frame_path)
-                if cached.size != self.size:
-                    raise ValidationError(
-                        f"frame {index} is {cached.size}, manifest says {self.size}"
-                    )
-                self._frame_cache[index] = cached
-            return cached
+        frame = read_frame(entry.frame_path)
+        if frame.size != self.size:
+            raise ValidationError(f"frame {index} is {frame.size}, manifest says {self.size}")
+        return frame
 
     def ground_truth(self) -> dict[int, LabelSet]:
         if self.gt_path is None:
@@ -152,7 +141,7 @@ def load_manifest(path: str | Path) -> SequenceManifest:
 
     try:
         size = FrameSize(int(obj["size"][0]), int(obj["size"][1]))
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: bad or missing size: {exc}") from exc
     classes = obj.get("classes")
     if not isinstance(classes, list) or not classes:
@@ -175,7 +164,7 @@ def load_manifest(path: str | Path) -> SequenceManifest:
             idx = int(entry["index"])
             frame_path = _resolve(entry["frame"])
             det_path = _resolve(entry["detections"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{path}: malformed frame entry {entry}: {exc}") from exc
         if idx in frames:
             raise ValidationError(f"{path}: duplicate frame index {idx}")
@@ -183,14 +172,14 @@ def load_manifest(path: str | Path) -> SequenceManifest:
     if not frames:
         raise ValidationError(f"{path}: manifest lists no frames")
 
-    flows = FlowStore()
+    flows = FlowStore(size=size)
     seen_pairs = set()
     for entry in obj.get("flows", []):
         try:
             a = int(entry["from"])
             b = int(entry["to"])
             flow_path = _resolve(entry["path"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{path}: malformed flow entry {entry}: {exc}") from exc
         if (a, b) in seen_pairs:
             raise ValidationError(f"{path}: duplicate flow pair ({a}, {b})")

@@ -152,13 +152,11 @@ class ComposedMotion:
 
 
 def write_flow(field: MotionField, path: str | Path) -> None:
-    """Serialize a motion field; the payload is written bit-for-bit."""
-    payload = np.ascontiguousarray(field.data, dtype="<f4")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<f", FLOW_MAGIC))
-        fh.write(struct.pack("<i", field.size.width))
-        fh.write(struct.pack("<i", field.size.height))
-        fh.write(payload.tobytes())
+    """Serialize a motion field atomically; the payload is written bit-for-bit."""
+    from .io import write_atomic  # io imports this module
+
+    header = struct.pack("<fii", FLOW_MAGIC, field.size.width, field.size.height)
+    write_atomic(path, header + np.ascontiguousarray(field.data, dtype="<f4").tobytes())
 
 
 def read_flow(
@@ -338,12 +336,20 @@ def transfer_box(
 class FlowStore:
     """Lookup of motion fields by ordered (from_frame, to_frame) pair.
 
-    Entries may be in-memory fields or paths that are read lazily and cached.
-    Safe for concurrent readers.
+    Entries may be in-memory fields or paths. A path is read on first use
+    and its field kept until ``release`` gives the entry back to its path;
+    an in-memory field is never released. With ``size`` given, a field read
+    from a path must have that size. Safe for concurrent readers.
     """
 
-    def __init__(self, entries: Mapping[tuple[int, int], MotionField | str | Path] | None = None):
+    def __init__(
+        self,
+        entries: Mapping[tuple[int, int], MotionField | str | Path] | None = None,
+        size: FrameSize | None = None,
+    ):
+        self.size = size
         self._entries: dict[tuple[int, int], MotionField | Path] = {}
+        self._loaded: dict[tuple[int, int], MotionField] = {}
         self._lock = threading.Lock()
         for pair, value in (entries or {}).items():
             self.add(pair[0], pair[1], value)
@@ -353,6 +359,7 @@ class FlowStore:
         if not isinstance(value, MotionField):
             value = Path(value)
         self._entries[key] = value
+        self._loaded.pop(key, None)
 
     def has(self, from_frame: int, to_frame: int) -> bool:
         return (from_frame, to_frame) in self._entries
@@ -367,10 +374,22 @@ class FlowStore:
             raise MissingFlowError(from_frame, to_frame)
         if isinstance(value, MotionField):
             return value
-        with self._lock:
-            current = self._entries[key]
-            if isinstance(current, MotionField):
-                return current
-            field = read_flow(current, from_frame=from_frame, to_frame=to_frame)
-            self._entries[key] = field
+        field = self._loaded.get(key)
+        if field is not None:
             return field
+        with self._lock:
+            field = self._loaded.get(key)
+            if field is None:
+                field = read_flow(value, from_frame=from_frame, to_frame=to_frame)
+                if self.size is not None and field.size != self.size:
+                    got, want = field.size, self.size
+                    raise FlowFormatError(
+                        f"{value}: field is {got.width}x{got.height}, "
+                        f"frames are {want.width}x{want.height}"
+                    )
+                self._loaded[key] = field
+            return field
+
+    def release(self, from_frame: int, to_frame: int) -> None:
+        """Drop a field read from a path; the next ``get`` reads the file again."""
+        self._loaded.pop((from_frame, to_frame), None)

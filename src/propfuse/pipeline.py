@@ -8,8 +8,11 @@ field metadata.
 With k=0 there is nothing to carry in and nothing to corroborate, so the
 pipeline degenerates to the plain thresholded teacher labels; fusion is
 bypassed entirely in that case. With k>0 every target frame is processed
-on its own (optionally across a thread pool), sharing only the run's memo
-of boxes carried along the motion fields, and the per-frame label files are
+on its own (optionally across a thread pool). The targets share one
+``propagation.RunWindow``: the teacher labels, motion fields, carried boxes
+and provider frames of the run, each held only while a target soon to run
+reads it. Everything in it is a cache of deterministic values, so the
+results do not depend on what it holds. The per-frame label files are
 written under <out>/labels/ named by frame index, so the output tree is
 identical no matter the completion order. With ``keep_going`` a
 frame that fails on its input or on I/O is recorded in the report and the
@@ -38,8 +41,7 @@ from .motion import COMPOSITION_MODES, DEFAULT_MIN_COVERAGE
 from .propagation import (
     DEFAULT_TEACHER_THRESHOLD,
     CandidateSet,
-    SweepMemo,
-    TargetLedger,
+    RunWindow,
     build_candidates,
     chain_pairs,
     offset_order,
@@ -238,11 +240,11 @@ def gather_candidates(
     manifest: SequenceManifest,
     config: PipelineConfig,
     t: int,
-    sweeps: SweepMemo,
+    window: RunWindow,
 ) -> CandidateSet:
     """Frame t's own and carried-in candidates under the config's propagation settings.
 
-    ``sweeps`` is the run's memo of carried boxes (see ``SweepMemo``).
+    ``window`` holds what the run reads (see ``RunWindow``).
     """
     return build_candidates(
         t,
@@ -253,7 +255,7 @@ def gather_candidates(
         teacher_threshold=config.teacher_threshold,
         mode=config.composition,
         min_coverage=config.min_coverage,
-        sweeps=sweeps,
+        window=window,
     )
 
 
@@ -346,13 +348,11 @@ def run_pipeline(
         out_dir = Path(out_dir)
         labels_dir = out_dir / "labels"
         labels_dir.mkdir(parents=True, exist_ok=True)
-    sweeps = SweepMemo(targets)
-    # frames whose crops no pending target reads are dropped from the provider
-    crop_frames = TargetLedger(targets)
+    window = RunWindow(targets, config.k, provider)
 
     def process(t: int) -> tuple[LabelSet, dict]:
         t0 = time.perf_counter()
-        candidates = gather_candidates(manifest, config, t, sweeps)
+        candidates = gather_candidates(manifest, config, t, window)
         t1 = time.perf_counter()
         if config.k == 0:
             result = _teacher_passthrough(candidates, config)
@@ -390,22 +390,24 @@ def run_pipeline(
             log.debug("frame %d failed: %s", t, exc)
             return exc
         finally:
-            if provider is not None:
-                for f in crop_frames.finish_frames(t, config.k):
-                    provider.release(f)
+            window.finish(t)
 
     run = PipelineRun(out_dir=out_dir)
     frame_stats: dict[int, dict] = {}
     errors: list[dict] = []
     started = time.perf_counter()
     # jobs=1 maps in this thread; the pool's map also yields in target order
-    with ThreadPoolExecutor(config.jobs) if config.jobs > 1 else nullcontext() as pool:
-        outcomes = map(attempt, targets) if pool is None else pool.map(attempt, targets)
-        for t, outcome in zip(targets, outcomes):
-            if isinstance(outcome, Exception):
-                errors.append({"frame": t, "error": str(outcome)})
-            else:
-                run.labels[t], frame_stats[t] = outcome
+    try:
+        with ThreadPoolExecutor(config.jobs) if config.jobs > 1 else nullcontext() as pool:
+            outcomes = map(attempt, targets) if pool is None else pool.map(attempt, targets)
+            for t, outcome in zip(targets, outcomes):
+                if isinstance(outcome, Exception):
+                    errors.append({"frame": t, "error": str(outcome)})
+                else:
+                    run.labels[t], frame_stats[t] = outcome
+    finally:
+        # a run stopped by an error leaves targets that never finish
+        window.close()
     total = time.perf_counter() - started
 
     ordered = [frame_stats[t] for t in sorted(frame_stats)]

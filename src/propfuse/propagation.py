@@ -12,13 +12,16 @@ offsets that did participate is reported as ``effective_sources``.
 source frame's kept boxes are swept once forward and once backward, hop by
 hop, and offset +-j reads the position after hop j. That is exact: the
 floor comes only at the end of a chain and additive sums run in chain order,
-so hop j's position is bit for bit the one the j-hop chain gives.
+so hop j's position is bit for bit the one the j-hop chain gives. The
+sweeps, with the labels and fields they read, live in the run's
+``RunWindow`` until no target soon to run reads them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -29,6 +32,7 @@ from .motion import (
     DEFAULT_MIN_COVERAGE,
     ComposedMotion,
     FlowStore,
+    MotionField,
     box_corners,
     carried_position,
     carry,
@@ -44,7 +48,7 @@ __all__ = [
     "propagate_from_offset",
     "CandidateSet",
     "TargetLedger",
-    "SweepMemo",
+    "RunWindow",
     "build_candidates",
     "threshold_labels",
     "offset_order",
@@ -186,57 +190,103 @@ class _Sweep(NamedTuple):
 
 
 class TargetLedger:
-    """The targets of one run and which of them are done.
+    """The targets of one run, in run order, and which of them are done.
 
-    Data that a known set of targets reads may be dropped once each of them
-    is done or is not a target of the run. A target is marked done before
-    anything is dropped for it, so of two targets finishing at once at least
-    the later one sees both done, and nothing outlives its last reader.
+    Data may be dropped once none of the next ``ahead`` targets that are not
+    done, in run order, reads it. A target is marked done before anything is
+    dropped for it, so of two targets finishing at once at least the later
+    one sees both done. Dropping early is never wrong, only slower: what a
+    target reads again is loaded again, bit for bit the same.
     """
 
-    def __init__(self, targets: Iterable[int]):
-        self._targets = frozenset(targets)
+    def __init__(self, targets: Iterable[int], ahead: int):
+        self._order = list(targets)
         self._done: set[int] = set()
+        self._ahead = ahead
+        self._first = 0  # every target before this position in run order is done
 
     def finish(self, target: int) -> None:
         self._done.add(target)
 
-    def unread(self, readers: Iterable[int]) -> bool:
-        """Whether no pending target of the run is among ``readers``."""
-        return all(t in self._done or t not in self._targets for t in readers)
-
-    def finish_frames(self, target: int, k: int) -> list[int]:
-        """Mark target done; return the frames within +-k of it no pending target reads.
-
-        A target reads frames up to k away from it, so frame f is read by
-        targets f-k..f+k.
-        """
-        self.finish(target)
-        return [f for f in range(target - k, target + k + 1) if self.unread(range(f - k, f + k + 1))]
+    def soon(self) -> set[int]:
+        """The first ``ahead`` targets in run order that are not done."""
+        order, done = self._order, self._done
+        first = self._first
+        while first < len(order) and order[first] in done:
+            first += 1
+        self._first = first
+        pending = (order[i] for i in range(first, len(order)) if order[i] not in done)
+        return set(islice(pending, self._ahead))
 
 
-class SweepMemo:
-    """Each source frame's boxes carried hop by hop, shared across targets.
+class RunWindow(TargetLedger):
+    """Everything one run loads, held while a target soon to run reads it.
 
-    Entries are keyed by (source frame, step), step +1 for the forward sweep
-    and -1 for the backward one. A sweep is extended only as far as the
-    chain of the target asking for it, so no flow outside a requested
-    target's chains is read. Entries are immutable and replaced whole, so
-    concurrent targets can share the memo without a lock; two threads
-    extending one sweep at once compute the same bits. An entry is dropped
-    once every target of ``targets`` that could read it has been released,
-    which bounds the memo by the reach, not by the sequence length.
+    A run reads teacher labels, motion fields and, through the feature
+    provider, frames; and it carries each source frame's kept boxes hop by
+    hop along the fields, one sweep per source and direction. Target t
+    reads what lies within its reach k:
 
-    One memo serves one run: the same labels, flows, teacher threshold and
-    composition mode throughout.
+    * frame f and its labels are read by targets f-k..f+k;
+    * the field (a, b), b = a+d with d = +1 forward or -1 backward, and the
+      sweep of source a in direction d (keyed by that same pair) are read
+      by targets a+d, a+2d, ..., a+kd.
+
+    ``finish(t)`` marks t done and drops whatever none of the next 2k
+    targets still to finish reads. Each piece target t reads is read by no
+    target more than 2k frames beyond it, so with targets in frame order
+    that is exactly what no pending target reads, and each label and flow
+    file is read once; in any order the window holds a bounded number of
+    pieces, not the sequence. A field goes back to its ``FlowStore``, which
+    drops it only if it was read from a path; provider frames go back to
+    the provider.
+
+    Sweeps are immutable and replaced whole, so concurrent targets share
+    the window without a lock; two threads extending one sweep at once
+    compute the same bits. ``stats`` counts, per kind of data, loads, hits,
+    evictions and the most held at once; the counts are exact when one
+    thread runs the targets.
     """
 
-    def __init__(self, targets: Iterable[int]):
-        self._ledger = TargetLedger(targets)
-        self._entries: dict[tuple[int, int], _Sweep] = {}
+    def __init__(self, targets: Iterable[int], k: int, provider=None):
+        super().__init__(targets, ahead=2 * k)
+        self.k = k
+        self.provider = provider
+        self._labels: dict[int, Optional[LabelSet]] = {}
+        self._fields: dict[tuple[int, int], FlowStore] = {}
+        self._sweeps: dict[tuple[int, int], _Sweep] = {}
+        self.stats = {kind: Counter() for kind in ("labels", "fields", "sweeps", "frames")}
 
-    def __len__(self) -> int:
-        return len(self._entries)
+    def held(self) -> dict[str, int]:
+        """How many label sets, fields, sweeps and provider frames are held now."""
+        frames = self.provider.held_frames() if self.provider is not None else ()
+        return {
+            "labels": len(self._labels),
+            "fields": len(self._fields),
+            "sweeps": len(self._sweeps),
+            "frames": len(frames),
+        }
+
+    def labels(
+        self, frame: int, get_labels: Callable[[int], Optional[LabelSet]]
+    ) -> Optional[LabelSet]:
+        """The frame's teacher labels, or None where it has none."""
+        try:
+            labels = self._labels[frame]
+        except KeyError:
+            labels = self._labels[frame] = get_labels(frame)
+            self.stats["labels"]["loads"] += 1
+        else:
+            self.stats["labels"]["hits"] += 1
+        return labels
+
+    def _field(self, a: int, b: int, flows: FlowStore) -> MotionField:
+        """The motion field (a, b) of ``flows``, held until the window drops it."""
+        held = (a, b) in self._fields
+        field = flows.get(a, b)
+        self._fields[a, b] = flows
+        self.stats["fields"]["hits" if held else "loads"] += 1
+        return field
 
     def carried(
         self,
@@ -246,28 +296,67 @@ class SweepMemo:
         teacher_threshold: float,
         mode: str,
     ) -> tuple[tuple[Detection, ...], np.ndarray]:
-        """The source's kept boxes and their corner positions at the chain's end."""
-        key = (chain.source_frame, 1 if chain.offset > 0 else -1)
-        sweep = self._entries.get(key)
+        """The source's kept boxes and their corner positions at the chain's end.
+
+        A sweep is extended only as far as the chain asking for it, so no
+        flow outside a requested target's chains is read. One window serves
+        one run: the same labels, flows, teacher threshold and mode.
+        """
+        key = chain.pairs[0]
+        sweep = self._sweeps.get(key)
         if sweep is None:
-            kept = tuple(threshold_labels(get_labels(chain.source_frame), teacher_threshold))
+            labels = self.labels(chain.source_frame, get_labels)
+            kept = tuple(threshold_labels(labels, teacher_threshold))
             sweep = _Sweep(kept, box_corners(kept), ())
+            self.stats["sweeps"]["loads"] += 1
+        else:
+            self.stats["sweeps"]["hits"] += 1
         have = len(sweep.hops)
         if have < len(chain.pairs):
-            fields = [flows.get(a, b) for a, b in chain.pairs[have:]]
+            fields = [self._field(a, b, flows) for a, b in chain.pairs[have:]]
             acc = sweep.hops[-1] if have else None
             hops = sweep.hops + tuple(carry(sweep.corners, fields, mode, acc))
-            sweep = self._entries[key] = sweep._replace(hops=hops)
+            sweep = self._sweeps[key] = sweep._replace(hops=hops)
         acc = sweep.hops[len(chain.pairs) - 1]
         return sweep.kept, carried_position(sweep.corners, acc, mode)
 
-    def release(self, target: int, k: int) -> None:
-        """Record that target is done; drop the sweeps no pending target can read."""
-        self._ledger.finish(target)
-        for j in range(1, k + 1):
-            for source, step in ((target - j, 1), (target + j, -1)):
-                if self._ledger.unread(source + step * i for i in range(1, k + 1)):
-                    self._entries.pop((source, step), None)
+    def finish(self, target: int) -> None:
+        """Mark target done, fused or failed; drop what no target soon to run reads."""
+        super().finish(target)
+        self._drop(self.soon())
+
+    def close(self) -> None:
+        """End the run: drop everything, whether or not every target ran."""
+        self._drop(set())
+
+    def _drop(self, soon: set[int]) -> None:
+        for kind, n in self.held().items():
+            self.stats[kind]["most_held"] = max(self.stats[kind]["most_held"], n)
+        k = self.k
+
+        def frame_read(f: int) -> bool:
+            return any(t in soon for t in range(f - k, f + k + 1))
+
+        def pair_read(pair: tuple[int, int]) -> bool:
+            a, b = pair
+            return any(a + (b - a) * i in soon for i in range(1, k + 1))
+
+        self._evict("labels", list(self._labels), frame_read, lambda f: self._labels.pop(f, None))
+        self._evict("fields", list(self._fields), pair_read, self._release_field)
+        self._evict("sweeps", list(self._sweeps), pair_read, lambda p: self._sweeps.pop(p, None))
+        if self.provider is not None:
+            self._evict("frames", self.provider.held_frames(), frame_read, self.provider.release)
+
+    def _evict(self, kind: str, keys, is_read: Callable, drop: Callable) -> None:
+        for key in keys:
+            if not is_read(key):
+                drop(key)
+                self.stats[kind]["evictions"] += 1
+
+    def _release_field(self, pair: tuple[int, int]) -> None:
+        flows = self._fields.pop(pair, None)
+        if flows is not None:
+            flows.release(*pair)
 
 
 def build_candidates(
@@ -279,35 +368,33 @@ def build_candidates(
     teacher_threshold: float = DEFAULT_TEACHER_THRESHOLD,
     mode: str = "trajectory",
     min_coverage: float = DEFAULT_MIN_COVERAGE,
-    sweeps: Optional[SweepMemo] = None,
+    window: Optional[RunWindow] = None,
 ) -> CandidateSet:
     """Union of thresholded teacher labels and carried neighbour detections.
 
     The teacher threshold is applied to the target frame and to every source
     frame before its boxes are carried over. With k=0 the result is exactly
-    the thresholded teacher labels. ``sweeps`` shares carried positions
-    between the targets of one run; without it each call carries its own.
+    the thresholded teacher labels. ``window`` holds what the run's targets
+    read, the carried positions included, until it drops them; without one
+    the call loads and carries everything itself.
     """
-    if sweeps is None:
-        sweeps = SweepMemo([target])
-    try:
-        teacher = get_labels(target)
-        if teacher is None:
-            raise ValidationError(f"no teacher labels available for target frame {target}")
-        cand = CandidateSet(frame_index=target)
-        for det in threshold_labels(teacher, teacher_threshold):
-            if det.source_offset != 0:
-                det = replace(det, source_offset=0)
-            cand.detections.append(det)
-            cand.source_boxes.append(None)
-        plan = plan_offsets(target, k, lambda f: get_labels(f) is not None, flows)
-        for chain in plan.chains:
-            kept, corners = sweeps.carried(chain, get_labels, flows, teacher_threshold, mode)
-            for src, box in zip(kept, land_boxes(corners, size, min_coverage)):
-                if box is not None:
-                    cand.detections.append(replace(src, bbox=box, source_offset=chain.offset))
-                    cand.source_boxes.append(src.bbox)
-        cand.effective_sources = plan.effective_sources
-        return cand
-    finally:
-        sweeps.release(target, k)
+    if window is None:
+        window = RunWindow([target], k)
+    teacher = window.labels(target, get_labels)
+    if teacher is None:
+        raise ValidationError(f"no teacher labels available for target frame {target}")
+    cand = CandidateSet(frame_index=target)
+    for det in threshold_labels(teacher, teacher_threshold):
+        if det.source_offset != 0:
+            det = replace(det, source_offset=0)
+        cand.detections.append(det)
+        cand.source_boxes.append(None)
+    plan = plan_offsets(target, k, lambda f: window.labels(f, get_labels) is not None, flows)
+    for chain in plan.chains:
+        kept, corners = window.carried(chain, get_labels, flows, teacher_threshold, mode)
+        for src, box in zip(kept, land_boxes(corners, size, min_coverage)):
+            if box is not None:
+                cand.detections.append(replace(src, bbox=box, source_offset=chain.offset))
+                cand.source_boxes.append(src.bbox)
+    cand.effective_sources = plan.effective_sources
+    return cand

@@ -10,7 +10,8 @@ Every provider answers ``embed(frame, box)`` for one crop and
 ``embed_many(frame, boxes)`` for many crops of one frame; the latter gives
 None where ``embed`` would raise. ``PatchDescriptor`` computes a frame's new
 crops in one batch and keeps each descriptor, and the frame's luminance
-plane, until ``release(frame)``.
+plane, until ``release(frame)``; ``held_frames()`` names the frames a
+provider keeps.
 """
 
 from __future__ import annotations
@@ -246,6 +247,10 @@ class PrecomputedEmbeddings:
     def embed_many(self, frame_index: int, boxes: Sequence[BBox]) -> list[Optional[FeatureVector]]:
         return [self._table.get(embedding_key(frame_index, b)) for b in boxes]
 
+    def held_frames(self) -> set[int]:
+        """None: the table is the input itself."""
+        return set()
+
     def release(self, frame_index: int) -> None:
         """Nothing to drop: the table is the input itself."""
 
@@ -269,6 +274,9 @@ class FallbackProvider:
         misses = [b for b, vec in zip(boxes, vecs) if vec is None]
         found = iter(self.fallback.embed_many(frame_index, misses) if misses else ())
         return [next(found) if vec is None else vec for vec in vecs]
+
+    def held_frames(self) -> set[int]:
+        return self.primary.held_frames() | self.fallback.held_frames()
 
     def release(self, frame_index: int) -> None:
         self.primary.release(frame_index)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import SceneValidationError, ValidationError
 from .geometry import BBox, Detection, FrameSize, LabelSet, clip_to_frame
-from .io import DetectionRecord, write_detections, write_frame
+from .io import DetectionRecord, write_atomic, write_detections, write_frame
 from .motion import DEFAULT_MIN_COVERAGE, FlowStore, Frame, MotionField, write_flow
 from .similarity import DEFAULT_PATCH_SIZE, PatchDescriptor, embedding_key
 
@@ -552,7 +552,7 @@ def write_bundle(bundle: SequenceBundle, out_dir: str | Path) -> Path:
             box = ", ".join(f"{c:.6f}" for c in key[1:])
             vals = ", ".join(f"{v:.6f}" for v in vec.values)
             lines.append(f'{{"frame": {frame_idx}, "box": [{box}], "vec": [{vals}]}}')
-        (root / embeddings_rel).write_text("".join(s + "\n" for s in lines), encoding="ascii")
+        write_atomic(root / embeddings_rel, "".join(s + "\n" for s in lines), "ascii")
 
     manifest = {
         "size": [bundle.size.width, bundle.size.height],
@@ -563,5 +563,5 @@ def write_bundle(bundle: SequenceBundle, out_dir: str | Path) -> Path:
         "embeddings": embeddings_rel,
     }
     path = root / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="ascii")
+    write_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n", "ascii")
     return path

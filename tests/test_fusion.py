@@ -369,16 +369,16 @@ class TestBatchedRescoring:
         from dataclasses import replace
 
         from propfuse.pipeline import PipelineConfig, build_provider, gather_candidates
-        from propfuse.propagation import SweepMemo
+        from propfuse.propagation import RunWindow
         from propfuse.similarity import rescore
 
         config = PipelineConfig(k=k, method="swbf")
         targets = noisy_manifest.frame_indices()
-        sweeps = SweepMemo(targets)
+        window = RunWindow(targets, k)
         shared = build_provider(noisy_manifest, config)
         carried = 0
         for t in targets:
-            cands = gather_candidates(noisy_manifest, config, t, sweeps)
+            cands = gather_candidates(noisy_manifest, config, t, window)
             fcfg = config.fusion_config(config.source_count(cands.effective_sources, k))
             got = fuse_candidates(cands, fcfg, shared)
 

@@ -87,6 +87,14 @@ class TestDetectionsFile:
         with pytest.raises(ValidationError):
             read_detections(path)
 
+    def test_record_for_another_frame_names_path_and_line(self, tmp_path):
+        path = tmp_path / "det_0003.jsonl"
+        write_detections([rec(), rec(frame=4), rec()], path)
+        assert len(read_detections(path)[0]) == 3
+        with pytest.raises(ValidationError) as err:
+            read_detections(path, frame=3)
+        assert str(err.value) == f"{path}:2: record names frame 4, expected frame 3"
+
     def test_bad_bbox_arity_rejected(self, tmp_path):
         path = tmp_path / "b.jsonl"
         path.write_text(

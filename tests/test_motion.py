@@ -226,6 +226,26 @@ class TestFlowStore:
         assert np.array_equal(got.data, f.data)
         assert store.get(2, 3) is got
 
+    def test_release_returns_a_path_entry_to_its_file(self, tmp_path):
+        path = tmp_path / "x.flo"
+        write_flow(constant_field(FrameSize(3, 2), 0.5, -0.5), path)
+        mine = constant_field(FrameSize(3, 2), 1.0, 0.0)
+        store = FlowStore({(2, 3): path, (3, 2): mine})
+        got = store.get(2, 3)
+        store.release(2, 3)
+        store.release(3, 2)
+        again = store.get(2, 3)
+        assert again is not got and np.array_equal(again.data, got.data)
+        assert store.get(3, 2) is mine
+
+    def test_field_of_another_size_names_the_file(self, tmp_path):
+        path = tmp_path / "fw_0002_0003.flo"
+        write_flow(constant_field(FrameSize(7, 5), 1.0, 0.0), path)
+        store = FlowStore({(2, 3): path}, size=FrameSize(96, 72))
+        with pytest.raises(FlowFormatError) as err:
+            store.get(2, 3)
+        assert str(err.value) == f"{path}: field is 7x5, frames are 96x72"
+
 
 class TestComposedMotion:
     def test_empty_rejected(self):

@@ -14,7 +14,9 @@ import propfuse.io
 import propfuse.pipeline
 from propfuse.cli import _config_from_args, _parse_frames, build_parser, main
 from propfuse.errors import CliUsageError, FlowFormatError, ValidationError
+from propfuse.geometry import FrameSize
 from propfuse.manifest import load_manifest
+from propfuse.motion import constant_field, write_flow
 from propfuse.pipeline import (
     PipelineConfig,
     build_provider,
@@ -752,3 +754,41 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "bundle" / "manifest.json").is_file()
+
+
+class TestInputThatParsesButMisleads:
+    """Input each reader accepts that does not fit the sequence: the run names it."""
+
+    def bundle(self, tmp_path, clean_dir):
+        root = tmp_path / "bundle"
+        shutil.copytree(clean_dir.parent, root)
+        return root
+
+    def pipeline(self, root, tmp_path):
+        return main(["pipeline", "--manifest", str(root / "manifest.json"), "--out", str(tmp_path / "o")])
+
+    def test_flow_of_another_size(self, tmp_path, clean_dir, capsys):
+        root = self.bundle(tmp_path, clean_dir)
+        flo = root / "flows" / "fw_0002_0003.flo"
+        write_flow(constant_field(FrameSize(7, 5), 1.0, 0.0), flo)
+        manifest = load_manifest(root / "manifest.json")
+        with pytest.raises(FlowFormatError) as err:
+            run_pipeline(manifest, PipelineConfig(k=1))
+        message = f"{flo}: field is 7x5, frames are 96x72"
+        assert str(err.value) == message
+        assert self.pipeline(root, tmp_path) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_detection_line_for_another_frame(self, tmp_path, clean_dir, capsys):
+        root = self.bundle(tmp_path, clean_dir)
+        dets = root / "dets" / "det_0002.jsonl"
+        lines = dets.read_text(encoding="ascii").splitlines()
+        assert len(lines) == 2
+        dets.write_text(lines[0] + "\n" + lines[1].replace('"frame": 2,', '"frame": 7,') + "\n")
+        manifest = load_manifest(root / "manifest.json")
+        with pytest.raises(ValidationError) as err:
+            run_pipeline(manifest, PipelineConfig(k=1))
+        message = f"{dets}:2: record names frame 7, expected frame 2"
+        assert str(err.value) == message
+        assert self.pipeline(root, tmp_path) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"

@@ -9,7 +9,7 @@ from propfuse.errors import MissingFlowError, ValidationError
 from propfuse.geometry import BBox, Detection, FrameSize, LabelSet
 from propfuse.motion import COMPOSITION_MODES, FlowStore, MotionField, constant_field
 from propfuse.propagation import (
-    SweepMemo,
+    RunWindow,
     build_candidates,
     chain_pairs,
     offset_order,
@@ -21,6 +21,7 @@ from propfuse.propagation import (
 from _oracles import ref_candidates
 
 SIZE = FrameSize(100, 100)
+NOTHING_HELD = {"labels": 0, "fields": 0, "sweeps": 0, "frames": 0}
 
 
 def labels(frame, *dets):
@@ -262,17 +263,18 @@ class TestSweep:
         plain = {p: a.tolist() for p, a in fields.items()}
         targets = sorted(table)
         rnd.shuffle(targets)
-        memo = SweepMemo(targets)
+        window = RunWindow(targets, k)
         for t in targets:
-            cand = build_candidates(t, k, table.get, store, size, 0.4, mode, coverage, sweeps=memo)
+            cand = build_candidates(t, k, table.get, store, size, 0.4, mode, coverage, window=window)
+            window.finish(t)
             got = [
                 (d.class_id, d.bbox.as_tuple(), d.score, d.source_offset, b and b.as_tuple())
                 for d, b in zip(cand.detections, cand.source_boxes)
             ]
             want = ref_candidates(t, k, labels, plain, size.width, size.height, 0.4, mode, coverage)
             assert got == want
-        # every sweep is dropped once the last target that reads it is done
-        assert len(memo) == 0
+        # everything is dropped once the last target that reads it is done
+        assert window.held() == NOTHING_HELD
 
     def test_sweep_extended_by_another_target_midway(self):
         # target 3 extends source 5's backward sweep while target 2 is still
@@ -291,7 +293,7 @@ class TestSweep:
             t: LabelSet(t, [Detection(c, BBox(*b), s) for c, b, s in dets])
             for t, dets in labels.items()
         }
-        memo = SweepMemo(range(n))
+        window = RunWindow(range(n), k)
         got = {}
         nested = []
 
@@ -299,11 +301,11 @@ class TestSweep:
             def get(self, a, b):
                 if (a, b) == (4, 3) and not nested:
                     nested.append(3)
-                    got[3] = build_candidates(3, k, table.get, self, size, sweeps=memo)
+                    got[3] = build_candidates(3, k, table.get, self, size, window=window)
                 return super().get(a, b)
 
         store = Interleaving({p: MotionField(size, a) for p, a in fields.items()})
-        got[2] = build_candidates(2, k, table.get, store, size, sweeps=memo)
+        got[2] = build_candidates(2, k, table.get, store, size, window=window)
         plain = {p: a.tolist() for p, a in fields.items()}
         for t in (2, 3):
             want = ref_candidates(t, k, labels, plain, 24, 24, 0.4, "trajectory", 0.25)
@@ -325,8 +327,10 @@ class TestSweep:
             for t in range(n)
         }
 
-        def boxes(t, memo):
-            cand = build_candidates(t, k, table.get, store, size, sweeps=memo)
+        def boxes(t, window):
+            cand = build_candidates(t, k, table.get, store, size, window=window)
+            if window is not None:
+                window.finish(t)
             return [(d.bbox.as_tuple(), d.source_offset) for d in cand.detections]
 
         serial = {t: boxes(t, None) for t in range(n)}
@@ -334,10 +338,10 @@ class TestSweep:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(20):
-                memo = SweepMemo(range(n))
+                window = RunWindow(range(n), k)
                 with ThreadPoolExecutor(4) as pool:
-                    futures = {t: pool.submit(boxes, t, memo) for t in range(n)}
+                    futures = {t: pool.submit(boxes, t, window) for t in range(n)}
                     assert {t: f.result(timeout=60) for t, f in futures.items()} == serial
-                assert len(memo) == 0
+                assert window.held() == NOTHING_HELD
         finally:
             sys.setswitchinterval(old)

@@ -1,8 +1,10 @@
 import filecmp
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import propfuse.io
 from propfuse.errors import SceneValidationError, ValidationError
 from propfuse.geometry import BBox, FrameSize
 from propfuse.manifest import load_manifest
@@ -231,6 +233,41 @@ class TestWriteBundle:
         assert m.embeddings_path is not None
         table = PrecomputedEmbeddings.load(m.embeddings_path)
         assert len(table) > 0
+
+    @pytest.mark.parametrize(
+        "victim",
+        ["frames/frame_0002.pgm", "flows/bw_0003_0002.flo", "embeddings.jsonl", "manifest.json"],
+    )
+    def test_torn_write_keeps_the_earlier_file_and_no_temp(self, tmp_path, monkeypatch, victim):
+        write_bundle(generate(simple_spec(), include_embeddings=True), tmp_path)
+        before = (tmp_path / victim).read_bytes()
+        real_open = open
+
+        class Torn:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:10])
+                self.fh.flush()
+                raise OSError(28, "No space left on device")
+
+        def tearing_open(path, *args):
+            fh = real_open(path, *args)
+            return Torn(fh) if Path(path).name.startswith(f".{Path(victim).name}.") else fh
+
+        monkeypatch.setattr(propfuse.io, "open", tearing_open, raising=False)
+        faster = [ObjectSpec.linear(0, (20.0, 14.0), (4.0, 10.0), (5.0, 1.0), 5)]
+        with pytest.raises(OSError, match="No space"):
+            write_bundle(generate(simple_spec(seed=8, objects=faster), include_embeddings=True), tmp_path)
+        assert (tmp_path / victim).read_bytes() == before
+        assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
 
     def test_embeddings_omitted_by_default(self, tmp_path):
         path = write_bundle(generate(simple_spec()), tmp_path)
