@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -82,7 +81,7 @@ def write_atomic(path: str | Path, data: str | bytes, encoding: str | None = Non
     path = Path(path)
     if isinstance(data, str):
         data = data.encode(encoding)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             fh.write(data)

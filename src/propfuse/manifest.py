@@ -11,7 +11,6 @@ run keeps what it reads in its ``propagation.RunWindow``.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -53,7 +52,6 @@ class SequenceManifest:
         self.embeddings_path = embeddings_path
         self._class_to_id = {name: i for i, name in enumerate(classes)}
         self._gt_cache: Optional[dict[int, LabelSet]] = None
-        self._lock = threading.Lock()
 
     # -- vocabulary ---------------------------------------------------------
 
@@ -111,21 +109,20 @@ class SequenceManifest:
     def ground_truth(self) -> dict[int, LabelSet]:
         if self.gt_path is None:
             raise ValidationError("manifest has no ground-truth file")
-        with self._lock:
-            if self._gt_cache is None:
-                records, _ = read_detections(self.gt_path)
-                by_frame: dict[int, LabelSet] = {}
-                for rec in records:
-                    labels = by_frame.setdefault(rec.frame, LabelSet(frame_index=rec.frame))
-                    labels.detections.append(
-                        Detection(
-                            class_id=self.class_id(rec.class_name),
-                            bbox=BBox.from_sequence(rec.bbox),
-                            score=rec.score,
-                        )
+        if self._gt_cache is None:
+            records, _ = read_detections(self.gt_path)
+            by_frame: dict[int, LabelSet] = {}
+            for rec in records:
+                labels = by_frame.setdefault(rec.frame, LabelSet(frame_index=rec.frame))
+                labels.detections.append(
+                    Detection(
+                        class_id=self.class_id(rec.class_name),
+                        bbox=BBox.from_sequence(rec.bbox),
+                        score=rec.score,
                     )
-                self._gt_cache = by_frame
-            return self._gt_cache
+                )
+            self._gt_cache = by_frame
+        return self._gt_cache
 
 
 def load_manifest(path: str | Path) -> SequenceManifest:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -339,7 +338,7 @@ class FlowStore:
     Entries may be in-memory fields or paths. A path is read on first use
     and its field kept until ``release`` gives the entry back to its path;
     an in-memory field is never released. With ``size`` given, a field read
-    from a path must have that size. Safe for concurrent readers.
+    from a path must have that size.
     """
 
     def __init__(
@@ -350,7 +349,6 @@ class FlowStore:
         self.size = size
         self._entries: dict[tuple[int, int], MotionField | Path] = {}
         self._loaded: dict[tuple[int, int], MotionField] = {}
-        self._lock = threading.Lock()
         for pair, value in (entries or {}).items():
             self.add(pair[0], pair[1], value)
 
@@ -375,20 +373,16 @@ class FlowStore:
         if isinstance(value, MotionField):
             return value
         field = self._loaded.get(key)
-        if field is not None:
-            return field
-        with self._lock:
-            field = self._loaded.get(key)
-            if field is None:
-                field = read_flow(value, from_frame=from_frame, to_frame=to_frame)
-                if self.size is not None and field.size != self.size:
-                    got, want = field.size, self.size
-                    raise FlowFormatError(
-                        f"{value}: field is {got.width}x{got.height}, "
-                        f"frames are {want.width}x{want.height}"
-                    )
-                self._loaded[key] = field
-            return field
+        if field is None:
+            field = read_flow(value, from_frame=from_frame, to_frame=to_frame)
+            if self.size is not None and field.size != self.size:
+                got, want = field.size, self.size
+                raise FlowFormatError(
+                    f"{value}: field is {got.width}x{got.height}, "
+                    f"frames are {want.width}x{want.height}"
+                )
+            self._loaded[key] = field
+        return field
 
     def release(self, from_frame: int, to_frame: int) -> None:
         """Drop a field read from a path; the next ``get`` reads the file again."""

@@ -7,16 +7,17 @@ field metadata.
 
 With k=0 there is nothing to carry in and nothing to corroborate, so the
 pipeline degenerates to the plain thresholded teacher labels; fusion is
-bypassed entirely in that case. With k>0 every target frame is processed
-on its own (optionally across a thread pool). The targets share one
+bypassed entirely in that case. The targets run one at a time in frame
+order, each listed frame once, whatever order they are given in. A target
+reads only what lies within k frames of it, so they share one
 ``propagation.RunWindow``: the teacher labels, motion fields, carried boxes
-and provider frames of the run, each held only while a target soon to run
+and provider frames of the run, each held only while the next target
 reads it. Everything in it is a cache of deterministic values, so the
 results do not depend on what it holds. The per-frame label files are
-written under <out>/labels/ named by frame index, so the output tree is
-identical no matter the completion order. With ``keep_going`` a
+written under <out>/labels/ named by frame index. With ``keep_going`` a
 frame that fails on its input or on I/O is recorded in the report and the
-run moves on; any other exception is a bug and always propagates.
+run moves on; without it the run stops at the first such frame. Any other
+exception is a bug and always propagates.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ import dataclasses
 import json
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, get_args, get_type_hints
@@ -90,7 +89,7 @@ class PipelineConfig:
     snms_sigma: float = 0.5
     patch_size: int = DEFAULT_PATCH_SIZE
     num_sources: Optional[int] = None
-    jobs: int = field(default=1, metadata={"help": "worker threads"})
+    jobs: int = field(default=1, metadata={"help": "must be 1: frames run one at a time"})
     small_height_threshold: float = DEFAULT_SMALL_HEIGHT
 
     def __post_init__(self):
@@ -109,8 +108,8 @@ class PipelineConfig:
             raise ValidationError(f"iou_threshold must lie in (0, 1), got {self.iou_threshold}")
         if self.num_sources is not None and self.num_sources < 1:
             raise ValidationError(f"num_sources must be >= 1, got {self.num_sources}")
-        if self.jobs < 1:
-            raise ValidationError(f"jobs must be >= 1, got {self.jobs}")
+        if self.jobs != 1:
+            raise ValidationError(f"jobs must be 1 (frames run one at a time), got {self.jobs}")
         if self.patch_size < 2:
             raise ValidationError(f"patch_size must be >= 2, got {self.patch_size}")
         if self.snms_sigma <= 0.0:
@@ -325,7 +324,7 @@ def run_pipeline(
     out_dir: Optional[str | Path] = None,
     keep_going: bool = False,
 ) -> PipelineRun:
-    """Process every target frame and optionally write the output tree.
+    """Process each target frame once, in frame order; optionally write the output tree.
 
     The output tree holds labels/fused_<frame>.jsonl per frame plus a
     run_report.json with per-frame counts and per-stage wall-clock totals.
@@ -333,7 +332,7 @@ def run_pipeline(
     if targets is None:
         targets = manifest.frame_indices()
     else:
-        targets = list(targets)
+        targets = sorted(set(targets))
         unknown = [t for t in targets if not manifest.has_frame(t)]
         if unknown:
             raise ValidationError(f"target frames not in manifest: {unknown}")
@@ -380,50 +379,40 @@ def run_pipeline(
         log.info("frame %d: %d candidates -> %d fused", t, stats["candidates"], stats["output"])
         return result.labels, stats
 
-    def attempt(t: int):
-        """process(t), or with keep_going the input or I/O error it raised."""
-        try:
-            return process(t)
-        except (PropfuseError, OSError) as exc:
-            if not keep_going:
-                raise
-            log.debug("frame %d failed: %s", t, exc)
-            return exc
-        finally:
-            window.finish(t)
-
     run = PipelineRun(out_dir=out_dir)
-    frame_stats: dict[int, dict] = {}
+    frames: list[dict] = []
     errors: list[dict] = []
     started = time.perf_counter()
-    # jobs=1 maps in this thread; the pool's map also yields in target order
     try:
-        with ThreadPoolExecutor(config.jobs) if config.jobs > 1 else nullcontext() as pool:
-            outcomes = map(attempt, targets) if pool is None else pool.map(attempt, targets)
-            for t, outcome in zip(targets, outcomes):
-                if isinstance(outcome, Exception):
-                    errors.append({"frame": t, "error": str(outcome)})
-                else:
-                    run.labels[t], frame_stats[t] = outcome
+        for t in targets:
+            try:
+                run.labels[t], stats = process(t)
+            except (PropfuseError, OSError) as exc:
+                if not keep_going:
+                    raise
+                log.debug("frame %d failed: %s", t, exc)
+                errors.append({"frame": t, "error": str(exc)})
+            else:
+                frames.append(stats)
+            window.finish(t)
     finally:
         # a run stopped by an error leaves targets that never finish
         window.close()
     total = time.perf_counter() - started
 
-    ordered = [frame_stats[t] for t in sorted(frame_stats)]
     run.report = {
         "config": config.to_json_dict(),
-        "frames": ordered,
+        "frames": frames,
         "errors": errors,
         "totals": {
-            "frames": len(ordered),
-            "candidates": sum(s["candidates"] for s in ordered),
-            "output": sum(s["output"] for s in ordered),
+            "frames": len(frames),
+            "candidates": sum(s["candidates"] for s in frames),
+            "output": sum(s["output"] for s in frames),
         },
         "stages": {
-            "build_s": sum(s["seconds"]["build"] for s in ordered),
-            "fuse_s": sum(s["seconds"]["fuse"] for s in ordered),
-            "write_s": sum(s["seconds"]["write"] for s in ordered),
+            "build_s": sum(s["seconds"]["build"] for s in frames),
+            "fuse_s": sum(s["seconds"]["fuse"] for s in frames),
+            "write_s": sum(s["seconds"]["write"] for s in frames),
             "total_s": total,
         },
     }

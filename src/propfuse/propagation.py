@@ -14,14 +14,13 @@ hop, and offset +-j reads the position after hop j. That is exact: the
 floor comes only at the end of a chain and additive sums run in chain order,
 so hop j's position is bit for bit the one the j-hop chain gives. The
 sweeps, with the labels and fields they read, live in the run's
-``RunWindow`` until no target soon to run reads them.
+``RunWindow`` while the next target to run reads them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import islice
 from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -47,7 +46,6 @@ __all__ = [
     "plan_offsets",
     "propagate_from_offset",
     "CandidateSet",
-    "TargetLedger",
     "RunWindow",
     "build_candidates",
     "threshold_labels",
@@ -189,38 +187,8 @@ class _Sweep(NamedTuple):
     hops: tuple[np.ndarray, ...]  # the running value of ``carry`` after each hop
 
 
-class TargetLedger:
-    """The targets of one run, in run order, and which of them are done.
-
-    Data may be dropped once none of the next ``ahead`` targets that are not
-    done, in run order, reads it. A target is marked done before anything is
-    dropped for it, so of two targets finishing at once at least the later
-    one sees both done. Dropping early is never wrong, only slower: what a
-    target reads again is loaded again, bit for bit the same.
-    """
-
-    def __init__(self, targets: Iterable[int], ahead: int):
-        self._order = list(targets)
-        self._done: set[int] = set()
-        self._ahead = ahead
-        self._first = 0  # every target before this position in run order is done
-
-    def finish(self, target: int) -> None:
-        self._done.add(target)
-
-    def soon(self) -> set[int]:
-        """The first ``ahead`` targets in run order that are not done."""
-        order, done = self._order, self._done
-        first = self._first
-        while first < len(order) and order[first] in done:
-            first += 1
-        self._first = first
-        pending = (order[i] for i in range(first, len(order)) if order[i] not in done)
-        return set(islice(pending, self._ahead))
-
-
-class RunWindow(TargetLedger):
-    """Everything one run loads, held while a target soon to run reads it.
+class RunWindow:
+    """Everything one run loads, held while the next target to run reads it.
 
     A run reads teacher labels, motion fields and, through the feature
     provider, frames; and it carries each source frame's kept boxes hop by
@@ -232,24 +200,21 @@ class RunWindow(TargetLedger):
       sweep of source a in direction d (keyed by that same pair) are read
       by targets a+d, a+2d, ..., a+kd.
 
-    ``finish(t)`` marks t done and drops whatever none of the next 2k
-    targets still to finish reads. Each piece target t reads is read by no
-    target more than 2k frames beyond it, so with targets in frame order
-    that is exactly what no pending target reads, and each label and flow
-    file is read once; in any order the window holds a bounded number of
-    pieces, not the sequence. A field goes back to its ``FlowStore``, which
+    ``finish(t)`` marks t done and keeps only what the smallest unfinished
+    target reads. Each piece is read by one contiguous range of frames, at
+    most 2k+1 wide, and a held piece was read by a target already done, so
+    with targets in frame order this drops exactly what no unfinished
+    target reads, and each label and flow file is read once; in any other
+    order the window holds no more than two targets' reach. Dropping early
+    is never wrong, only slower: what a target reads again is loaded again,
+    bit for bit the same. A field goes back to its ``FlowStore``, which
     drops it only if it was read from a path; provider frames go back to
-    the provider.
-
-    Sweeps are immutable and replaced whole, so concurrent targets share
-    the window without a lock; two threads extending one sweep at once
-    compute the same bits. ``stats`` counts, per kind of data, loads, hits,
-    evictions and the most held at once; the counts are exact when one
-    thread runs the targets.
+    the provider. ``stats`` counts, per kind of data, loads, hits,
+    evictions and the most held at once.
     """
 
     def __init__(self, targets: Iterable[int], k: int, provider=None):
-        super().__init__(targets, ahead=2 * k)
+        self._pending = sorted(set(targets))  # the unfinished targets
         self.k = k
         self.provider = provider
         self._labels: dict[int, Optional[LabelSet]] = {}
@@ -321,25 +286,26 @@ class RunWindow(TargetLedger):
         return sweep.kept, carried_position(sweep.corners, acc, mode)
 
     def finish(self, target: int) -> None:
-        """Mark target done, fused or failed; drop what no target soon to run reads."""
-        super().finish(target)
-        self._drop(self.soon())
+        """Mark target done, fused or failed; keep what the next target reads."""
+        if target in self._pending:
+            self._pending.remove(target)
+        self._drop(self._pending[0] if self._pending else None)
 
     def close(self) -> None:
         """End the run: drop everything, whether or not every target ran."""
-        self._drop(set())
+        self._drop(None)
 
-    def _drop(self, soon: set[int]) -> None:
+    def _drop(self, next_target: Optional[int]) -> None:
         for kind, n in self.held().items():
             self.stats[kind]["most_held"] = max(self.stats[kind]["most_held"], n)
         k = self.k
 
         def frame_read(f: int) -> bool:
-            return any(t in soon for t in range(f - k, f + k + 1))
+            return next_target is not None and abs(next_target - f) <= k
 
         def pair_read(pair: tuple[int, int]) -> bool:
             a, b = pair
-            return any(a + (b - a) * i in soon for i in range(1, k + 1))
+            return next_target is not None and 1 <= (next_target - a) * (b - a) <= k
 
         self._evict("labels", list(self._labels), frame_read, lambda f: self._labels.pop(f, None))
         self._evict("fields", list(self._fields), pair_read, self._release_field)

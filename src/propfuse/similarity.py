@@ -17,7 +17,6 @@ provider keeps.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
@@ -130,7 +129,6 @@ class PatchDescriptor:
         self._lum_cache: dict[int, np.ndarray] = {}
         # frame -> box -> descriptor, None where the crop lies outside the frame
         self._memo: dict[int, dict[BBox, Optional[FeatureVector]]] = {}
-        self._lock = threading.Lock()
 
     @property
     def dim(self) -> int:
@@ -146,12 +144,10 @@ class PatchDescriptor:
         self._lum_cache.pop(frame_index, None)
 
     def _luminance(self, frame_index: int) -> np.ndarray:
-        with self._lock:
-            lum = self._lum_cache.get(frame_index)
-            if lum is None:
-                lum = self._loader(frame_index).luminance()
-                self._lum_cache[frame_index] = lum
-            return lum
+        lum = self._lum_cache.get(frame_index)
+        if lum is None:
+            lum = self._lum_cache[frame_index] = self._loader(frame_index).luminance()
+        return lum
 
     def embed(self, frame_index: int, bbox: BBox) -> FeatureVector:
         (vec,) = self.embed_many(frame_index, (bbox,))

@@ -358,7 +358,8 @@ def test_criterion_09_flow_serialization(tmp_path):
 def test_criterion_10_pipeline_determinism(noisy_dir, tmp_path):
     with criterion(10, "two identical pipeline invocations write identical trees"):
         outs = []
-        for name in ("one", "two"):
+        backwards = ",".join(map(str, reversed(load_manifest(noisy_dir).frame_indices())))
+        for name, frames in (("one", []), ("two", ["--frames", backwards])):
             out = tmp_path / name
             rc = main(
                 [
@@ -371,8 +372,7 @@ def test_criterion_10_pipeline_determinism(noisy_dir, tmp_path):
                     "swbf",
                     "--k",
                     "1",
-                    "--jobs",
-                    "4",
+                    *frames,
                 ]
             )
             assert rc == 0
@@ -403,7 +403,7 @@ def test_criterion_11_method_shootout(tmp_path):
 
         scores = {}
         for method in ("swbf", "wbf", "nms", "snms", "nmw"):
-            cfg = PipelineConfig(k=1, method=method, post_threshold=0.15, jobs=4)
+            cfg = PipelineConfig(k=1, method=method, post_threshold=0.15)
             run = run_pipeline(manifest, cfg)
             dets = {t: ls.detections for t, ls in run.labels.items()}
             scores[method] = evaluate(dets, gt, class_names=manifest.classes).map50

@@ -5,6 +5,7 @@ import random
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,15 @@ def thresholded_lines(det_path, threshold):
 
 def read_labels_tree(out_dir):
     return {p.name: p.read_bytes() for p in sorted((out_dir / "labels").glob("*.jsonl"))}
+
+
+def report_bytes(out_dir):
+    """run_report.json without its timings, re-serialized."""
+    report = json.loads((out_dir / "run_report.json").read_text())
+    report.pop("stages")
+    for f in report["frames"]:
+        f.pop("seconds")
+    return json.dumps(report, indent=2, sort_keys=True)
 
 
 class TestConfig:
@@ -80,6 +90,19 @@ class TestConfig:
             parse_config_file(cfg_file)
         assert f"{cfg_file}:1:" in str(err.value)
 
+    def test_jobs_other_than_one_rejected(self, tmp_path, clean_dir, capsys):
+        with pytest.raises(ValidationError, match="jobs"):
+            PipelineConfig(jobs=2)
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("jobs = 2\n")
+        with pytest.raises(ValidationError, match="jobs"):
+            load_config(cfg_file)
+        common = ["pipeline", "--manifest", str(clean_dir), "--out", str(tmp_path / "out")]
+        for extra in (["--config", str(cfg_file)], ["--jobs", "2"]):
+            assert main(common + extra) == 1
+            assert "jobs must be 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_combination_rejected(self):
         with pytest.raises(ValidationError):
             PipelineConfig(iou_threshold=1.0)
@@ -107,7 +130,10 @@ def _non_default(f: dataclasses.Field):
     return 0.3
 
 
-@pytest.mark.parametrize("f", dataclasses.fields(PipelineConfig), ids=lambda f: f.name)
+# jobs has no second valid value
+@pytest.mark.parametrize(
+    "f", [f for f in dataclasses.fields(PipelineConfig) if f.name != "jobs"], ids=lambda f: f.name
+)
 def test_field_is_config_key_and_flag(tmp_path, f):
     value = _non_default(f)
     cfg_file = tmp_path / "run.cfg"
@@ -149,14 +175,68 @@ class TestRunPipeline:
         [(1, "trajectory"), (1, "additive"), (3, "trajectory"), (3, "additive")],
         ids=["k1-trajectory", "k1-additive", "k3-trajectory", "k3-additive"],
     )
-    def test_parallel_matches_serial(self, tmp_path, noisy_dir, k, composition):
+    def test_shuffled_targets_match_in_order(self, tmp_path, noisy_dir, k, composition):
         manifest = load_manifest(noisy_dir)
-        base = PipelineConfig(k=k, method="swbf", composition=composition)
-        out1 = tmp_path / "serial"
-        out4 = tmp_path / "parallel"
-        run_pipeline(manifest, base, out_dir=out1)
-        run_pipeline(manifest, base.replace(jobs=4), out_dir=out4)
-        assert read_labels_tree(out1) == read_labels_tree(out4)
+        config = PipelineConfig(k=k, method="swbf", composition=composition)
+        targets = manifest.frame_indices()
+        shuffled = targets + targets[::3]
+        random.Random(k).shuffle(shuffled)
+        run_pipeline(manifest, config, targets=targets, out_dir=tmp_path / "in_order")
+        run_pipeline(load_manifest(noisy_dir), config, targets=shuffled, out_dir=tmp_path / "shuffled")
+        assert read_labels_tree(tmp_path / "in_order") == read_labels_tree(tmp_path / "shuffled")
+        assert report_bytes(tmp_path / "in_order") == report_bytes(tmp_path / "shuffled")
+
+    def test_repeated_target_runs_once(self, tmp_path, clean_dir, monkeypatch):
+        fused, written = [], []
+        real_fuse = propfuse.pipeline.fuse_candidates
+        real_write = propfuse.pipeline.write_detections
+
+        def fuse(candidates, *args):
+            fused.append(candidates.frame_index)
+            return real_fuse(candidates, *args)
+
+        def write(records, path, *args, **kwargs):
+            written.append(path.name)
+            return real_write(records, path, *args, **kwargs)
+
+        monkeypatch.setattr(propfuse.pipeline, "fuse_candidates", fuse)
+        monkeypatch.setattr(propfuse.pipeline, "write_detections", write)
+        out = tmp_path / "out"
+        rc = main(["pipeline", "--manifest", str(clean_dir), "--out", str(out), "--frames", "2:5,3"])
+        assert rc == 0
+        assert fused == [2, 3, 4]
+        assert written == ["fused_000002.jsonl", "fused_000003.jsonl", "fused_000004.jsonl"]
+        report = json.loads((out / "run_report.json").read_text())
+        assert [f["frame"] for f in report["frames"]] == [2, 3, 4]
+        assert report["totals"]["frames"] == 3
+
+    def test_stage_times_add_up_to_no_more_than_the_run(self, noisy_dir):
+        stages = run_pipeline(load_manifest(noisy_dir), PipelineConfig(k=3)).report["stages"]
+        assert stages["build_s"] + stages["fuse_s"] + stages["write_s"] <= stages["total_s"]
+
+    def test_errors_and_first_failure_follow_frame_order(self, clean_dir, monkeypatch):
+        seen = []
+        real_fuse = propfuse.pipeline.fuse_candidates
+
+        def fuse(candidates, *args):
+            seen.append(candidates.frame_index)
+            if candidates.frame_index in (2, 4):
+                raise ValidationError(f"frame {candidates.frame_index} is malformed")
+            return real_fuse(candidates, *args)
+
+        monkeypatch.setattr(propfuse.pipeline, "fuse_candidates", fuse)
+        manifest = load_manifest(clean_dir)
+        targets = manifest.frame_indices()[::-1]
+        config = PipelineConfig(k=1, method="wbf")
+        run = run_pipeline(manifest, config, targets=targets, keep_going=True)
+        assert [e["frame"] for e in run.report["errors"]] == [2, 4]
+        assert [f["frame"] for f in run.report["frames"]] == [
+            t for t in manifest.frame_indices() if t not in (2, 4)
+        ]
+        seen.clear()
+        with pytest.raises(ValidationError, match="frame 2 "):
+            run_pipeline(manifest, config, targets=targets)
+        assert seen == [0, 1, 2]
 
     def test_report_structure(self, tmp_path, clean_dir):
         manifest = load_manifest(clean_dir)
@@ -240,8 +320,7 @@ class TestRunPipeline:
         with pytest.raises(Exception):
             run_pipeline(manifest, PipelineConfig(k=0, method="wbf"), keep_going=False)
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_keep_going_records_validation_errors(self, clean_dir, monkeypatch, jobs):
+    def test_keep_going_records_validation_errors(self, clean_dir, monkeypatch):
         real_fuse = propfuse.pipeline.fuse_candidates
 
         def fuse(candidates, *args):
@@ -251,23 +330,21 @@ class TestRunPipeline:
 
         monkeypatch.setattr(propfuse.pipeline, "fuse_candidates", fuse)
         manifest = load_manifest(clean_dir)
-        cfg = PipelineConfig(k=1, method="wbf", jobs=jobs)
-        run = run_pipeline(manifest, cfg, keep_going=True)
+        run = run_pipeline(manifest, PipelineConfig(k=1, method="wbf"), keep_going=True)
         assert run.report["errors"] == [{"frame": 3, "error": "frame 3 is malformed"}]
         assert sorted(run.labels) == [t for t in manifest.frame_indices() if t != 3]
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_keep_going_lets_programming_errors_through(self, clean_dir, monkeypatch, jobs):
+    def test_keep_going_lets_programming_errors_through(self, clean_dir, monkeypatch):
         def fuse(*args):
             raise RuntimeError("bug")
 
         monkeypatch.setattr(propfuse.pipeline, "fuse_candidates", fuse)
         manifest = load_manifest(clean_dir)
         with pytest.raises(RuntimeError, match="bug"):
-            run_pipeline(manifest, PipelineConfig(k=1, method="wbf", jobs=jobs), keep_going=True)
+            run_pipeline(manifest, PipelineConfig(k=1, method="wbf"), keep_going=True)
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_provider_holds_nothing_after_the_run(self, noisy_dir, monkeypatch, jobs):
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_provider_holds_nothing_after_the_run(self, noisy_dir, monkeypatch, seed):
         built = []
 
         def build(manifest, config):
@@ -277,8 +354,8 @@ class TestRunPipeline:
         monkeypatch.setattr(propfuse.pipeline, "build_provider", build)
         manifest = load_manifest(noisy_dir)
         targets = manifest.frame_indices()
-        random.Random(jobs).shuffle(targets)
-        run = run_pipeline(manifest, PipelineConfig(k=2, jobs=jobs), targets=targets)
+        random.Random(seed).shuffle(targets)
+        run = run_pipeline(manifest, PipelineConfig(k=2), targets=targets)
         assert sorted(run.labels) == sorted(targets)
         assert built[0].held_frames() == set()
 
@@ -340,8 +417,8 @@ class TestRunPipeline:
         assert read_labels_tree(out) == {n: whole[n] for n in names}
 
     def test_serial_run_starts_no_thread_and_stops_at_first_failure(self, clean_dir, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("jobs=1 must not start a thread pool")
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a run must not start a thread")
 
         seen = []
 
@@ -349,7 +426,7 @@ class TestRunPipeline:
             seen.append(candidates.frame_index)
             raise ValidationError("broken")
 
-        monkeypatch.setattr(propfuse.pipeline, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
         monkeypatch.setattr(propfuse.pipeline, "fuse_candidates", fuse)
         manifest = load_manifest(clean_dir)
         with pytest.raises(ValidationError):

@@ -1,6 +1,3 @@
-import sys
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -278,7 +275,7 @@ class TestSweep:
 
     def test_sweep_extended_by_another_target_midway(self):
         # target 3 extends source 5's backward sweep while target 2 is still
-        # reading the fields for it, as a second worker thread could
+        # reading the fields for it
         n, size, k = 7, FrameSize(24, 24), 3
         rng = np.random.default_rng(11)
         fields = {}
@@ -313,35 +310,3 @@ class TestSweep:
             assert [(d.bbox.as_tuple(), d.source_offset) for d in got[t].detections] == [
                 (c[1], c[3]) for c in want
             ]
-
-    def test_threads_sharing_the_memo_match_serial(self):
-        n, size, k = 12, FrameSize(32, 32), 3
-        rng = np.random.default_rng(5)
-        store = FlowStore()
-        for t in range(n - 1):
-            for a, b in ((t, t + 1), (t + 1, t)):
-                data = (rng.standard_normal((32, 32, 2)) * 2.0).astype(np.float32)
-                store.add(a, b, MotionField(size, data))
-        table = {
-            t: LabelSet(t, [det(0.9, (x, x + 2, x + 9, x + 8)) for x in (1.5, 6.25, 11.0, 19.75)])
-            for t in range(n)
-        }
-
-        def boxes(t, window):
-            cand = build_candidates(t, k, table.get, store, size, window=window)
-            if window is not None:
-                window.finish(t)
-            return [(d.bbox.as_tuple(), d.source_offset) for d in cand.detections]
-
-        serial = {t: boxes(t, None) for t in range(n)}
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(20):
-                window = RunWindow(range(n), k)
-                with ThreadPoolExecutor(4) as pool:
-                    futures = {t: pool.submit(boxes, t, window) for t in range(n)}
-                    assert {t: f.result(timeout=60) for t, f in futures.items()} == serial
-                assert window.held() == NOTHING_HELD
-        finally:
-            sys.setswitchinterval(old)
