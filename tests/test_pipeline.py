@@ -320,7 +320,8 @@ class TestRunPipeline:
         with pytest.raises(Exception):
             run_pipeline(manifest, PipelineConfig(k=0, method="wbf"), keep_going=False)
 
-    def test_keep_going_records_validation_errors(self, clean_dir, monkeypatch):
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_keep_going_records_validation_errors(self, clean_dir, monkeypatch, k):
         real_fuse = propfuse.pipeline.fuse_candidates
 
         def fuse(candidates, *args):
@@ -330,18 +331,19 @@ class TestRunPipeline:
 
         monkeypatch.setattr(propfuse.pipeline, "fuse_candidates", fuse)
         manifest = load_manifest(clean_dir)
-        run = run_pipeline(manifest, PipelineConfig(k=1, method="wbf"), keep_going=True)
+        run = run_pipeline(manifest, PipelineConfig(k=k, method="wbf"), keep_going=True)
         assert run.report["errors"] == [{"frame": 3, "error": "frame 3 is malformed"}]
         assert sorted(run.labels) == [t for t in manifest.frame_indices() if t != 3]
 
-    def test_keep_going_lets_programming_errors_through(self, clean_dir, monkeypatch):
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_keep_going_lets_programming_errors_through(self, clean_dir, monkeypatch, k):
         def fuse(*args):
             raise RuntimeError("bug")
 
         monkeypatch.setattr(propfuse.pipeline, "fuse_candidates", fuse)
         manifest = load_manifest(clean_dir)
         with pytest.raises(RuntimeError, match="bug"):
-            run_pipeline(manifest, PipelineConfig(k=1, method="wbf"), keep_going=True)
+            run_pipeline(manifest, PipelineConfig(k=k, method="wbf"), keep_going=True)
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_provider_holds_nothing_after_the_run(self, noisy_dir, monkeypatch, seed):
