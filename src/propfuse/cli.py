@@ -222,11 +222,13 @@ def _read_label_tree(path) -> dict[int, list[DetectionRecord]]:
 
 
 def _to_detections(by_frame, name_to_id) -> dict[int, list[Detection]]:
+    """Records of the vocabulary's classes as Detections; others are left out."""
     out: dict[int, list[Detection]] = {}
     for frame, records in by_frame.items():
         out[frame] = [
             Detection(name_to_id[r.class_name], BBox.from_sequence(r.bbox), r.score)
             for r in records
+            if r.class_name in name_to_id
         ]
     return out
 

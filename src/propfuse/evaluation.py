@@ -9,7 +9,9 @@ metric averages AP over IoU thresholds 0.50 to 0.95 in steps of 0.05.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from .errors import ValidationError, VocabularyError
@@ -29,6 +31,7 @@ __all__ = [
 
 IOU_THRESHOLDS = tuple(round(0.50 + 0.05 * j, 2) for j in range(10))
 RECALL_GRID_POINTS = 101
+RECALL_GRID = tuple(j / 100.0 for j in range(RECALL_GRID_POINTS))
 
 PMF_BIN_WIDTH = 0.05
 PMF_BINS = 20
@@ -55,6 +58,24 @@ def average_precision(
     (frame key, box) pairs. Returns None when there is no ground truth, in
     which case the class is undefined rather than zero.
     """
+    curves = _pr_curves(dets, gts, (iou_threshold,))
+    return None if curves is None else curves[0]
+
+
+def _pr_curves(
+    dets: Sequence[tuple[Any, BBox, float]],
+    gts: Sequence[tuple[Any, BBox]],
+    thresholds: Sequence[float],
+) -> Optional[list[PRCurve]]:
+    """One class's curve at each IoU threshold, from one overlap table.
+
+    Each same-frame IoU is computed once. Row r of the table holds the
+    (gt index, IoU) pairs of the r-th detection in rank order, in gt-index
+    order, that pass the match test at the lowest threshold; no other
+    overlap can match at any threshold. Recalls never decrease, so the
+    detections that reach grid recall r are a suffix, found by
+    ``bisect_left``, and its best precision is a reverse running maximum.
+    """
     n_gt = len(gts)
     if n_gt == 0:
         return None
@@ -64,41 +85,50 @@ def average_precision(
         gt_by_frame.setdefault(fk, []).append((gi, box))
 
     order = sorted(range(len(dets)), key=lambda i: (-dets[i][2], i))
-    matched: set[int] = set()
-    precisions: list[float] = []
-    recalls: list[float] = []
-    tp = 0
-    fp = 0
+    lowest = min(thresholds)
+    rows: list[tuple[tuple[int, float], ...]] = []
     for i in order:
         fk, box, _score = dets[i]
-        best_iou = 0.0
-        best_gt: Optional[int] = None
+        row = []
         for gi, gt_box in gt_by_frame.get(fk, ()):
-            if gi in matched:
-                continue
             overlap = iou(box, gt_box)
-            # ties on overlap resolve to the earliest ground-truth index
-            if overlap >= iou_threshold and overlap > best_iou:
-                best_iou = overlap
-                best_gt = gi
-        if best_gt is not None:
-            matched.add(best_gt)
-            tp += 1
-        else:
-            fp += 1
-        precisions.append(tp / (tp + fp))
-        recalls.append(tp / n_gt)
+            # what fails the match test at the lowest threshold fails it at every one
+            if overlap >= lowest and overlap > 0.0:
+                row.append((gi, overlap))
+        rows.append(tuple(row))
 
-    grid = tuple(j / 100.0 for j in range(RECALL_GRID_POINTS))
-    interpolated = []
-    for r in grid:
-        best = 0.0
-        for p, rc in zip(precisions, recalls):
-            if rc >= r and p > best:
-                best = p
-        interpolated.append(best)
-    ap = sum(interpolated) / RECALL_GRID_POINTS
-    return PRCurve(recalls=grid, precisions=tuple(interpolated), ap=ap)
+    curves = []
+    for iou_threshold in thresholds:
+        matched: set[int] = set()
+        precisions: list[float] = []
+        recalls: list[float] = []
+        tp = 0
+        fp = 0
+        for row in rows:
+            best_iou = 0.0
+            best_gt: Optional[int] = None
+            for gi, overlap in row:
+                if gi in matched:
+                    continue
+                # ties on overlap resolve to the earliest ground-truth index
+                if overlap >= iou_threshold and overlap > best_iou:
+                    best_iou = overlap
+                    best_gt = gi
+            if best_gt is not None:
+                matched.add(best_gt)
+                tp += 1
+            else:
+                fp += 1
+            precisions.append(tp / (tp + fp))
+            recalls.append(tp / n_gt)
+
+        # best[i] is the highest precision at rank i or later; 0.0 past the end
+        best = list(accumulate(reversed(precisions), max))[::-1] + [0.0]
+        interpolated = tuple(best[bisect_left(recalls, r)] for r in RECALL_GRID)
+        # sum(), not a running total: from Python 3.12 sum() is compensated
+        ap = sum(interpolated) / RECALL_GRID_POINTS
+        curves.append(PRCurve(recalls=RECALL_GRID, precisions=interpolated, ap=ap))
+    return curves
 
 
 @dataclass
@@ -189,10 +219,8 @@ def evaluate(
         if not per_class_gts[c]:
             per_class_ap50[key] = None
             continue
-        aps = []
-        for thr in IOU_THRESHOLDS:
-            curve = average_precision(per_class_dets[c], per_class_gts[c], thr)
-            aps.append(curve.ap)
+        curves = _pr_curves(per_class_dets[c], per_class_gts[c], IOU_THRESHOLDS)
+        aps = [curve.ap for curve in curves]
         per_class_ap50[key] = aps[0]
         ap50s.append(aps[0])
         ap75s.append(aps[5])

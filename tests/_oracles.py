@@ -194,6 +194,35 @@ def oracle_ap(dets, gts, iou_thr):
     return total / 101
 
 
+def oracle_pr(dets, gts, iou_thr):
+    """The 101 max-interpolated precisions whose mean is oracle_ap.
+
+    Same greedy matching, redone from scratch; for each recall point the
+    whole curve is rescanned for the best precision at that recall or more.
+    """
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i][2], i))
+    taken = set()
+    tp = 0
+    curve = []  # (precision, recall) after each ranked detection
+    for rank, i in enumerate(order, start=1):
+        frame, box, _ = dets[i]
+        best = None
+        best_iou = 0.0
+        for j, (gf, gb) in enumerate(gts):
+            if j in taken or gf != frame:
+                continue
+            v = ref_iou(box, gb)
+            if v >= iou_thr and v > best_iou:
+                best, best_iou = j, v
+        if best is not None:
+            taken.add(best)
+            tp += 1
+        curve.append((tp / rank, tp / len(gts)))
+    return [
+        max([p for p, rec in curve if rec >= i / 100] + [0.0]) for i in range(101)
+    ]
+
+
 def oracle_map(dets_by_class, gts_by_class, thresholds):
     """Mean over classes (with GT) of the mean AP over thresholds."""
     per_class = []

@@ -1,8 +1,11 @@
 import math
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import propfuse.evaluation
 from propfuse.errors import MissingFlowError, ValidationError, VocabularyError
 from propfuse.evaluation import (
     IOU_THRESHOLDS,
@@ -13,11 +16,38 @@ from propfuse.evaluation import (
 from propfuse.geometry import BBox, Detection, FrameSize, LabelSet
 from propfuse.motion import FlowStore, constant_field
 
-from _oracles import oracle_ap, oracle_map
+from _oracles import oracle_ap, oracle_map, oracle_pr
 
 
 def det(score, box, class_id=0):
     return Detection(class_id, BBox(*map(float, box)), score)
+
+
+# a 10x10 box, the 10x5 and 10x7.5 boxes at IoU exactly 0.5 and 0.75 with
+# it, and boxes that overlap those partly or not at all
+POOL = [
+    (0.0, 0.0, 10.0, 10.0),
+    (0.0, 0.0, 10.0, 5.0),
+    (0.0, 0.0, 10.0, 7.5),
+    (2.0, 0.0, 12.0, 10.0),
+    (5.0, 5.0, 15.0, 15.0),
+    (20.0, 20.0, 30.0, 30.0),
+]
+boxes = st.one_of(
+    st.sampled_from(POOL),
+    st.builds(
+        lambda x, y, w, h: (float(x), float(y), float(x + w), float(y + h)),
+        st.integers(0, 16),
+        st.integers(0, 16),
+        st.integers(1, 12),
+        st.integers(1, 12),
+    ),
+)
+# detections reach frame 3, which has no ground truth; few scores, so ties
+det_lists = st.lists(
+    st.tuples(st.integers(0, 3), boxes, st.sampled_from([0.25, 0.5, 0.9])), max_size=10
+)
+gt_lists = st.lists(st.tuples(st.integers(0, 2), boxes), min_size=1, max_size=6)
 
 
 class TestAveragePrecision:
@@ -98,6 +128,31 @@ class TestAveragePrecision:
             )
             assert math.isclose(got, want, abs_tol=1e-12)
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(det_lists, gt_lists)
+    # score ties across frames and within one
+    @example([(0, POOL[0], 0.5), (1, POOL[3], 0.5), (0, POOL[4], 0.5)], [(0, POOL[0]), (1, POOL[0])])
+    # duplicate boxes: the second copy is a false positive
+    @example([(0, POOL[0], 0.9), (0, POOL[0], 0.9), (0, POOL[0], 0.25)], [(0, POOL[0])])
+    # IoU exactly 0.5 and exactly 0.75 against the 10x10 ground truth
+    @example([(0, POOL[1], 0.9), (1, POOL[2], 0.5)], [(0, POOL[0]), (1, POOL[0])])
+    # detections on a frame with no ground truth
+    @example([(3, POOL[0], 0.9), (0, POOL[0], 0.5)], [(0, POOL[0]), (2, POOL[5])])
+    # zero detections
+    @example([], [(0, POOL[0]), (1, POOL[5])])
+    # the first detection ties at IoU 9/11 with both ground truths and takes
+    # the earlier; the next, a copy of that one, is left the later at IoU
+    # 2/3, a false positive from 0.70 up
+    @example([(0, (1.0, 0.0, 11.0, 10.0), 0.9), (0, POOL[0], 0.5)], [(0, POOL[0]), (0, POOL[3])])
+    def test_curve_equals_oracle_at_every_threshold(self, dets, gts):
+        boxed_dets = [(f, BBox(*b), s) for f, b, s in dets]
+        boxed_gts = [(f, BBox(*b)) for f, b in gts]
+        for thr in IOU_THRESHOLDS:
+            curve = average_precision(boxed_dets, boxed_gts, thr)
+            assert list(curve.precisions) == oracle_pr(dets, gts, thr)
+            # the mean is sum() in both, but the oracle adds up in another order
+            assert math.isclose(curve.ap, oracle_ap(dets, gts, thr), abs_tol=1e-12)
+
 
 class TestEvaluate:
     def test_perfect_detections_score_one(self):
@@ -170,6 +225,38 @@ class TestEvaluate:
         assert math.isclose(report.map, want_map, abs_tol=1e-6)
         assert math.isclose(report.map50, want_50, abs_tol=1e-6)
         assert math.isclose(report.map75, want_75, abs_tol=1e-6)
+
+    def test_each_same_frame_pair_overlapped_once(self, monkeypatch):
+        calls = Counter()
+        real_iou = propfuse.evaluation.iou
+
+        def counting_iou(a, b):
+            calls[a.as_tuple(), b.as_tuple()] += 1
+            return real_iou(a, b)
+
+        monkeypatch.setattr(propfuse.evaluation, "iou", counting_iou)
+        gts = {
+            0: [det(1.0, (0, 0, 10, 10), 0), det(1.0, (20, 0, 30, 10), 0), det(1.0, (0, 20, 8, 36), 1)],
+            1: [det(1.0, (2, 0, 12, 10), 0), det(1.0, (40, 40, 50, 60), 1)],
+            2: [det(1.0, (5, 5, 15, 15), 1)],
+        }
+        dets = {
+            0: [det(0.9, (1, 0, 11, 10), 0), det(0.8, (21, 1, 31, 11), 0), det(0.7, (0, 21, 8, 37), 1)],
+            1: [det(0.9, (2, 1, 12, 11), 0), det(0.6, (60, 60, 70, 70), 0), det(0.5, (40, 41, 50, 61), 1)],
+            2: [det(0.9, (5, 6, 15, 16), 1), det(0.4, (30, 30, 40, 40), 0)],
+        }
+        report = evaluate(dets, gts)
+        want = Counter(
+            (d.bbox.as_tuple(), g.bbox.as_tuple())
+            for t in dets
+            for d in dets[t]
+            for g in gts[t]
+            if d.class_id == g.class_id
+        )
+        # frame 0: 2x2 class 0 and 1x1 class 1; frame 1: 2x1 and 1x1; frame 2: 1x1
+        assert len(want) == 9
+        assert calls == want
+        assert report.n_detections == 8
 
     def test_csv_has_summary_and_per_class(self):
         gts = {0: [det(1.0, (0, 0, 10, 10), 0), det(1.0, (20, 20, 30, 30), 1)]}

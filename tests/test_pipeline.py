@@ -802,6 +802,23 @@ class TestCli:
         assert rc == 1
         assert "bike" in capsys.readouterr().err
 
+    def test_eval_ignores_ground_truth_outside_classes(self, tmp_path, clean_dir):
+        gt = clean_dir.parent / "gt.jsonl"
+        gt_lines = gt.read_text(encoding="ascii").splitlines()
+        car_lines = [line for line in gt_lines if json.loads(line)["class"] == "car"]
+        assert 0 < len(car_lines) < len(gt_lines)
+        dets = tmp_path / "cars.jsonl"
+        dets.write_text("".join(line + "\n" for line in car_lines), encoding="ascii")
+        out = tmp_path / "r.json"
+        rc = main(
+            ["eval", "--dets", str(dets), "--gt", str(gt), "--classes", "car", "--out", str(out)]
+        )
+        assert rc == 0
+        report = json.loads(out.read_text())
+        assert report["n_ground_truth"] == len(car_lines)
+        assert report["classes"] == ["car"]
+        assert report["per_class_ap50"] == {"car": 1.0}
+
     def test_module_entrypoint(self, tmp_path):
         spec_path = tmp_path / "scene.json"
         spec_path.write_text(
