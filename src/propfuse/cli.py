@@ -222,9 +222,14 @@ def _read_label_tree(path) -> dict[int, list[DetectionRecord]]:
 
 
 def _to_detections(by_frame, name_to_id) -> dict[int, list[Detection]]:
-    """Records of the vocabulary's classes as Detections; others are left out."""
+    """Records of the vocabulary's classes as Detections; others are left out.
+
+    ``by_frame`` is emptied frame by frame, so each frame's records are freed
+    once they are converted.
+    """
     out: dict[int, list[Detection]] = {}
-    for frame, records in by_frame.items():
+    for frame in list(by_frame):
+        records = by_frame.pop(frame)
         out[frame] = [
             Detection(name_to_id[r.class_name], BBox.from_sequence(r.bbox), r.score)
             for r in records

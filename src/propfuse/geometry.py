@@ -19,6 +19,8 @@ __all__ = [
     "LabelSet",
     "iou",
     "clip_to_frame",
+    "unchecked_bbox",
+    "unchecked_detection",
 ]
 
 
@@ -100,6 +102,44 @@ class LabelSet:
 
     def __len__(self) -> int:
         return len(self.detections)
+
+
+# The package's own boxes and detections, built where the checks hold by
+# construction, skip ``__post_init__``. Attributes are set one by one in field
+# order, like the generated ``__init__``, so the instance keeps the compact
+# key-shared layout a checked one has; filling ``__dict__`` directly would
+# more than double each object's size.
+_set = object.__setattr__
+
+
+def unchecked_bbox(x1: float, y1: float, x2: float, y2: float) -> BBox:
+    """A ``BBox`` built without its checks.
+
+    The caller guarantees what ``BBox`` would check: every coordinate is
+    finite, x1 < x2 and y1 < y2.
+    """
+    box = object.__new__(BBox)
+    _set(box, "x1", x1)
+    _set(box, "y1", y1)
+    _set(box, "x2", x2)
+    _set(box, "y2", y2)
+    return box
+
+
+def unchecked_detection(
+    class_id: int, bbox: BBox, score: float, source_offset: int = 0
+) -> Detection:
+    """A ``Detection`` built without its check.
+
+    The caller guarantees what ``Detection`` would check: the score lies in
+    [0, 1], and ``bbox`` is a valid box.
+    """
+    det = object.__new__(Detection)
+    _set(det, "class_id", class_id)
+    _set(det, "bbox", bbox)
+    _set(det, "score", score)
+    _set(det, "source_offset", source_offset)
+    return det
 
 
 def iou(a: BBox, b: BBox) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -22,7 +22,7 @@ from .errors import (
     MissingFlowError,
     ValidationError,
 )
-from .geometry import BBox, Detection, FrameSize, clip_to_frame
+from .geometry import BBox, Detection, FrameSize, unchecked_bbox, unchecked_detection
 
 __all__ = [
     "FLOW_MAGIC",
@@ -286,23 +286,27 @@ def land_boxes(
     Rows 4i..4i+3 of ``corners`` are box i's continuous corner positions.
     They are floored, their axis-aligned hull is clipped to the frame, and
     the box is dropped when degenerate or when less than ``min_coverage``
-    of the hull survives the clip.
+    of the hull survives the clip. Each step is one IEEE operation per
+    element, in ``clip_to_frame``'s order, so the bits are the ones a box at
+    a time gives.
     """
-    # + 0.0 turns a floored -0.0 into the 0.0 an integer floor gives
-    pts = (np.floor(corners) + 0.0).tolist()
-    out: list[BBox | None] = []
-    for i in range(0, len(pts), 4):
-        xs = [p[0] for p in pts[i : i + 4]]
-        ys = [p[1] for p in pts[i : i + 4]]
-        x1, x2 = min(xs), max(xs)
-        y1, y2 = min(ys), max(ys)
-        clipped = None
-        if x1 < x2 and y1 < y2:
-            clipped = clip_to_frame(BBox(x1, y1, x2, y2), size)
-        if clipped is None or clipped[1] < min_coverage:
-            out.append(None)
-        else:
-            out.append(clipped[0])
+    # + 0.0 turns a floored -0.0 into the 0.0 an integer floor gives, so no
+    # -0.0 reaches a box whichever zero np.maximum keeps of two equal ones
+    pts = np.floor(corners).reshape(-1, 4, 2) + 0.0
+    lo = pts.min(axis=1)  # (n, 2): hull x1, y1
+    hi = pts.max(axis=1)  # (n, 2): hull x2, y2
+    clo = np.maximum(lo, 0.0)
+    chi = np.minimum(hi, (float(size.width), float(size.height)))
+    hull = hi - lo
+    kept = chi - clo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coverage = (kept[:, 0] * kept[:, 1]) / (hull[:, 0] * hull[:, 1])
+    # lo <= clo < chi <= hi, so this drops degenerate hulls too
+    lands = (clo < chi).all(axis=1) & (coverage >= min_coverage)
+    out: list[BBox | None] = [None] * len(pts)
+    boxes = np.concatenate((clo, chi), axis=1)[lands].tolist()
+    for i, (x1, y1, x2, y2) in zip(np.flatnonzero(lands).tolist(), boxes):
+        out[i] = unchecked_bbox(x1, y1, x2, y2)
     return out
 
 
@@ -329,7 +333,9 @@ def transfer_box(
     start = box_corners([det])
     acc = carry(start, motion.fields, motion.mode)[-1]
     box = land_boxes(carried_position(start, acc, motion.mode), size, min_coverage)[0]
-    return None if box is None else replace(det, bbox=box)
+    if box is None:
+        return None
+    return unchecked_detection(det.class_id, box, det.score, det.source_offset)
 
 
 class FlowStore:

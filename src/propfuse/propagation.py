@@ -20,13 +20,13 @@ sweeps, with the labels and fields they read, live in the run's
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import BBox, Detection, FrameSize, LabelSet
+from .geometry import BBox, Detection, FrameSize, LabelSet, unchecked_detection
 from .motion import (
     DEFAULT_MIN_COVERAGE,
     ComposedMotion,
@@ -145,7 +145,9 @@ def propagate_from_offset(
     for det in source_labels.detections:
         moved = transfer_box(det, motion, size, min_coverage=min_coverage)
         if moved is not None:
-            out.detections.append(replace(moved, source_offset=offset))
+            out.detections.append(
+                unchecked_detection(moved.class_id, moved.bbox, moved.score, offset)
+            )
     return out
 
 
@@ -352,7 +354,7 @@ def build_candidates(
     cand = CandidateSet(frame_index=target)
     for det in threshold_labels(teacher, teacher_threshold):
         if det.source_offset != 0:
-            det = replace(det, source_offset=0)
+            det = unchecked_detection(det.class_id, det.bbox, det.score)
         cand.detections.append(det)
         cand.source_boxes.append(None)
     plan = plan_offsets(target, k, lambda f: window.labels(f, get_labels) is not None, flows)
@@ -360,7 +362,9 @@ def build_candidates(
         kept, corners = window.carried(chain, get_labels, flows, teacher_threshold, mode)
         for src, box in zip(kept, land_boxes(corners, size, min_coverage)):
             if box is not None:
-                cand.detections.append(replace(src, bbox=box, source_offset=chain.offset))
+                # the source was checked, and land_boxes checked the landed box
+                det = unchecked_detection(src.class_id, box, src.score, chain.offset)
+                cand.detections.append(det)
                 cand.source_boxes.append(src.bbox)
     cand.effective_sources = plan.effective_sources
     return cand

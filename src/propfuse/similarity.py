@@ -17,7 +17,7 @@ provider keeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -28,7 +28,7 @@ from .errors import (
     EmptyCropError,
     ValidationError,
 )
-from .geometry import BBox, Detection, FrameSize, clip_to_frame
+from .geometry import BBox, Detection, FrameSize, clip_to_frame, unchecked_detection
 from .io import read_text
 from .motion import Frame, sample_bilinear
 
@@ -297,4 +297,6 @@ def rescore(
         source_feat = provider.embed(source_frame, source_bbox)
     except (EmptyCropError, EmbeddingLookupError):
         return None
-    return replace(candidate, score=candidate.score * cosine_sim(target_feat, source_feat))
+    # a score and a cosine both in [0, 1] give a product in [0, 1]
+    score = candidate.score * cosine_sim(target_feat, source_feat)
+    return unchecked_detection(candidate.class_id, candidate.bbox, score, candidate.source_offset)

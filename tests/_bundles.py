@@ -7,6 +7,7 @@ velocities where exactness is asserted, fat boxes where floor drift must
 stay small, disjoint object tracks so clusters never mix.
 """
 
+import random
 from functools import lru_cache
 
 from propfuse.geometry import BBox, FrameSize
@@ -125,6 +126,39 @@ def noisy_bundle():
             true_score_range=(0.5, 0.95),
         ),
         seed=59,
+    )
+    return generate(spec)
+
+
+@lru_cache(maxsize=None)
+def crowd_bundle():
+    """40 small objects and about 3 false alarms a frame: many overlapping clusters."""
+    length, width, height = 12, 256, 192
+    rng = random.Random(71)
+    objects = []
+    for i in range(40):
+        w = rng.uniform(12.0, 28.0)
+        h = rng.uniform(12.0, 28.0)
+        vx = rng.uniform(-0.8, 0.8)
+        vy = rng.uniform(-0.6, 0.6)
+        x0 = rng.uniform(max(0.0, -vx * (length - 1)), width - w - max(0.0, vx * (length - 1)))
+        y0 = rng.uniform(max(0.0, -vy * (length - 1)), height - h - max(0.0, vy * (length - 1)))
+        objects.append(
+            ObjectSpec.linear(i % 2, (w, h), (x0, y0), (vx, vy), length, color=120 + 3 * i)
+        )
+    spec = SceneSpec(
+        size=FrameSize(width, height),
+        length=length,
+        classes=["car", "person"],
+        objects=objects,
+        noise=DetectorNoise(
+            miss_prob=0.15,
+            jitter_sigma=0.6,
+            fp_rate=3.0,
+            fp_score_range=(0.45, 0.9),
+            true_score_range=(0.55, 0.95),
+        ),
+        seed=73,
     )
     return generate(spec)
 

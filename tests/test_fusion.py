@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from propfuse.errors import ValidationError
 from propfuse.fusion import (
+    MATCH_MODES,
     FusionConfig,
+    _refuse,
     cluster_class,
     fuse_candidates,
     fuse_class,
@@ -14,7 +16,7 @@ from propfuse.fusion import (
     nmw,
     soft_nms,
 )
-from propfuse.geometry import BBox, Detection
+from propfuse.geometry import BBox, Detection, iou
 from propfuse.propagation import CandidateSet
 from propfuse.similarity import FeatureVector, PrecomputedEmbeddings, embedding_key
 
@@ -361,6 +363,93 @@ class TestMatchModes:
             cfg(iou_threshold=0.0)
         with pytest.raises(ValidationError):
             cfg(iou_threshold=1.0)
+
+
+def iou_loop_clusters(dets, c):
+    """The greedy clustering with one ``geometry.iou`` call per (box, fused box) pair.
+
+    Returns (member input positions, fused box, fused score) per cluster.
+    """
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, dets[i].bbox.as_tuple(), i))
+    clusters = []  # [member positions, members, fused box, fused score]
+    for i in order:
+        d = dets[i]
+        target = None
+        best = c.iou_threshold
+        for j, (_, _, fused, _) in enumerate(clusters):
+            overlap = iou(d.bbox, fused)
+            if c.match == "best":
+                if overlap > best:
+                    best, target = overlap, j
+            elif overlap > c.iou_threshold:
+                target = j
+                break
+        if target is None:
+            clusters.append([[i], [d], d.bbox, d.score])
+        else:
+            cl = clusters[target]
+            cl[0].append(i)
+            cl[1].append(d)
+            cl[2], cl[3] = _refuse(cl[1])
+    return [(pos, fused, score) for pos, _, fused, score in clusters]
+
+
+def _clusters(dets, c):
+    position = {id(d): i for i, d in enumerate(dets)}
+    return [
+        ([position[id(m)] for m in cl.members], cl.fused_bbox, cl.fused_score)
+        for cl in cluster_class(dets, c)
+    ]
+
+
+# crowd density: up to 80 boxes of one class on integer corners in a 85x85
+# square, scores from a short list so that ties are common
+_crowd_row = st.tuples(
+    st.integers(0, 60),
+    st.integers(0, 60),
+    st.integers(1, 25),
+    st.integers(1, 25),
+    st.one_of(st.sampled_from([0.45, 0.6, 0.75, 0.9]), st.floats(0.05, 1.0)),
+)
+
+
+class TestClusterClassAgainstIouLoop:
+    @pytest.mark.parametrize("match", MATCH_MODES)
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.lists(_crowd_row, min_size=1, max_size=80),
+        st.lists(st.integers(0, 79), max_size=12),
+        st.sampled_from([0.3, 1 / 3, 0.5, 0.55]),
+    )
+    def test_equals_reference(self, match, rows, copies, thr):
+        dets = [det(s, (x, y, x + w, y + h)) for x, y, w, h, s in rows]
+        # duplicated boxes, as separate objects, overlap every cluster alike
+        for i in copies:
+            d = dets[i % len(rows)]
+            dets.append(det(d.score, d.bbox.as_tuple()))
+        c = cfg(iou_threshold=thr, match=match)
+        assert _clusters(dets, c) == iou_loop_clusters(dets, c)
+
+    @pytest.mark.parametrize("match", MATCH_MODES)
+    def test_overlap_exactly_at_threshold_does_not_join(self, match):
+        # IoU 50 / 100 = 0.5 exactly; a box joins only above the threshold
+        dets = [det(0.9, (0, 0, 10, 10)), det(0.8, (0, 0, 10, 5))]
+        c = cfg(iou_threshold=0.5, match=match)
+        assert iou(dets[0].bbox, dets[1].bbox) == 0.5
+        assert _clusters(dets, c) == iou_loop_clusters(dets, c)
+        assert len(cluster_class(dets, c)) == 2
+
+    def test_best_mode_tie_goes_to_the_first_cluster(self):
+        # c overlaps both disjoint clusters by exactly 50 / 150
+        a = det(0.9, (0, 0, 10, 10))
+        b = det(0.8, (10, 0, 20, 10))
+        c = det(0.7, (5, 0, 15, 10))
+        assert iou(c.bbox, a.bbox) == iou(c.bbox, b.bbox) > 0.3
+        clusters = cluster_class([a, b, c], cfg(iou_threshold=0.3, match="best"))
+        assert [len(cl.members) for cl in clusters] == [2, 1]
+        assert _clusters([a, b, c], cfg(iou_threshold=0.3, match="best")) == iou_loop_clusters(
+            [a, b, c], cfg(iou_threshold=0.3, match="best")
+        )
 
 
 class TestBatchedRescoring:

@@ -1,10 +1,19 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 from propfuse.errors import ValidationError
-from propfuse.geometry import BBox, Detection, FrameSize, clip_to_frame, iou
+from propfuse.geometry import (
+    BBox,
+    Detection,
+    FrameSize,
+    clip_to_frame,
+    iou,
+    unchecked_bbox,
+    unchecked_detection,
+)
 
 from _oracles import grid_iou, ref_iou
 
@@ -86,6 +95,58 @@ class TestDetection:
             Detection(0, box(0, 0, 1, 1), 1.5)
         with pytest.raises(ValidationError):
             Detection(0, box(0, 0, 1, 1), -0.1)
+
+
+def _bytes_per_object(make, n=10_000):
+    """Bytes allocated per object while ``make`` builds n objects, kept alive.
+
+    Rounded to the byte: a stray allocation elsewhere in the process adds
+    a few bytes to the whole run, not to each object.
+    """
+    xs = [3.0 + i for i in range(n)]
+    objs = [None] * n
+    for x in xs[:100]:
+        make(x)  # warm the call path, whose first runs allocate too
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i, x in enumerate(xs):
+            objs[i] = make(x)
+        return round((tracemalloc.get_traced_memory()[0] - before) / n)
+    finally:
+        tracemalloc.stop()
+
+
+class TestUnchecked:
+    def test_equal_and_hash_like_checked(self):
+        checked = Detection(1, BBox(0.5, 1.0, 2.5, 4.0), 0.75, source_offset=-2)
+        fast = unchecked_detection(1, unchecked_bbox(0.5, 1.0, 2.5, 4.0), 0.75, -2)
+        assert fast == checked and checked == fast
+        assert fast.bbox == checked.bbox
+        assert hash(fast) == hash(checked)
+        assert hash(fast.bbox) == hash(checked.bbox)
+        assert {fast: 1}[checked] == 1
+        assert repr(fast) == repr(checked)
+        assert unchecked_detection(1, checked.bbox, 0.75).source_offset == 0
+        assert fast != unchecked_detection(1, checked.bbox, 0.75)
+
+    def test_frozen_like_checked(self):
+        fast = unchecked_detection(0, unchecked_bbox(0.0, 0.0, 1.0, 1.0), 0.5)
+        with pytest.raises(AttributeError):
+            fast.score = 0.9
+        with pytest.raises(AttributeError):
+            fast.bbox.x1 = 0.5
+
+    def test_takes_no_more_memory_than_checked(self):
+        # an instance whose __dict__ is filled directly loses the key-shared
+        # layout and more than doubles in size
+        def checked(x):
+            return Detection(0, BBox(1.0, 2.0, x, 4.0), 0.5)
+
+        def fast(x):
+            return unchecked_detection(0, unchecked_bbox(1.0, 2.0, x, 4.0), 0.5)
+
+        assert _bytes_per_object(fast) <= _bytes_per_object(checked)
 
 
 class TestClipToFrame:

@@ -1,3 +1,4 @@
+import math
 import struct
 import tempfile
 from pathlib import Path
@@ -19,6 +20,7 @@ from propfuse.motion import (
     Frame,
     MotionField,
     constant_field,
+    land_boxes,
     read_flow,
     sample,
     transfer_box,
@@ -204,6 +206,112 @@ class TestTransferBox:
         moved = transfer_box(det, motion, self.SIZE)
         assert moved.class_id == 3
         assert moved.source_offset == -2
+
+
+def ref_land(quad, width, height, min_coverage):
+    """One box's landing, a float at a time: floor, hull, clip, coverage."""
+    xs = [float(math.floor(x)) for x, _ in quad]
+    ys = [float(math.floor(y)) for _, y in quad]
+    x1, x2, y1, y2 = min(xs), max(xs), min(ys), max(ys)
+    if not (x1 < x2 and y1 < y2):
+        return None
+    cx1, cy1 = max(x1, 0.0), max(y1, 0.0)
+    cx2, cy2 = min(x2, float(width)), min(y2, float(height))
+    if cx1 >= cx2 or cy1 >= cy2:
+        return None
+    if (cx2 - cx1) * (cy2 - cy1) / ((x2 - x1) * (y2 - y1)) < min_coverage:
+        return None
+    return (cx1, cy1, cx2, cy2)
+
+
+def _bits(box):
+    """A landed box as the bits of its coordinates, so -0.0 differs from 0.0."""
+    if box is None:
+        return None
+    assert all(type(v) is float for v in box)
+    return tuple(v.hex() for v in box)
+
+
+_coord = st.one_of(
+    st.just(-0.0),
+    st.integers(-45, 85).map(float),
+    st.floats(-45.0, 85.0, allow_nan=False),
+)
+_quad = st.one_of(
+    # four free positions
+    st.lists(st.tuples(_coord, _coord), min_size=4, max_size=4),
+    # a carried rectangle, as box_corners lays it out; thin ones floor to a line
+    st.tuples(_coord, _coord, st.floats(0.0, 40.0), st.floats(0.0, 40.0)).map(
+        lambda r: [
+            (r[0], r[1]),
+            (r[0] + r[2], r[1]),
+            (r[0], r[1] + r[3]),
+            (r[0] + r[2], r[1] + r[3]),
+        ]
+    ),
+)
+
+
+def _check_against_reference(quads, width, height, coverage):
+    corners = np.array([p for q in quads for p in q], dtype=np.float64).reshape(-1, 2)
+    got = land_boxes(corners, FrameSize(width, height), coverage)
+    want = [ref_land(q, width, height, coverage) for q in quads]
+    assert [_bits(b and b.as_tuple()) for b in got] == [_bits(b) for b in want]
+
+
+class TestLandBoxes:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.lists(_quad, max_size=12),
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+        st.data(),
+    )
+    def test_array_equals_scalar_reference(self, quads, width, height, coverage, data):
+        if quads:
+            # a coverage exactly equal to one box's, which must be kept
+            quad = data.draw(st.sampled_from(quads))
+            landed = ref_land(quad, width, height, 0.0)
+            if landed is not None:
+                xs = [float(math.floor(x)) for x, _ in quad]
+                ys = [float(math.floor(y)) for _, y in quad]
+                hull = (max(xs) - min(xs)) * (max(ys) - min(ys))
+                x1, y1, x2, y2 = landed
+                coverage = (x2 - x1) * (y2 - y1) / hull
+        _check_against_reference(quads, width, height, coverage)
+
+    def test_edge_cases_equal_scalar_reference(self):
+        quads = [
+            [(-0.0, -0.0), (8.5, -0.0), (-0.0, 6.0), (8.5, 6.0)],  # floors to -0.0
+            [(-6.0, 2.0), (4.0, 2.0), (-6.0, 8.0), (4.0, 8.0)],  # across the left edge
+            [(16.0, 2.0), (26.0, 2.0), (16.0, 8.0), (26.0, 8.0)],  # the right edge
+            [(2.0, -7.5), (9.0, -7.5), (2.0, 3.5), (9.0, 3.5)],  # the top edge
+            [(2.0, 17.0), (9.0, 17.0), (2.0, 23.0), (9.0, 23.0)],  # the bottom edge
+            [(30.0, 30.0), (35.0, 30.0), (30.0, 35.0), (35.0, 35.0)],  # fully outside
+            [(3.2, 1.0), (3.9, 1.0), (3.2, 9.0), (3.9, 9.0)],  # floors to a line
+        ]
+        for coverage in (0.0, 0.25, 0.4, 0.5, 1.0):
+            _check_against_reference(quads, 20, 20, coverage)
+
+    def test_coverage_equal_to_the_minimum_is_kept(self):
+        # the hull is [-10, 10) x [0, 10), half of it inside a 20x20 frame
+        corners = np.array([(-10.0, 0.0), (10.0, 0.0), (-10.0, 10.0), (10.0, 10.0)])
+        size = FrameSize(20, 20)
+        assert land_boxes(corners, size, 0.5) == [BBox(0.0, 0.0, 10.0, 10.0)]
+        assert land_boxes(corners, size, math.nextafter(0.5, 1.0)) == [None]
+
+    def test_degenerate_and_outside_hulls_are_dropped(self):
+        corners = np.array(
+            [(2.2, 1.0), (2.9, 1.0), (2.2, 5.0), (2.9, 5.0)]  # floors to a line
+            + [(21.0, 1.0), (25.0, 1.0), (21.0, 5.0), (25.0, 5.0)]  # right of the frame
+            + [(1.0, 1.0), (5.0, 1.0), (1.0, 5.0), (5.0, 5.0)]
+        )
+        got = land_boxes(corners, FrameSize(20, 20), 0.0)
+        assert got == [None, None, BBox(1.0, 1.0, 5.0, 5.0)]
+
+    def test_no_boxes(self):
+        assert land_boxes(np.zeros((0, 2)), FrameSize(4, 4)) == []
 
 
 class TestFlowStore:

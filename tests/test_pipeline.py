@@ -16,6 +16,7 @@ import propfuse.pipeline
 from propfuse.cli import _config_from_args, _parse_frames, build_parser, main
 from propfuse.errors import CliUsageError, FlowFormatError, ValidationError
 from propfuse.geometry import FrameSize
+from propfuse.io import DetectionRecord, detection_line
 from propfuse.manifest import load_manifest
 from propfuse.motion import constant_field, write_flow
 from propfuse.pipeline import (
@@ -30,6 +31,7 @@ from propfuse.similarity import PatchDescriptor
 from propfuse.synth import generate, write_bundle
 
 import _bundles
+from _oracles import oracle_wbf, ref_candidates
 
 
 def thresholded_lines(det_path, threshold):
@@ -434,6 +436,49 @@ class TestRunPipeline:
         with pytest.raises(ValidationError):
             run_pipeline(manifest, PipelineConfig(k=1, method="wbf"))
         assert seen == [manifest.frame_indices()[0]]
+
+    def test_every_crowd_label_equals_the_oracle(self, tmp_path):
+        # wbf k=1 over many overlapping boxes: each fused box is the
+        # brute-force fusion of the brute-force candidates, score for score
+        # (boxes to 1e-9, as in criterion 1: the oracle recomputes a lone
+        # member's box as s * x / s), and each written line is that box's line
+        bundle = _bundles.crowd_bundle()
+        manifest = load_manifest(write_bundle(bundle, tmp_path / "in"))
+        cfg = PipelineConfig(k=1, method="wbf")
+        run = run_pipeline(manifest, cfg, out_dir=tmp_path / "out")
+        n = bundle.spec.length
+        labels = {}
+        for t in range(n):
+            teacher = manifest.teacher_labels(t).detections
+            labels[t] = [(d.class_id, d.bbox.as_tuple(), d.score) for d in teacher]
+        flows = {**bundle.forward_flows, **bundle.backward_flows}
+        fields = {pair: f.data for pair, f in flows.items()}
+        size = bundle.size
+        most = 0
+        for t in range(n):
+            cands = ref_candidates(
+                t, 1, labels, fields, size.width, size.height,
+                cfg.teacher_threshold, cfg.composition, cfg.min_coverage,
+            )
+            sources = 1 + (t > 0) + (t < n - 1)
+            want = []
+            for c in range(len(bundle.classes)):
+                pairs = [(s, b) for cls, b, s, _, _ in cands if cls == c]
+                most = max(most, len(pairs))
+                for box, score in oracle_wbf(pairs, cfg.iou_threshold, sources, cfg.post_threshold):
+                    want.append((c, box, score))
+            want.sort(key=lambda e: (-e[2], e[1]))
+            got = [(d.class_id, d.bbox.as_tuple(), d.score) for d in run.labels[t].detections]
+            assert len(got) > 25
+            assert [(c, s) for c, _, s in got] == [(c, s) for c, _, s in want]
+            for (_, box, _), (_, ref, _) in zip(got, want):
+                assert max(abs(a - b) for a, b in zip(box, ref)) <= 1e-9, (box, ref)
+            lines = "".join(
+                detection_line(DetectionRecord(t, bundle.classes[c], box, score)) + "\n"
+                for c, box, score in want
+            )
+            assert (tmp_path / "out" / "labels" / f"fused_{t:06d}.jsonl").read_text() == lines
+        assert most >= 40
 
 
 def _bundles_simple_spec():
