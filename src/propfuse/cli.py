@@ -25,8 +25,15 @@ from .errors import (
 )
 from .evaluation import evaluate, self_consistency
 from .fusion import fuse_candidates
-from .geometry import BBox, Detection
-from .io import DetectionRecord, read_detections, read_text, write_atomic, write_detections
+from .geometry import Detection, unchecked_bbox
+from .io import (
+    DetectionRecord,
+    read_detections,
+    read_text,
+    record_detection,
+    write_atomic,
+    write_detections,
+)
 from .manifest import SequenceManifest, load_manifest
 from .pipeline import (
     FIELD_TYPES,
@@ -108,7 +115,7 @@ def _parse_frames(text: str) -> list[int]:
 def cmd_synth(args) -> int:
     try:
         obj = json.loads(read_text(args.spec, "utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ValidationError(f"{args.spec}: not valid JSON: {exc}") from exc
     if args.seed is not None:
         obj["seed"] = args.seed
@@ -157,13 +164,8 @@ def _candidates_from_file(path, manifest: SequenceManifest | None):
         names = sorted({r.class_name for r in records})
         name_to_id = {name: i for i, name in enumerate(names)}
         id_to_name = names.__getitem__
-    dets = []
-    boxes = []
-    for r in records:
-        dets.append(
-            Detection(name_to_id[r.class_name], BBox.from_sequence(r.bbox), r.score, r.source_offset)
-        )
-        boxes.append(None if r.source_bbox is None else BBox.from_sequence(r.source_bbox))
+    dets = [record_detection(r, name_to_id[r.class_name], r.source_offset) for r in records]
+    boxes = [None if r.source_bbox is None else unchecked_bbox(*r.source_bbox) for r in records]
     effective = meta.effective_sources if meta is not None else 1
     cands = CandidateSet(
         frame_index=frame, detections=dets, source_boxes=boxes, effective_sources=effective
@@ -231,7 +233,7 @@ def _to_detections(by_frame, name_to_id) -> dict[int, list[Detection]]:
     for frame in list(by_frame):
         records = by_frame.pop(frame)
         out[frame] = [
-            Detection(name_to_id[r.class_name], BBox.from_sequence(r.bbox), r.score)
+            record_detection(r, name_to_id[r.class_name])
             for r in records
             if r.class_name in name_to_id
         ]

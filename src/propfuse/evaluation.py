@@ -69,9 +69,8 @@ def _pr_curves(
 ) -> Optional[list[PRCurve]]:
     """One class's curve at each IoU threshold, from one overlap table.
 
-    Each same-frame IoU is computed once. Row r of the table holds the
-    (gt index, IoU) pairs of the r-th detection in rank order, in gt-index
-    order, that pass the match test at the lowest threshold; no other
+    Row r of ``_overlap_table`` holds the overlaps of the r-th detection in
+    rank order that pass the match test at the lowest threshold; no other
     overlap can match at any threshold. Recalls never decrease, so the
     detections that reach grid recall r are a suffix, found by
     ``bisect_left``, and its best precision is a reverse running maximum.
@@ -79,23 +78,7 @@ def _pr_curves(
     n_gt = len(gts)
     if n_gt == 0:
         return None
-
-    gt_by_frame: dict[Any, list[tuple[int, BBox]]] = {}
-    for gi, (fk, box) in enumerate(gts):
-        gt_by_frame.setdefault(fk, []).append((gi, box))
-
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i][2], i))
-    lowest = min(thresholds)
-    rows: list[tuple[tuple[int, float], ...]] = []
-    for i in order:
-        fk, box, _score = dets[i]
-        row = []
-        for gi, gt_box in gt_by_frame.get(fk, ()):
-            overlap = iou(box, gt_box)
-            # what fails the match test at the lowest threshold fails it at every one
-            if overlap >= lowest and overlap > 0.0:
-                row.append((gi, overlap))
-        rows.append(tuple(row))
+    rows = _overlap_table(dets, gts, min(thresholds))
 
     curves = []
     for iou_threshold in thresholds:
@@ -129,6 +112,49 @@ def _pr_curves(
         ap = sum(interpolated) / RECALL_GRID_POINTS
         curves.append(PRCurve(recalls=RECALL_GRID, precisions=interpolated, ap=ap))
     return curves
+
+
+def _overlap_table(
+    dets: Sequence[tuple[Any, BBox, float]],
+    gts: Sequence[tuple[Any, BBox]],
+    lowest: float,
+) -> list[tuple[tuple[int, float], ...]]:
+    """Per detection in rank order, its (gt index, IoU) pairs that can match.
+
+    Detections rank by descending score, then input position. A row holds,
+    in gt-index order, the same-frame ground truths whose IoU passes the
+    match test at threshold ``lowest``. Each same-frame IoU is computed
+    once, as ``geometry.iou(detection box, gt box)`` written out against one
+    flat (gi, x1, y1, x2, y2, area) row per ground-truth box, with the same
+    operations in the same order, so it gives the same bits without a call
+    per pair.
+    """
+    gt_by_frame: dict[Any, list[tuple[int, float, float, float, float, float]]] = {}
+    for gi, (fk, box) in enumerate(gts):
+        gx1, gy1, gx2, gy2 = box.x1, box.y1, box.x2, box.y2
+        gt_by_frame.setdefault(fk, []).append((gi, gx1, gy1, gx2, gy2, (gx2 - gx1) * (gy2 - gy1)))
+
+    rows: list[tuple[tuple[int, float], ...]] = []
+    for i in sorted(range(len(dets)), key=lambda i: (-dets[i][2], i)):
+        fk, box, _score = dets[i]
+        x1, y1, x2, y2 = box.x1, box.y1, box.x2, box.y2
+        area = (x2 - x1) * (y2 - y1)
+        row = []
+        for gi, gx1, gy1, gx2, gy2, garea in gt_by_frame.get(fk, ()):
+            # min(a, b) is a if a <= b else b, max(a, b) a if a >= b else b
+            iw = (x2 if x2 <= gx2 else gx2) - (x1 if x1 >= gx1 else gx1)
+            if iw <= 0:
+                continue
+            ih = (y2 if y2 <= gy2 else gy2) - (y1 if y1 >= gy1 else gy1)
+            if ih <= 0:
+                continue
+            inter = iw * ih
+            overlap = inter / (area + garea - inter)
+            # what fails the match test at the lowest threshold fails it at every one
+            if overlap >= lowest and overlap > 0.0:
+                row.append((gi, overlap))
+        rows.append(tuple(row))
+    return rows
 
 
 @dataclass

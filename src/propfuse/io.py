@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import FrameSize
+from .geometry import Detection, FrameSize, unchecked_bbox, unchecked_detection
 from .motion import Frame
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "detection_line",
     "write_detections",
     "read_detections",
+    "record_detection",
     "read_text",
     "write_atomic",
     "write_frame",
@@ -137,33 +138,62 @@ def write_detections(
 
 _META_KEYS = ("frame", "effective_sources", "k")
 _RECORD_KEYS = ("frame", "class", "bbox", "score")
+_INF = math.inf
+
+
+def _shown(value) -> str:
+    """A rejected JSON value in an error message: its type, then its value."""
+    if type(value) is float and math.isinf(value):
+        return "float -infinity" if value < 0 else "float infinity"
+    return f"{type(value).__name__} {value!r}"
+
+
+def _integer(value, key, path, lineno) -> int:
+    # a JSON integer only: not 0.7, which int() would floor, and not true
+    if type(value) is not int:
+        raise ValidationError(f"{path}:{lineno}: {key} must be an integer, got {_shown(value)}")
+    return value
 
 
 def _parse_box(value, path, lineno, key) -> tuple[float, float, float, float]:
-    if not isinstance(value, list) or len(value) != 4:
+    """Four finite numbers with x1 < x2 and y1 < y2, as floats: what ``BBox`` checks."""
+    if type(value) is not list or len(value) != 4:
         raise ValidationError(f"{path}:{lineno}: {key} must be a list of 4 numbers")
+    for v in value:
+        if type(v) is not float and type(v) is not int:
+            raise ValidationError(f"{path}:{lineno}: non-numeric {key}: {value}")
     try:
-        box = tuple(float(v) for v in value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{path}:{lineno}: non-numeric {key}: {value}") from exc
-    if not all(math.isfinite(v) for v in box):
-        raise ValidationError(f"{path}:{lineno}: non-finite {key}: {value}")
+        box = x1, y1, x2, y2 = tuple(map(float, value))
+    except OverflowError as exc:
+        raise ValidationError(f"{path}:{lineno}: {key} coordinate out of range: {value}") from exc
+    # NaN fails every comparison and an infinity its outer bound, so this
+    # holds exactly when all four are finite and the box is not degenerate
+    if not (-_INF < x1 < x2 < _INF and -_INF < y1 < y2 < _INF):
+        if not all(map(math.isfinite, box)):
+            raise ValidationError(f"{path}:{lineno}: non-finite {key}: {value}")
+        raise ValidationError(f"{path}:{lineno}: degenerate {key} {value}: need x1 < x2 and y1 < y2")
     return box
 
 
 def _parse_score(value, path, lineno) -> float:
-    score = float(value)
-    if not math.isfinite(score):
-        raise ValidationError(f"{path}:{lineno}: non-finite score: {value}")
-    return score
+    """A number in [0, 1], as a float: what ``Detection`` checks."""
+    if type(value) is not float and type(value) is not int:
+        raise ValidationError(f"{path}:{lineno}: score must be a number, got {_shown(value)}")
+    if not 0.0 <= value <= 1.0:
+        if type(value) is float and not math.isfinite(value):
+            raise ValidationError(f"{path}:{lineno}: non-finite score: {value}")
+        raise ValidationError(f"{path}:{lineno}: score must lie in [0, 1], got {value}")
+    return float(value)
 
 
 def read_detections(
     path: str | Path, frame: int | None = None
 ) -> tuple[list[DetectionRecord], CandidateMeta | None]:
-    """Parse a detection or candidate JSONL file.
+    """Parse a detection or candidate JSONL file, checking each line once.
 
-    With ``frame`` given, a record that names any other frame is an error.
+    A record passes every check ``BBox`` and ``Detection`` would make, so
+    ``record_detection`` can build it unchecked. With ``frame`` given, a
+    record that names any other frame is an error.
     """
     records: list[DetectionRecord] = []
     meta: CandidateMeta | None = None
@@ -174,42 +204,47 @@ def read_detections(
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
             raise ValidationError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
+        if type(obj) is not dict:
             raise ValidationError(f"{path}:{lineno}: expected a JSON object")
         is_meta = obj.get("type") == "candidate_meta"
-        missing = [k for k in (_META_KEYS if is_meta else _RECORD_KEYS) if k not in obj]
-        if missing:
-            raise ValidationError(f"{path}:{lineno}: missing keys {missing}")
         try:
             if is_meta:
                 meta = CandidateMeta(
-                    frame=int(obj["frame"]),
-                    effective_sources=int(obj["effective_sources"]),
-                    k=int(obj["k"]),
+                    *(_integer(obj[key], key, path, lineno) for key in _META_KEYS)
                 )
                 continue
-            source_bbox = None
-            if obj.get("source_bbox") is not None:
-                source_bbox = _parse_box(obj["source_bbox"], path, lineno, "source_bbox")
-            records.append(
-                DetectionRecord(
-                    frame=int(obj["frame"]),
-                    class_name=str(obj["class"]),
-                    bbox=_parse_box(obj["bbox"], path, lineno, "bbox"),
-                    score=_parse_score(obj["score"], path, lineno),
-                    source_offset=int(obj.get("source_offset", 0)),
-                    source_bbox=source_bbox,
-                )
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"{path}:{lineno}: bad number: {exc}") from exc
-        if frame is not None and records[-1].frame != frame:
+            rec_frame = _integer(obj["frame"], "frame", path, lineno)
+            class_name = obj["class"]
+            bbox = _parse_box(obj["bbox"], path, lineno, "bbox")
+            score = _parse_score(obj["score"], path, lineno)
+        except KeyError:
+            missing = [k for k in (_META_KEYS if is_meta else _RECORD_KEYS) if k not in obj]
+            raise ValidationError(f"{path}:{lineno}: missing keys {missing}") from None
+        if type(class_name) is not str:
+            raise ValidationError(f"{path}:{lineno}: class must be a string, got {_shown(class_name)}")
+        source_offset = _integer(obj.get("source_offset", 0), "source_offset", path, lineno)
+        source_bbox = obj.get("source_bbox")
+        if source_bbox is not None:
+            source_bbox = _parse_box(source_bbox, path, lineno, "source_bbox")
+        if frame is not None and rec_frame != frame:
             raise ValidationError(
-                f"{path}:{lineno}: record names frame {records[-1].frame}, expected frame {frame}"
+                f"{path}:{lineno}: record names frame {rec_frame}, expected frame {frame}"
             )
+        records.append(
+            DetectionRecord(rec_frame, class_name, bbox, score, source_offset, source_bbox)
+        )
     return records, meta
+
+
+def record_detection(rec: DetectionRecord, class_id: int, source_offset: int = 0) -> Detection:
+    """A record from ``read_detections`` as a ``Detection`` of ``class_id``.
+
+    The reader has made every check ``BBox`` and ``Detection`` would, so
+    the objects are built unchecked.
+    """
+    return unchecked_detection(class_id, unchecked_bbox(*rec.bbox), rec.score, source_offset)
 
 
 def write_frame(frame: Frame, path: str | Path) -> None:

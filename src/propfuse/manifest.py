@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ValidationError, VocabularyError
-from .geometry import BBox, Detection, FrameSize, LabelSet
-from .io import read_detections, read_frame, read_text
+from .geometry import FrameSize, LabelSet
+from .io import read_detections, read_frame, read_text, record_detection
 from .motion import FlowStore, Frame
 
 __all__ = ["FrameEntry", "SequenceManifest", "load_manifest"]
@@ -84,17 +84,10 @@ class SequenceManifest:
         if entry is None:
             return None
         records, _ = read_detections(entry.detections_path, frame=index)
-        labels = LabelSet(frame_index=index)
-        for rec in records:
-            labels.detections.append(
-                Detection(
-                    class_id=self.class_id(rec.class_name),
-                    bbox=BBox.from_sequence(rec.bbox),
-                    score=rec.score,
-                    source_offset=rec.source_offset,
-                )
-            )
-        return labels
+        return LabelSet(
+            index,
+            [record_detection(r, self.class_id(r.class_name), r.source_offset) for r in records],
+        )
 
     def frame_image(self, index: int) -> Frame:
         """Frame ``index``'s image, read from its file on every call."""
@@ -114,13 +107,7 @@ class SequenceManifest:
             by_frame: dict[int, LabelSet] = {}
             for rec in records:
                 labels = by_frame.setdefault(rec.frame, LabelSet(frame_index=rec.frame))
-                labels.detections.append(
-                    Detection(
-                        class_id=self.class_id(rec.class_name),
-                        bbox=BBox.from_sequence(rec.bbox),
-                        score=rec.score,
-                    )
-                )
+                labels.detections.append(record_detection(rec, self.class_id(rec.class_name)))
             self._gt_cache = by_frame
         return self._gt_cache
 
@@ -130,7 +117,7 @@ def load_manifest(path: str | Path) -> SequenceManifest:
     path = Path(path)
     try:
         obj = json.loads(read_text(path, "utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValidationError(f"{path}: manifest must be a JSON object")

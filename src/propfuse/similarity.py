@@ -220,7 +220,7 @@ class PrecomputedEmbeddings:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
                 raise ValidationError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             try:
                 frame = int(obj["frame"])

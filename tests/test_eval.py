@@ -1,21 +1,24 @@
+import json
 import math
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import propfuse.evaluation
+from propfuse.cli import main
 from propfuse.errors import MissingFlowError, ValidationError, VocabularyError
 from propfuse.evaluation import (
     IOU_THRESHOLDS,
+    _overlap_table,
     average_precision,
     evaluate,
     self_consistency,
 )
-from propfuse.geometry import BBox, Detection, FrameSize, LabelSet
+from propfuse.geometry import BBox, Detection, FrameSize, LabelSet, iou
 from propfuse.motion import FlowStore, constant_field
+from propfuse.synth import write_bundle
 
+import _bundles
 from _oracles import oracle_ap, oracle_map, oracle_pr
 
 
@@ -226,38 +229,6 @@ class TestEvaluate:
         assert math.isclose(report.map50, want_50, abs_tol=1e-6)
         assert math.isclose(report.map75, want_75, abs_tol=1e-6)
 
-    def test_each_same_frame_pair_overlapped_once(self, monkeypatch):
-        calls = Counter()
-        real_iou = propfuse.evaluation.iou
-
-        def counting_iou(a, b):
-            calls[a.as_tuple(), b.as_tuple()] += 1
-            return real_iou(a, b)
-
-        monkeypatch.setattr(propfuse.evaluation, "iou", counting_iou)
-        gts = {
-            0: [det(1.0, (0, 0, 10, 10), 0), det(1.0, (20, 0, 30, 10), 0), det(1.0, (0, 20, 8, 36), 1)],
-            1: [det(1.0, (2, 0, 12, 10), 0), det(1.0, (40, 40, 50, 60), 1)],
-            2: [det(1.0, (5, 5, 15, 15), 1)],
-        }
-        dets = {
-            0: [det(0.9, (1, 0, 11, 10), 0), det(0.8, (21, 1, 31, 11), 0), det(0.7, (0, 21, 8, 37), 1)],
-            1: [det(0.9, (2, 1, 12, 11), 0), det(0.6, (60, 60, 70, 70), 0), det(0.5, (40, 41, 50, 61), 1)],
-            2: [det(0.9, (5, 6, 15, 16), 1), det(0.4, (30, 30, 40, 40), 0)],
-        }
-        report = evaluate(dets, gts)
-        want = Counter(
-            (d.bbox.as_tuple(), g.bbox.as_tuple())
-            for t in dets
-            for d in dets[t]
-            for g in gts[t]
-            if d.class_id == g.class_id
-        )
-        # frame 0: 2x2 class 0 and 1x1 class 1; frame 1: 2x1 and 1x1; frame 2: 1x1
-        assert len(want) == 9
-        assert calls == want
-        assert report.n_detections == 8
-
     def test_csv_has_summary_and_per_class(self):
         gts = {0: [det(1.0, (0, 0, 10, 10), 0), det(1.0, (20, 20, 30, 30), 1)]}
         dets = {0: [det(0.9, (0, 0, 10, 10), 0)]}
@@ -267,6 +238,125 @@ class TestEvaluate:
         cells = lines[1].split(",")
         assert cells[3] == "1.000000"
         assert cells[4] == "0.000000"
+
+
+def iou_loop_table(dets, gts, lowest):
+    """The overlap table with one ``geometry.iou`` call per same-frame pair, as float.hex."""
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i][2], i))
+    table = []
+    for i in order:
+        fk, box, _ = dets[i]
+        row = []
+        for gi, (gk, gt_box) in enumerate(gts):
+            if gk == fk:
+                overlap = iou(box, gt_box)
+                if overlap >= lowest and overlap > 0.0:
+                    row.append((gi, overlap.hex()))
+        table.append(row)
+    return table
+
+
+def hex_table(rows):
+    return [[(gi, overlap.hex()) for gi, overlap in row] for row in rows]
+
+
+# crowd density: many same-frame pairs; on integer corners touching edges
+# and exact duplicates are common
+crowd_boxes = st.one_of(
+    st.sampled_from(POOL),
+    st.builds(
+        lambda x, y, w, h: (float(x), float(y), float(x + w), float(y + h)),
+        st.integers(0, 30),
+        st.integers(0, 30),
+        st.integers(1, 20),
+        st.integers(1, 20),
+    ),
+    # fractional corners, where a reordered sum rounds differently
+    st.builds(
+        lambda x, y, w, h: (x, y, x + w, y + h),
+        st.floats(0, 30),
+        st.floats(0, 30),
+        st.floats(0.01, 20),
+        st.floats(0.01, 20),
+    ),
+)
+
+
+class TestOverlapTable:
+    """``_overlap_table`` writes ``geometry.iou`` out; it must give the same bits."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.tuples(st.integers(0, 3), crowd_boxes, st.sampled_from([0.25, 0.5, 0.9])), max_size=40),
+        st.lists(st.tuples(st.integers(0, 2), crowd_boxes), min_size=1, max_size=30),
+        st.lists(st.integers(0, 39), max_size=8),
+    )
+    # boxes at IoU exactly 0.5 and exactly 0.75 with the 10x10 one, and one
+    # that touches its right edge
+    @example([(0, POOL[1], 0.9), (0, POOL[2], 0.5), (0, (10.0, 0.0, 20.0, 10.0), 0.25)], [(0, POOL[0])], [])
+    # duplicate boxes on both sides
+    @example([(0, POOL[0], 0.9), (0, POOL[0], 0.9)], [(0, POOL[0]), (0, POOL[0]), (1, POOL[0])], [0])
+    def test_equals_iou_loop_bit_for_bit(self, dets, gts, copies):
+        # duplicated detections, as separate objects
+        dets = dets + [dets[i % len(dets)] for i in copies if dets]
+        boxed_dets = [(f, BBox(*b), s) for f, b, s in dets]
+        boxed_gts = [(f, BBox(*b)) for f, b in gts]
+        for lowest in (min(IOU_THRESHOLDS), 0.75, 0.0):
+            # at 0.0 a row lists every overlapping same-frame pair, each once
+            want = iou_loop_table(boxed_dets, boxed_gts, lowest)
+            assert hex_table(_overlap_table(boxed_dets, boxed_gts, lowest)) == want
+
+    def test_exact_thresholds_and_touching_edges(self):
+        gts = [(0, BBox(*POOL[0]))]
+        dets = [(0, BBox(*POOL[1]), 0.9), (0, BBox(*POOL[2]), 0.5), (0, BBox(10.0, 0.0, 20.0, 10.0), 0.25)]
+        assert _overlap_table(dets, gts, 0.5) == [((0, 0.5),), ((0, 0.75),), ()]
+        assert _overlap_table(dets, gts, 0.75) == [(), ((0, 0.75),), ()]
+
+
+BUNDLES = [
+    "clean_bundle",
+    "occlusion_bundle",
+    "type_b_bundle",
+    "integer_motion_bundle",
+    "fractional_motion_bundle",
+    "noisy_bundle",
+    "crowd_bundle",
+    "benchmark_bundle",
+]
+
+
+def checked_by_frame(files, name_to_id):
+    """Each line of ``files`` as a checked ``Detection``, parsed without the package's reader."""
+    by_frame = {}
+    for f in files:
+        for line in f.read_text(encoding="ascii").splitlines():
+            obj = json.loads(line)
+            box = BBox(*(float(v) for v in obj["bbox"]))
+            d = Detection(name_to_id[obj["class"]], box, float(obj["score"]))
+            by_frame.setdefault(obj["frame"], []).append(d)
+    return by_frame
+
+
+class TestEvalCommand:
+    @pytest.mark.parametrize("name", BUNDLES)
+    def test_writes_what_evaluate_gives_on_checked_detections(self, tmp_path, name):
+        root = write_bundle(getattr(_bundles, name)(), tmp_path).parent
+        gt = root / "gt.jsonl"
+        out, csv = tmp_path / "eval.json", tmp_path / "eval.csv"
+        argv = ["eval", "--dets", str(root / "dets"), "--gt", str(gt), "--out", str(out)]
+        assert main(argv + ["--csv", str(csv)]) == 0
+
+        names = sorted({json.loads(line)["class"] for line in gt.read_text().splitlines()})
+        name_to_id = {n: i for i, n in enumerate(names)}
+        report = evaluate(
+            checked_by_frame(sorted((root / "dets").glob("*.jsonl")), name_to_id),
+            checked_by_frame([gt], name_to_id),
+            class_names=names,
+            classes=range(len(names)),
+        )
+        assert report.n_detections > 0
+        assert out.read_text() == json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        assert csv.read_text() == report.to_csv()
 
 
 SIZE = FrameSize(160, 120)

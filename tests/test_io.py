@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -157,6 +159,97 @@ class TestDetectionsFile:
             read_detections(path)
         assert str(err.value).startswith(f"{path}:2: ")
         assert needle in str(err.value)
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ('"bbox": [5, 5, 5, 9], "score": 0.5', "degenerate bbox [5, 5, 5, 9]: need x1 < x2 and y1 < y2"),
+            ('"bbox": [1, 9, 3, 4], "score": 0.5', "degenerate bbox [1, 9, 3, 4]: need x1 < x2 and y1 < y2"),
+            (
+                '"bbox": [1, 2, 3, 4], "score": 0.5, "source_offset": 1, "source_bbox": [4, 2, 3, 4]',
+                "degenerate source_bbox [4, 2, 3, 4]: need x1 < x2 and y1 < y2",
+            ),
+            ('"bbox": [1, 2, 3, 4], "score": 1.5', "score must lie in [0, 1], got 1.5"),
+            ('"bbox": [1, 2, 3, 4], "score": -0.25', "score must lie in [0, 1], got -0.25"),
+            ('"bbox": [1, 2, 3, 4], "score": 7', "score must lie in [0, 1], got 7"),
+            ('"bbox": [1, 2, 3, ' + "9" * 400 + '], "score": 0.5', "bbox coordinate out of range"),
+        ],
+        ids=[
+            "flat-bbox",
+            "reversed-bbox",
+            "reversed-source-bbox",
+            "score-above-one",
+            "negative-score",
+            "integer-score-above-one",
+            "overflowing-bbox",
+        ],
+    )
+    def test_what_the_checked_constructors_reject_names_path_and_line(self, tmp_path, field, message):
+        path = tmp_path / "v.jsonl"
+        line = '{"frame": 0, "class": "a", ' + field + "}"
+        path.write_text(detection_line(rec()) + "\n" + line + "\n", encoding="ascii")
+        with pytest.raises(ValidationError) as err:
+            read_detections(path)
+        assert str(err.value).startswith(f"{path}:2: {message}")
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ('"frame": 0.7', "frame must be an integer, got float 0.7"),
+            ('"frame": true', "frame must be an integer, got bool True"),
+            ('"class": null', "class must be a string, got NoneType None"),
+            ('"class": 3', "class must be a string, got int 3"),
+            ('"score": true', "score must be a number, got bool True"),
+            ('"score": "0.5"', "score must be a number, got str '0.5'"),
+            ('"source_offset": 1.9', "source_offset must be an integer, got float 1.9"),
+            ('"source_offset": false', "source_offset must be an integer, got bool False"),
+            ('"bbox": [true, 2, 3, 4]', "non-numeric bbox: [True, 2, 3, 4]"),
+            ('"bbox": ["1", 2, 3, 4]', "non-numeric bbox: ['1', 2, 3, 4]"),
+            ('"source_bbox": [1, 2, 3, false]', "non-numeric source_bbox: [1, 2, 3, False]"),
+        ],
+        ids=[
+            "fractional-frame",
+            "bool-frame",
+            "null-class",
+            "number-class",
+            "bool-score",
+            "text-score",
+            "fractional-offset",
+            "bool-offset",
+            "bool-coordinate",
+            "text-coordinate",
+            "bool-source-coordinate",
+        ],
+    )
+    def test_no_value_is_coerced(self, tmp_path, field, message):
+        obj = {"frame": 0, "class": "a", "bbox": [1, 2, 3, 4], "score": 0.5}
+        obj.update(json.loads("{" + field + "}"))
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(obj) + "\n", encoding="ascii")
+        with pytest.raises(ValidationError) as err:
+            read_detections(path)
+        assert str(err.value) == f"{path}:1: {message}"
+
+    def test_meta_numbers_must_be_integers(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"type": "candidate_meta", "frame": 3, "effective_sources": 3, "k": 1.5}\n')
+        with pytest.raises(ValidationError) as err:
+            read_detections(path)
+        assert str(err.value) == f"{path}:1: k must be an integer, got float 1.5"
+
+    def test_integer_too_long_to_convert_names_path_and_line(self, tmp_path):
+        path = tmp_path / "l.jsonl"
+        path.write_text('{"frame": ' + "9" * 5000 + ', "class": "a", "bbox": [1, 2, 3, 4], "score": 0.5}\n')
+        with pytest.raises(ValidationError) as err:
+            read_detections(path)
+        assert str(err.value).startswith(f"{path}:1: invalid JSON: ")
+
+    def test_integer_numbers_read_as_floats(self, tmp_path):
+        path = tmp_path / "i.jsonl"
+        path.write_text('{"frame": 0, "class": "a", "bbox": [1, 2, 3, 4], "score": 1}\n')
+        ((r,), _) = read_detections(path)
+        assert r == rec(frame=0, class_name="a", bbox=(1.0, 2.0, 3.0, 4.0), score=1.0)
+        assert [type(v) for v in r.bbox + (r.score,)] == [float] * 5
 
     @given(
         st.lists(

@@ -864,6 +864,50 @@ class TestCli:
         assert report["classes"] == ["car"]
         assert report["per_class_ap50"] == {"car": 1.0}
 
+    def test_eval_rejects_a_bad_line_of_an_unlisted_class(self, tmp_path, clean_dir, capsys):
+        # a reversed box scored 7, on a class --classes leaves out
+        gt = tmp_path / "gt.jsonl"
+        lines = (clean_dir.parent / "gt.jsonl").read_text(encoding="ascii").splitlines()
+        lines.insert(1, '{"frame": 0, "class": "person", "bbox": [9, 9, 1, 1], "score": 7}')
+        gt.write_text("".join(line + "\n" for line in lines), encoding="ascii")
+        argv = ["eval", "--dets", str(gt), "--gt", str(gt), "--classes", "car"]
+        rc = main(argv + ["--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"error: {gt}:2: degenerate bbox [9, 9, 1, 1]: need x1 < x2 and y1 < y2\n"
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ('"bbox": [5.0, 5.0, 5.0, 9.0], "score": 0.5', "degenerate bbox"),
+            ('"bbox": [1.0, 2.0, 3.0, 4.0], "score": 1.5', "score must lie in [0, 1], got 1.5"),
+            ('"bbox": [1.0, 2.0, 3.0, 4.0], "score": true', "score must be a number"),
+        ],
+        ids=["degenerate-box", "score-out-of-range", "bool-score"],
+    )
+    @pytest.mark.parametrize("role", ["dets", "gt", "fuse", "teacher"])
+    def test_bad_box_or_score_names_file_and_line(self, tmp_path, clean_dir, capsys, field, message, role):
+        bad_line = '{"frame": 0, "class": "car", ' + field + "}\n"
+        bundle = tmp_path / "bundle"
+        shutil.copytree(clean_dir.parent, bundle)
+        if role == "teacher":
+            bad = sorted((bundle / "dets").glob("*.jsonl"))[0]
+            argv = ["propagate", "--manifest", str(bundle / "manifest.json"), "--frame", "0"]
+        elif role == "fuse":
+            bad = tmp_path / "cand.jsonl"
+            argv = ["fuse", "--in", str(bad), "--method", "wbf"]
+        else:
+            bad = bundle / "gt.jsonl" if role == "gt" else tmp_path / "dets.jsonl"
+            dets = bad if role == "dets" else bundle / "dets"
+            argv = ["eval", "--dets", str(dets), "--gt", str(bundle / "gt.jsonl")]
+        first = bad.read_text(encoding="ascii").splitlines()[:1] if bad.exists() else []
+        bad.write_text("".join(line + "\n" for line in first) + bad_line, encoding="ascii")
+        rc = main(argv + ["--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {bad}:{len(first) + 1}: {message}")
+        assert not (tmp_path / "out").exists()
+
     def test_module_entrypoint(self, tmp_path):
         spec_path = tmp_path / "scene.json"
         spec_path.write_text(

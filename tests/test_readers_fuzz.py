@@ -10,11 +10,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from propfuse.errors import PropfuseError, ValidationError
-from propfuse.geometry import FrameSize
-from propfuse.io import read_detections, read_frame, write_frame
+from propfuse.geometry import BBox, Detection, FrameSize, unchecked_bbox
+from propfuse.io import read_detections, read_frame, record_detection, write_frame
 from propfuse.manifest import load_manifest
 from propfuse.motion import Frame, constant_field, read_flow, write_flow
 from propfuse.pipeline import load_config
@@ -108,6 +108,85 @@ def test_corrupted_input_ends_in_a_typed_error(originals, kind, ops):
         READERS[kind](path)
     except (PropfuseError, OSError):
         pass
+
+
+# JSON values a field of a detection line may be edited to: numbers in and
+# out of range, non-finite ones, and values of the wrong type
+numbers = st.one_of(
+    st.integers(-3, 12),
+    st.floats(-3.0, 12.0),
+    st.floats(-0.5, 1.5),
+    st.sampled_from([0.0, -0.0, 1.0, 1e-300, 10**400, float("inf"), float("nan")]),
+)
+# sorted distinct corners make a valid box, with ints and floats mixed
+valid_boxes = st.lists(
+    st.one_of(st.integers(-3, 12), st.floats(-3.0, 12.0)), min_size=4, max_size=4, unique=True
+).map(sorted)
+# a valid box with one corner set to any number: often degenerate in x or y
+near_boxes = st.tuples(valid_boxes, st.integers(0, 3), numbers).map(
+    lambda t: t[0][: t[1]] + [t[2]] + t[0][t[1] + 1 :]
+)
+field_values = st.one_of(
+    numbers,
+    valid_boxes,
+    near_boxes,
+    st.sampled_from([True, False, None, "car", "0.5", [1, 2, 3], [1, 2, True, 4], [1, 2, "3", 4]]),
+)
+RECORD_FIELDS = ("frame", "class", "bbox", "score", "source_offset", "source_bbox")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+# a score just above 1, a box flat in x, a source box reversed in y
+@example(edits=[(0, "score", 1.25)])
+@example(edits=[(1, "bbox", [5, 1, 5, 4])])
+@example(edits=[(1, "source_bbox", [1, 4, 3, 2])])
+@given(
+    edits=st.lists(
+        st.tuples(st.integers(0, 1), st.sampled_from(RECORD_FIELDS), field_values),
+        min_size=1,
+        max_size=2,
+    )
+)
+def test_accepted_detections_build_as_checked_objects(originals, edits):
+    """Lines the reader accepts pass the checked ``BBox`` and ``Detection`` too.
+
+    Fields of the two record lines are set to other JSON values. When the
+    file is accepted, ``record_detection`` and ``unchecked_bbox`` must give
+    objects equal, with the same hash, to the checked ones.
+    """
+    root, valid = originals
+    head, *lines = valid["detections"].decode("ascii").splitlines()
+    objs = [json.loads(line) for line in lines]
+    for i, key, value in edits:
+        objs[i][key] = value
+    path = root / "edited-detections"
+    path.write_text("\n".join([head] + [json.dumps(o) for o in objs]) + "\n")
+    try:
+        records, _ = read_detections(path)
+    except PropfuseError:
+        return
+    for r in records:
+        checked = Detection(3, BBox.from_sequence(r.bbox), r.score, r.source_offset)
+        unchecked = record_detection(r, 3, r.source_offset)
+        assert unchecked == checked
+        assert hash(unchecked) == hash(checked)
+        if r.source_bbox is not None:
+            source = unchecked_bbox(*r.source_bbox)
+            assert source == BBox.from_sequence(r.source_bbox)
+            assert hash(source) == hash(BBox.from_sequence(r.source_bbox))
+
+
+@pytest.mark.parametrize(
+    "kind, key", [("detections", b'"frame": '), ("manifest", b'"index": '), ("embeddings", b'"frame": ')]
+)
+def test_integer_too_long_to_convert_is_a_validation_error(originals, kind, key):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, on an
+    # integer of more digits than int() converts by default
+    root, valid = originals
+    path = root / f"long-integer-{kind}"
+    path.write_bytes(valid[kind].replace(key, key + b"9" * 5000, 1))
+    with pytest.raises(ValidationError, match="invalid JSON"):
+        READERS[kind](path)
 
 
 @pytest.mark.parametrize(
