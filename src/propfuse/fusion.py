@@ -15,10 +15,16 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+import numpy as np
+
 from .errors import ValidationError
 from .geometry import BBox, Detection, LabelSet, iou, unchecked_detection
 from .propagation import CandidateSet
-from .similarity import rescore
+from .similarity import cosine_sims
+# bench/tracer.py patches ``rescore`` in this module by name and fails a
+# traced run where the binding is missing, so it stays bound here although
+# _apply_rescoring no longer calls it
+from .similarity import rescore  # noqa: F401
 
 __all__ = [
     "METHODS",
@@ -258,10 +264,13 @@ class FusionResult:
 
 
 def _apply_rescoring(candidates: CandidateSet, provider) -> tuple[list[Detection], int]:
-    """Rescore every carried candidate, its frames' crops embedded a frame at a time.
+    """Rescore every carried candidate, in one batch per target.
 
     The provider is asked once per frame (the target, and each source) for
-    all the crops of this candidate set, so ``rescore`` finds them computed.
+    all the crops of this candidate set. Each carried score is multiplied by
+    the cosine of its two crops, as ``rescore`` does one pair at a time; the
+    cosines of all the pairs come from one ``cosine_sims`` per descriptor
+    dimension, with the bits ``cosine_sim`` gives.
     """
     if provider is None:
         raise ValidationError("the swbf method needs a feature provider for rescoring")
@@ -274,26 +283,35 @@ def _apply_rescoring(candidates: CandidateSet, provider) -> tuple[list[Detection
             raise ValidationError(f"carried candidate on frame {target} has no source box")
         crops.setdefault(target, []).append(det.bbox)
         crops.setdefault(target - det.source_offset, []).append(src_box)
-    for frame, boxes in crops.items():
-        provider.embed_many(frame, boxes)
+    # each frame's descriptors, in the order its crops were listed above
+    vecs = {frame: iter(provider.embed_many(frame, boxes)) for frame, boxes in crops.items()}
 
     kept: list[Detection] = []
     dropped = 0
-    for det, src_box in zip(candidates.detections, candidates.source_boxes):
+    # descriptor dimension -> (positions in kept, target rows, source rows)
+    pairs: dict[int, tuple[list[int], list[np.ndarray], list[np.ndarray]]] = {}
+    for det in candidates.detections:
         if det.source_offset == 0:
             kept.append(det)
             continue
-        scored = rescore(
-            det,
-            src_box,
-            provider,
-            target_frame=target,
-            source_frame=target - det.source_offset,
-        )
-        if scored is None:
+        target_feat = next(vecs[target])
+        source_feat = next(vecs[target - det.source_offset])
+        if target_feat is None or source_feat is None:
+            # a crop outside its frame, or a lookup miss without a fallback
             dropped += 1
-        else:
-            kept.append(scored)
+            continue
+        if target_feat.dim != source_feat.dim:
+            raise ValidationError(f"feature dimensions differ: {target_feat.dim} vs {source_feat.dim}")
+        slots, rows_t, rows_s = pairs.setdefault(target_feat.dim, ([], [], []))
+        slots.append(len(kept))
+        rows_t.append(target_feat.values)
+        rows_s.append(source_feat.values)
+        kept.append(det)
+    for slots, rows_t, rows_s in pairs.values():
+        for i, sim in zip(slots, cosine_sims(np.stack(rows_t), np.stack(rows_s)).tolist()):
+            det = kept[i]
+            # a score and a cosine both in [0, 1] give a product in [0, 1]
+            kept[i] = unchecked_detection(det.class_id, det.bbox, det.score * sim, det.source_offset)
     return kept, dropped
 
 

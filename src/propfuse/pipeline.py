@@ -45,7 +45,13 @@ from .propagation import (
     chain_pairs,
     offset_order,
 )
-from .similarity import DEFAULT_PATCH_SIZE, FallbackProvider, PatchDescriptor, PrecomputedEmbeddings
+from .similarity import (
+    DEFAULT_PATCH_SIZE,
+    FallbackProvider,
+    PatchDescriptor,
+    PrecomputedEmbeddings,
+    check_patch_size,
+)
 
 __all__ = [
     "PipelineConfig",
@@ -110,8 +116,7 @@ class PipelineConfig:
             raise ValidationError(f"num_sources must be >= 1, got {self.num_sources}")
         if self.jobs != 1:
             raise ValidationError(f"jobs must be 1 (frames run one at a time), got {self.jobs}")
-        if self.patch_size < 2:
-            raise ValidationError(f"patch_size must be >= 2, got {self.patch_size}")
+        check_patch_size(self.patch_size)
         if self.snms_sigma <= 0.0:
             raise ValidationError(f"snms_sigma must be > 0, got {self.snms_sigma}")
 

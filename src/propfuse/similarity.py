@@ -9,9 +9,13 @@ the cosine similarity of the two crop descriptors. Descriptor values live in
 Every provider answers ``embed(frame, box)`` for one crop and
 ``embed_many(frame, boxes)`` for many crops of one frame; the latter gives
 None where ``embed`` would raise. ``PatchDescriptor`` computes a frame's new
-crops in one batch and keeps each descriptor, and the frame's luminance
-plane, until ``release(frame)``; ``held_frames()`` names the frames a
-provider keeps.
+crops in one batch and keeps each descriptor, and the plane it samples (a
+grey frame's own uint8 pixels, an RGB frame's luminance), until
+``release(frame)``; ``held_frames()`` names the frames a provider keeps.
+
+``cosine_sim`` compares one pair of descriptors; ``cosine_sims`` compares
+the rows of two stacked arrays pair by pair with the same bits, which is how
+fusion rescores all the carried boxes of a target at once.
 """
 
 from __future__ import annotations
@@ -28,13 +32,14 @@ from .errors import (
     EmptyCropError,
     ValidationError,
 )
-from .geometry import BBox, Detection, FrameSize, clip_to_frame, unchecked_detection
+from .geometry import BBox, Detection, unchecked_detection
 from .io import read_text
 from .motion import Frame, sample_bilinear
 
 __all__ = [
     "FeatureVector",
     "cosine_sim",
+    "cosine_sims",
     "PatchDescriptor",
     "PrecomputedEmbeddings",
     "FallbackProvider",
@@ -43,6 +48,16 @@ __all__ = [
 ]
 
 DEFAULT_PATCH_SIZE = 16
+# A batch of m crops samples m * patch_size**2 float64 values, with a few
+# temporaries of that size; 64 (4096 values a crop) is well above any useful
+# resolution and keeps one crop's work near 100 kB.
+MAX_PATCH_SIZE = 64
+
+
+def check_patch_size(patch_size: int) -> None:
+    """Reject a patch size outside [2, MAX_PATCH_SIZE] with a ValidationError."""
+    if not 2 <= patch_size <= MAX_PATCH_SIZE:
+        raise ValidationError(f"patch_size must lie in [2, {MAX_PATCH_SIZE}], got {patch_size}")
 
 
 @dataclass
@@ -83,6 +98,11 @@ def _check_components(values: np.ndarray) -> None:
         raise ValidationError("feature vector has zero norm")
 
 
+# two vectors whose components are all near 1e-81 or below have a product of
+# squared norms that underflows to 0.0, and 0/0 has no cosine
+_UNDERFLOW = "feature vectors too small to compare: the product of their squared norms underflows"
+
+
 def cosine_sim(a: FeatureVector, b: FeatureVector) -> float:
     """Cosine similarity of two descriptors, guaranteed to lie in [0, 1].
 
@@ -94,8 +114,25 @@ def cosine_sim(a: FeatureVector, b: FeatureVector) -> float:
         raise ValidationError(f"feature dimensions differ: {va.size} vs {vb.size}")
     num = float(va @ vb)
     den = float(va @ va) * float(vb @ vb)
+    if den == 0.0:
+        raise ValidationError(_UNDERFLOW)
     ratio = (num * num) / den
     return math.sqrt(min(ratio, 1.0))
+
+
+def cosine_sims(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``cosine_sim`` of each row of ``a`` with the same row of ``b``, both (m, d).
+
+    Each row's three dot products are stacked (1, d) @ (d, 1) products, which
+    sum a row pair as the one-pair ``@`` does, so every cosine has the bits
+    ``cosine_sim`` gives it; the rest is the same float64 arithmetic element
+    by element.
+    """
+    num = (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    den = (a[:, None, :] @ a[:, :, None])[:, 0, 0] * (b[:, None, :] @ b[:, :, None])[:, 0, 0]
+    if not den.all():
+        raise ValidationError(_UNDERFLOW)
+    return np.sqrt(np.minimum((num * num) / den, 1.0))
 
 
 def embedding_key(frame_index: int, bbox: BBox) -> tuple[int, float, float, float, float]:
@@ -117,16 +154,21 @@ class PatchDescriptor:
     normalised into [0, 1]. A perfectly flat crop maps to an all-0.5 vector,
     which keeps the norm non-zero and compares equal to every other flat crop.
 
-    Each (frame, box) descriptor is computed once and kept, with the frame's
-    luminance plane, until ``release`` drops the frame.
+    A grey frame is sampled on its own uint8 pixels: the lookup casts only
+    the four gathered neighbours to float64, exactly, so the descriptor has
+    the bits a float64 luminance plane would give, without the plane. An RGB
+    frame is sampled on ``Frame.luminance()``, since a lerp per channel
+    would round differently.
+
+    Each (frame, box) descriptor is computed once and kept, with the plane
+    it was sampled on, until ``release`` drops the frame.
     """
 
     def __init__(self, frame_loader: Callable[[int], Frame], patch_size: int = DEFAULT_PATCH_SIZE):
-        if patch_size < 2:
-            raise ValidationError(f"patch size must be >= 2, got {patch_size}")
+        check_patch_size(patch_size)
         self._loader = frame_loader
         self.patch_size = int(patch_size)
-        self._lum_cache: dict[int, np.ndarray] = {}
+        self._planes: dict[int, np.ndarray] = {}
         # frame -> box -> descriptor, None where the crop lies outside the frame
         self._memo: dict[int, dict[BBox, Optional[FeatureVector]]] = {}
 
@@ -135,19 +177,22 @@ class PatchDescriptor:
         return self.patch_size * self.patch_size
 
     def held_frames(self) -> set[int]:
-        """Frames whose descriptors or luminance plane are still kept."""
-        return set(self._memo) | set(self._lum_cache)
+        """Frames whose descriptors or sampled plane are still kept."""
+        return set(self._memo) | set(self._planes)
 
     def release(self, frame_index: int) -> None:
-        """Drop the frame's descriptors and luminance plane."""
+        """Drop the frame's descriptors and sampled plane."""
         self._memo.pop(frame_index, None)
-        self._lum_cache.pop(frame_index, None)
+        self._planes.pop(frame_index, None)
 
-    def _luminance(self, frame_index: int) -> np.ndarray:
-        lum = self._lum_cache.get(frame_index)
-        if lum is None:
-            lum = self._lum_cache[frame_index] = self._loader(frame_index).luminance()
-        return lum
+    def _plane(self, frame_index: int) -> np.ndarray:
+        """The (h, w) array crops of the frame are sampled on."""
+        plane = self._planes.get(frame_index)
+        if plane is None:
+            frame = self._loader(frame_index)
+            plane = frame.data if frame.channels == 1 else frame.luminance()
+            self._planes[frame_index] = plane
+        return plane
 
     def embed(self, frame_index: int, bbox: BBox) -> FeatureVector:
         (vec,) = self.embed_many(frame_index, (bbox,))
@@ -168,26 +213,29 @@ class PatchDescriptor:
 
     def _compute(self, frame_index: int, boxes: list[BBox]) -> list[Optional[FeatureVector]]:
         """Every crop's sampling grid as one array, one bilinear lookup for all."""
-        lum = self._luminance(frame_index)
-        h, w = lum.shape
-        clipped = [clip_to_frame(b, FrameSize(w, h)) for b in boxes]
-        inside = [i for i, c in enumerate(clipped) if c is not None]
+        plane = self._plane(frame_index)
+        h, w = plane.shape
+        # geometry.clip_to_frame for every box at once: the same max/min per corner
+        corners = np.array([b.as_tuple() for b in boxes], dtype=np.float64)
+        x1, y1 = np.maximum(corners[:, 0], 0.0), np.maximum(corners[:, 1], 0.0)
+        x2, y2 = np.minimum(corners[:, 2], float(w)), np.minimum(corners[:, 3], float(h))
+        inside = np.flatnonzero((x1 < x2) & (y1 < y2))
         out: list[Optional[FeatureVector]] = [None] * len(boxes)
-        if not inside:
+        if not inside.size:
             return out
+        x1, y1, x2, y2 = x1[inside], y1[inside], x2[inside], y2[inside]
         n = self.patch_size
-        x1, y1, x2, y2 = np.array([clipped[i][0].as_tuple() for i in inside]).T
         # element by element the grid of a single crop: x1 + (j + 0.5) * (width / n)
         steps = np.arange(n) + 0.5
         xs = x1[:, None] + steps * ((x2 - x1) / n)[:, None]
         ys = y1[:, None] + steps * ((y2 - y1) / n)[:, None]
         # rows of crop b sample at ys[b, i], columns at xs[b, j]; the lookup broadcasts
-        patches = sample_bilinear(lum, xs[:, None, :], ys[:, :, None]).reshape(len(inside), n * n)
+        patches = sample_bilinear(plane, xs[:, None, :], ys[:, :, None]).reshape(len(inside), n * n)
         lo = patches.min(axis=1, keepdims=True)
         span = patches.max(axis=1, keepdims=True) - lo
         vals = (patches - lo) / np.where(span == 0.0, 1.0, span)
         vals[span[:, 0] == 0.0] = 0.5
-        for i, vec in zip(inside, FeatureVector.rows(vals)):
+        for i, vec in zip(inside.tolist(), FeatureVector.rows(vals)):
             out[i] = vec
         return out
 

@@ -16,9 +16,17 @@ from propfuse.fusion import (
     nmw,
     soft_nms,
 )
-from propfuse.geometry import BBox, Detection, iou
+from propfuse.geometry import BBox, Detection, FrameSize, iou
+from propfuse.motion import Frame
 from propfuse.propagation import CandidateSet
-from propfuse.similarity import FeatureVector, PrecomputedEmbeddings, embedding_key
+from propfuse.similarity import (
+    FallbackProvider,
+    FeatureVector,
+    PatchDescriptor,
+    PrecomputedEmbeddings,
+    embedding_key,
+    rescore,
+)
 
 from _oracles import oracle_nms, oracle_nmw, oracle_soft_nms, oracle_wbf
 
@@ -282,6 +290,44 @@ class TestFuseCandidates:
         )
         assert result.labels.detections == []
         assert result.dropped_rescore == 1
+
+    def _mixed_provider(self):
+        """A two-value table over a 9-value patch provider, as embed_miss=fallback builds."""
+        data = ((np.arange(48)[None, :] * 3 + np.arange(40)[:, None] * 7) % 101).astype(np.uint8)
+        frame = Frame(FrameSize(48, 40), data)
+        table = {
+            embedding_key(7, BBox(0.0, 0.0, 10.0, 10.0)): FeatureVector(np.array([0.2, 0.8])),
+            embedding_key(6, BBox(1.0, 1.0, 11.0, 11.0)): FeatureVector(np.array([0.3, 0.7])),
+        }
+        patch = PatchDescriptor(lambda t: frame, patch_size=3)
+        return FallbackProvider(PrecomputedEmbeddings(table), patch)
+
+    def test_swbf_scores_pairs_of_each_dimension_as_rescore_does(self):
+        dets = [
+            det(0.9, (0, 0, 10, 10), class_id=0, offset=1),
+            det(0.8, (30, 20, 40, 32), class_id=1, offset=-1),
+            det(0.7, (12, 4, 20, 30), class_id=1, offset=0),
+            det(0.6, (30, 20, 41, 33), class_id=1, offset=2),
+        ]
+        boxes = [BBox(1.0, 1.0, 11.0, 11.0), BBox(31.0, 20.0, 41.0, 30.0), None, BBox(2.0, 3.0, 9.0, 9.0)]
+        got = fuse_candidates(self._candidates(dets, boxes), cfg(method="swbf"), self._mixed_provider())
+        rescored = [
+            d if d.source_offset == 0 else rescore(d, b, self._mixed_provider(), 7, 7 - d.source_offset)
+            for d, b in zip(dets, boxes)
+        ]
+        assert [r.score for r in rescored] != [d.score for d in dets]
+        want = fuse_candidates(self._candidates(rescored), cfg())
+        assert got.labels == want.labels
+        assert got.dropped_rescore == 0
+
+    def test_swbf_pair_of_two_dimensions_is_rejected_as_rescore_rejects_it(self):
+        dets = [det(0.9, (0, 0, 10, 10), offset=1)]
+        boxes = [BBox(2.0, 1.0, 11.0, 11.0)]
+        with pytest.raises(ValidationError) as want:
+            rescore(dets[0], boxes[0], self._mixed_provider(), 7, 6)
+        with pytest.raises(ValidationError) as got:
+            fuse_candidates(self._candidates(dets, boxes), cfg(method="swbf"), self._mixed_provider())
+        assert str(got.value) == str(want.value) == "feature dimensions differ: 2 vs 9"
 
     def test_dropped_post_counted(self):
         dets = [det(0.2, (0, 0, 10, 10)), det(0.9, (50, 50, 60, 60))]

@@ -101,6 +101,29 @@ class TestFlowFile:
         assert str(err.value).startswith(f"{path}: ")
         assert "non-finite" in str(err.value)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize(
+        "at", [(0, 0, 0), (2, 3, 1), (1, 2, 1)], ids=["first", "last", "channel1"]
+    )
+    def test_every_non_finite_value_is_rejected(self, tmp_path, bad, at):
+        data = np.linspace(-5.0, 5.0, 3 * 4 * 2, dtype=np.float32).reshape(3, 4, 2)
+        data[at] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            MotionField(FrameSize(4, 3), data)
+        path = tmp_path / "n.flo"
+        path.write_bytes(struct.pack("<fii", 202021.25, 4, 3) + data.astype("<f4").tobytes())
+        with pytest.raises(FlowFormatError) as err:
+            read_flow(path)
+        assert str(err.value) == f"{path}: payload contains non-finite values"
+
+    def test_largest_finite_values_are_accepted(self, tmp_path):
+        data = np.zeros((2, 3, 2), dtype=np.float32)
+        data[0, 0, 0], data[1, 2, 1], data[0, 1, 1] = 3.4e38, -3.4e38, np.finfo(np.float32).max
+        f = MotionField(FrameSize(3, 2), data.copy())
+        path = tmp_path / "big.flo"
+        write_flow(f, path)
+        assert read_flow(path).data.tobytes() == data.tobytes()
+
     @settings(max_examples=40)
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
     def test_roundtrip_property(self, w, h, seed):

@@ -12,6 +12,7 @@ import pytest
 
 import propfuse
 import propfuse.io
+import propfuse.manifest
 import propfuse.pipeline
 from propfuse.cli import _config_from_args, _parse_frames, build_parser, main
 from propfuse.errors import CliUsageError, FlowFormatError, ValidationError
@@ -112,6 +113,24 @@ class TestConfig:
             PipelineConfig(k=-1)
         with pytest.raises(ValidationError):
             PipelineConfig(method="magic")
+
+    def test_patch_size_bounded_before_any_frame(self, tmp_path, clean_dir, capsys, monkeypatch):
+        from propfuse.similarity import MAX_PATCH_SIZE
+
+        assert PipelineConfig(patch_size=MAX_PATCH_SIZE).patch_size == MAX_PATCH_SIZE
+        for size in (1, MAX_PATCH_SIZE + 1, 10**9):
+            with pytest.raises(ValidationError, match="patch_size must lie in"):
+                PipelineConfig(patch_size=size)
+
+        def no_frame(*args):
+            raise AssertionError("no frame should be read")
+
+        monkeypatch.setattr(propfuse.manifest, "read_frame", no_frame)
+        out = tmp_path / "out"
+        common = ["pipeline", "--manifest", str(clean_dir), "--out", str(out)]
+        assert main(common + ["--patch-size", str(10**9)]) == 1
+        assert f"patch_size must lie in [2, {MAX_PATCH_SIZE}], got {10**9}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_every_choice_field_is_validated(self):
         with pytest.raises(ValidationError) as err:

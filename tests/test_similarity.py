@@ -6,15 +6,18 @@ from propfuse.errors import EmbeddingLookupError, EmptyCropError, ValidationErro
 from propfuse.geometry import BBox, Detection, FrameSize
 from propfuse.motion import Frame
 from propfuse.similarity import (
+    MAX_PATCH_SIZE,
     FallbackProvider,
     FeatureVector,
     PatchDescriptor,
     PrecomputedEmbeddings,
     cosine_sim,
+    cosine_sims,
     embedding_key,
     rescore,
 )
 
+import _bundles
 from _oracles import ref_cosine, ref_patch_descriptor
 
 
@@ -51,6 +54,57 @@ class TestCosine:
         v = cosine_sim(a, b)
         assert 0.0 <= v <= 1.0
         assert abs(v - ref_cosine(np.asarray(xs), np.asarray(ys))) < 1e-12
+
+
+    def test_underflowing_norms_are_a_validation_error(self):
+        tiny = vec(1e-82, 0.0)
+        with pytest.raises(ValidationError, match="underflows"):
+            cosine_sim(tiny, tiny)
+        rows = np.array([[0.5, 0.25], [1e-82, 0.0]])
+        with pytest.raises(ValidationError, match="underflows"):
+            cosine_sims(rows, rows)
+
+
+def _bundle_rows(bundle, patch_size):
+    """Descriptors of every teacher box of every frame of a bundle, per frame."""
+    desc = PatchDescriptor(lambda t: bundle.frames[t], patch_size=patch_size)
+    out = []
+    for t, labels in enumerate(bundle.detections):
+        vecs = desc.embed_many(t, [d.bbox for d in labels.detections])
+        out.append([v for v in vecs if v is not None])
+    return out
+
+
+class TestCosines:
+    @pytest.mark.parametrize("patch_size", [2, 7, 16])
+    def test_stacked_products_equal_one_pair_at_a_time(self, patch_size):
+        """Every row pair's cosine has the bits of cosine_sim on that pair.
+
+        The pairs are the real descriptors of the noisy and benchmark
+        bundles: every box of a frame against every box of the next frame,
+        every box against itself, and flat crops, which are all-0.5 vectors.
+        """
+        pairs = []
+        for bundle in (_bundles.noisy_bundle(), _bundles.benchmark_bundle()):
+            rows = _bundle_rows(bundle, patch_size)
+            for here, there in zip(rows, rows[1:]):
+                pairs += [(a, b) for a in here for b in there]
+            pairs += [(a, a) for frame in rows for a in frame]
+        flat = Frame(FrameSize(24, 16), np.full((16, 24), 93, dtype=np.uint8))
+        flats = PatchDescriptor(lambda t: flat, patch_size=patch_size).embed_many(
+            0, [BBox(0.0, 0.0, 5.0, 7.0), BBox(3.5, 2.25, 24.0, 16.0)]
+        )
+        assert all(np.all(f.values == 0.5) for f in flats)
+        pairs += [(flats[0], flats[1]), (flats[1], flats[1])]
+        pairs += [(f, a) for f in flats for a in rows[0]] + [(a, f) for f in flats for a in rows[-1]]
+        assert len(pairs) > 1000
+
+        a = np.stack([p[0].values for p in pairs])
+        b = np.stack([p[1].values for p in pairs])
+        got = [x.hex() for x in cosine_sims(a, b).tolist()]
+        assert got == [cosine_sim(p, q).hex() for p, q in pairs]
+        selves = [g for g, (p, q) in zip(got, pairs) if p is q]
+        assert selves and set(selves) == {(1.0).hex()}
 
 
 class TestFeatureVector:
@@ -97,6 +151,18 @@ class TestPatchDescriptor:
         desc = PatchDescriptor(lambda t: frame, patch_size=4)
         values = desc.embed(0, BBox(2.0, 2.0, 10.0, 10.0)).values
         assert np.all(values == 0.5)
+
+    @pytest.mark.parametrize("size", [1, MAX_PATCH_SIZE + 1, 10**9])
+    def test_patch_size_out_of_bounds_is_rejected_before_any_frame(self, size):
+        def loader(t):
+            raise AssertionError("no frame should be read")
+
+        with pytest.raises(ValidationError, match=f"patch_size must lie in \\[2, {MAX_PATCH_SIZE}\\]"):
+            PatchDescriptor(loader, patch_size=size)
+
+    def test_largest_patch_size_is_accepted(self):
+        desc = PatchDescriptor(lambda t: _gradient_frame(), patch_size=MAX_PATCH_SIZE)
+        assert desc.embed(0, BBox(1.0, 1.0, 30.0, 20.0)).dim == MAX_PATCH_SIZE**2
 
     def test_fully_outside_crop_raises(self):
         desc = PatchDescriptor(lambda t: _gradient_frame(), patch_size=4)
@@ -187,6 +253,64 @@ class TestPatchDescriptorBatch:
         assert desc.embed(0, box) is kept
         desc.embed(1, box)
         assert loads == [0, 1, 1]
+
+
+def _edge_boxes(w, h):
+    """Boxes inside the frame, across each of its edges, and wholly off each side."""
+    return [
+        BBox(3.0, 2.0, 17.5, 11.25),
+        BBox(-4.5, 5.0, 6.0, 12.0),
+        BBox(4.0, -3.25, 12.0, 8.0),
+        BBox(w - 6.5, 3.0, w + 2.0, 10.0),
+        BBox(5.0, h - 4.0, 14.0, h + 3.5),
+        BBox(-2.0, -2.0, w + 2.0, h + 2.0),
+        BBox(-9.0, 4.0, -1.0, 9.0),
+        BBox(3.0, -8.0, 9.0, 0.0),
+        BBox(w, 2.0, w + 5.0, 6.0),
+        BBox(2.0, h + 1.0, 8.0, h + 6.5),
+    ]
+
+
+class TestSampledPlane:
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("patch_size", [2, 5, 16])
+    def test_descriptors_equal_the_luminance_reference(self, channels, patch_size):
+        w, h = 37, 29
+        shape = (h, w) if channels == 1 else (h, w, 3)
+        data = np.random.default_rng(7).integers(0, 256, shape, dtype=np.uint8)
+        frame = Frame(FrameSize(w, h), data)
+        boxes = _edge_boxes(w, h)
+        got = PatchDescriptor(lambda t: frame, patch_size=patch_size).embed_many(0, boxes)
+        plane = frame.luminance().tolist()
+        outside = 0
+        for vec, box in zip(got, boxes):
+            want = ref_patch_descriptor(plane, box.as_tuple(), patch_size)
+            if want is None:
+                outside += 1
+                assert vec is None
+            else:
+                assert [x.hex() for x in vec.values.tolist()] == [x.hex() for x in want]
+        assert outside == 4
+
+    def test_grey_frame_is_held_as_its_own_bytes(self):
+        import tracemalloc
+
+        w, h = 640, 480
+        data = (np.arange(w * h) % 251).astype(np.uint8).reshape(h, w)
+        desc = PatchDescriptor(lambda t: Frame(FrameSize(w, h), data.copy()), patch_size=16)
+        tracemalloc.start()
+        try:
+            assert all(v is not None for v in desc.embed_many(0, _edge_boxes(w, h)[:6]))
+            held, peak = tracemalloc.get_traced_memory()
+            desc.release(0)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the frame's h*w pixels and six 256-value descriptors, where a float64
+        # luminance plane alone would take 8*h*w bytes
+        assert w * h <= held < w * h + 100_000
+        assert peak < 2 * w * h
+        assert after < held - w * h
 
 
 class TestPrecomputed:
