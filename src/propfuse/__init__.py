@@ -33,11 +33,10 @@ from .motion import (
     constant_field,
     read_flow,
     transfer_box,
-    transfer_point,
     write_flow,
 )
 from .pipeline import PipelineConfig, PipelineRun, load_config, run_pipeline
-from .propagation import CandidateSet, build_candidates, propagate_from_offset
+from .propagation import CandidateSet, build_candidates
 from .similarity import (
     FallbackProvider,
     FeatureVector,
@@ -100,7 +99,6 @@ __all__ = [
     "load_manifest",
     "nms",
     "nmw",
-    "propagate_from_offset",
     "read_detections",
     "read_flow",
     "read_frame",
@@ -109,7 +107,6 @@ __all__ = [
     "self_consistency",
     "soft_nms",
     "transfer_box",
-    "transfer_point",
     "write_bundle",
     "write_detections",
     "write_flow",

@@ -16,7 +16,10 @@ from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from .errors import ValidationError, VocabularyError
 from .geometry import BBox, Detection, FrameSize, LabelSet, iou
-from .motion import DEFAULT_MIN_COVERAGE, ComposedMotion, FlowStore, transfer_box
+from .motion import DEFAULT_MIN_COVERAGE, ComposedMotion, FlowStore, carry_boxes
+# bench/tracer.py patches ``transfer_box`` here by name and fails a traced
+# run without the binding, so it stays bound although nothing here calls it
+from .motion import transfer_box  # noqa: F401
 
 __all__ = [
     "IOU_THRESHOLDS",
@@ -319,11 +322,13 @@ def self_consistency(
 ) -> ConsistencyReport:
     """Transport boxes k hops forward then k hops back and compare.
 
-    A box that is dropped on either leg (pushed out of frame or below the
-    coverage floor) counts as IoU 0. The report includes a histogram of the
-    per-box IoU values (bin width 0.05, normalised to sum to 1) and, among
-    the IoU-0 boxes, the fraction that left the frame and the fraction whose
-    original height was at most ``small_height_threshold`` pixels.
+    Each leg carries all of its boxes as one batch, on the pipeline's own
+    ``carry`` and ``land_boxes`` path. A box that is dropped on either leg
+    (pushed out of frame or below the coverage floor) counts as IoU 0. The
+    report includes a histogram of the per-box IoU values (bin width 0.05,
+    normalised to sum to 1) and, among the IoU-0 boxes, the fraction that
+    left the frame and the fraction whose original height was at most
+    ``small_height_threshold`` pixels.
     """
     if k_hops < 1:
         raise ValidationError(f"k_hops must be >= 1, got {k_hops}")
@@ -338,13 +343,13 @@ def self_consistency(
     zero_out = 0
     zero_small = 0
     n_zero = 0
-    for det in labels.detections:
-        ahead = transfer_box(det, forward, size, min_coverage=min_coverage)
-        if ahead is not None:
-            back = transfer_box(ahead, backward, size, min_coverage=min_coverage)
-        else:
-            back = None
-        value = iou(det.bbox, back.bbox) if back is not None else 0.0
+    dets = labels.detections
+    ahead = carry_boxes([d.bbox for d in dets], forward, size, min_coverage)
+    landed = [box for box in ahead if box is not None]
+    home = iter(carry_boxes(landed, backward, size, min_coverage))
+    for det, box in zip(dets, ahead):
+        back = next(home) if box is not None else None
+        value = iou(det.bbox, back) if back is not None else 0.0
         ious.append(value)
         per_class.setdefault(det.class_id, []).append(value)
         if value == 0.0:

@@ -1,4 +1,9 @@
-"""Dense per-pixel motion fields and the transfer of points/boxes along them.
+"""Dense per-pixel motion fields and the carrying of boxes along them.
+
+A box moves one way only: its four corners, with every other box's, go
+through ``carry`` as one array of continuous positions, and ``land_boxes``
+floors, hulls, clips and coverage-checks them. ``carry_boxes`` is that pair
+for a whole chain, and ``transfer_box`` its one-box case.
 
 File layout for a stored field: little-endian float32 magic 202021.25, then
 int32 width, int32 height, then width*height interleaved (du, dv) float32
@@ -12,7 +17,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,13 +37,12 @@ __all__ = [
     "FlowStore",
     "read_flow",
     "write_flow",
-    "sample",
     "sample_bilinear",
     "carry",
     "carried_position",
     "box_corners",
     "land_boxes",
-    "transfer_point",
+    "carry_boxes",
     "transfer_box",
     "constant_field",
 ]
@@ -232,12 +236,6 @@ def sample_bilinear(data: np.ndarray, xs, ys) -> np.ndarray:
     return top + fy * (bottom - top)
 
 
-def sample(field: MotionField, u: float, v: float) -> tuple[float, float]:
-    """Bilinearly interpolated (du, dv) at continuous position (u, v)."""
-    vec = sample_bilinear(field.data, u, v)
-    return float(vec[0]), float(vec[1])
-
-
 def carry(
     start: np.ndarray,
     fields: Sequence[MotionField],
@@ -269,13 +267,12 @@ def carried_position(start: np.ndarray, acc: np.ndarray, mode: str) -> np.ndarra
     return acc if mode == "trajectory" else start + acc
 
 
-def box_corners(dets: Sequence[Detection]) -> np.ndarray:
+def box_corners(boxes: Iterable[BBox]) -> np.ndarray:
     """The four corners of each box as rows 4i..4i+3 of a (4n, 2) array."""
     rows = []
-    for d in dets:
-        b = d.bbox
+    for b in boxes:
         rows += ((b.x1, b.y1), (b.x2, b.y1), (b.x1, b.y2), (b.x2, b.y2))
-    return np.array(rows, dtype=np.float64).reshape(len(dets) * 4, 2)
+    return np.array(rows, dtype=np.float64).reshape(-1, 2)
 
 
 def land_boxes(
@@ -312,12 +309,21 @@ def land_boxes(
     return out
 
 
-def transfer_point(u: float, v: float, motion: ComposedMotion) -> tuple[int, int]:
-    """Carry a point through the chain, flooring once at the very end."""
-    start = np.array([[u, v]], dtype=np.float64)
+def carry_boxes(
+    boxes: Iterable[BBox],
+    motion: ComposedMotion,
+    size: FrameSize,
+    min_coverage: float = DEFAULT_MIN_COVERAGE,
+) -> list[BBox | None]:
+    """The box each of ``boxes`` lands on at the chain's end, or None.
+
+    Every corner goes through one ``carry`` and one ``land_boxes``; both
+    work element by element, so each box lands bit for bit where it would
+    carried alone.
+    """
+    start = box_corners(boxes)
     acc = carry(start, motion.fields, motion.mode)[-1]
-    cu, cv = carried_position(start, acc, motion.mode)[0]
-    return math.floor(cu), math.floor(cv)
+    return land_boxes(carried_position(start, acc, motion.mode), size, min_coverage)
 
 
 def transfer_box(
@@ -326,15 +332,8 @@ def transfer_box(
     size: FrameSize,
     min_coverage: float = DEFAULT_MIN_COVERAGE,
 ) -> Detection | None:
-    """Carry a detection's box through the chain.
-
-    All four corners are transferred (each floored), their axis-aligned hull
-    is clipped to the frame, and the result is dropped when degenerate or
-    when less than ``min_coverage`` of the hull survives the clip.
-    """
-    start = box_corners([det])
-    acc = carry(start, motion.fields, motion.mode)[-1]
-    box = land_boxes(carried_position(start, acc, motion.mode), size, min_coverage)[0]
+    """One detection carried through the chain, or None: ``carry_boxes`` of its box."""
+    box = carry_boxes((det.bbox,), motion, size, min_coverage)[0]
     if box is None:
         return None
     return unchecked_detection(det.class_id, box, det.score, det.source_offset)

@@ -340,7 +340,8 @@ def run_pipeline(
         targets = sorted(set(targets))
         unknown = [t for t in targets if not manifest.has_frame(t)]
         if unknown:
-            raise ValidationError(f"target frames not in manifest: {unknown}")
+            named = ", ".join(map(str, unknown[:5])) + (", ..." if len(unknown) > 5 else "")
+            raise ValidationError(f"{len(unknown)} target frames not in manifest: [{named}]")
     validate_flow_coverage(manifest, config.k, targets)
 
     provider = None

@@ -8,6 +8,8 @@ backward fields from future frames (T+|i| -> ... -> T). Offsets whose source
 frame or motion chain is unavailable are simply omitted; the number of
 offsets that did participate is reported as ``effective_sources``.
 
+Boxes move as ``motion`` moves them: all corners of a source frame's kept
+boxes go through ``carry`` as one array and ``land_boxes`` lands them. But
 ``build_candidates`` does not compose each offset's chain afresh. Every
 source frame's kept boxes are swept once forward and once backward, hop by
 hop, and offset +-j reads the position after hop j. That is exact: the
@@ -29,22 +31,22 @@ from .errors import ValidationError
 from .geometry import BBox, Detection, FrameSize, LabelSet, unchecked_detection
 from .motion import (
     DEFAULT_MIN_COVERAGE,
-    ComposedMotion,
     FlowStore,
     MotionField,
     box_corners,
     carried_position,
     carry,
     land_boxes,
-    transfer_box,
 )
+# bench/tracer.py patches ``transfer_box`` here by name and fails a traced
+# run without the binding, so it stays bound although nothing here calls it
+from .motion import transfer_box  # noqa: F401
 
 __all__ = [
     "chain_pairs",
     "OffsetChain",
     "PropagationPlan",
     "plan_offsets",
-    "propagate_from_offset",
     "CandidateSet",
     "RunWindow",
     "build_candidates",
@@ -90,7 +92,6 @@ class PropagationPlan:
     target_frame: int
     k: int
     chains: list[OffsetChain] = field(default_factory=list)
-    omitted: list[int] = field(default_factory=list)
 
     @property
     def effective_sources(self) -> int:
@@ -110,45 +111,19 @@ def plan_offsets(
     plan = PropagationPlan(target_frame=target, k=k)
     for offset in offset_order(k):
         source = target - offset
-        pairs = chain_pairs(target, offset)
-        if not has_frame(source) or not all(flows.has(a, b) for a, b in pairs):
-            plan.omitted.append(offset)
+        # the frame first: a reach far past the sequence makes |offset|-long
+        # chains for sources that are not there
+        if not has_frame(source):
             continue
-        plan.chains.append(OffsetChain(offset, source, tuple(pairs)))
+        pairs = chain_pairs(target, offset)
+        if all(flows.has(a, b) for a, b in pairs):
+            plan.chains.append(OffsetChain(offset, source, tuple(pairs)))
     return plan
 
 
 def threshold_labels(labels: LabelSet, threshold: float) -> list[Detection]:
     """Detections whose score strictly exceeds the teacher threshold."""
     return [d for d in labels.detections if d.score > threshold]
-
-
-def propagate_from_offset(
-    offset: int,
-    source_labels: LabelSet,
-    flows: FlowStore,
-    size: FrameSize,
-    mode: str = "trajectory",
-    min_coverage: float = DEFAULT_MIN_COVERAGE,
-) -> LabelSet:
-    """Carry every detection of a source frame onto frame source+offset.
-
-    Survivors keep their class and score and are tagged with the offset.
-    Raises MissingFlowError when the motion chain has a gap.
-    """
-    if offset == 0:
-        raise ValidationError("offset 0 does not propagate; use the teacher labels directly")
-    target = source_labels.frame_index + offset
-    pairs = chain_pairs(target, offset)
-    motion = ComposedMotion([flows.get(a, b) for a, b in pairs], mode=mode)
-    out = LabelSet(frame_index=target)
-    for det in source_labels.detections:
-        moved = transfer_box(det, motion, size, min_coverage=min_coverage)
-        if moved is not None:
-            out.detections.append(
-                unchecked_detection(moved.class_id, moved.bbox, moved.score, offset)
-            )
-    return out
 
 
 @dataclass
@@ -176,9 +151,6 @@ class CandidateSet:
     def count_by_offset(self) -> dict[int, int]:
         counts = Counter(d.source_offset for d in self.detections)
         return dict(sorted(counts.items()))
-
-    def label_set(self) -> LabelSet:
-        return LabelSet(self.frame_index, list(self.detections))
 
 
 class _Sweep(NamedTuple):
@@ -274,7 +246,7 @@ class RunWindow:
         if sweep is None:
             labels = self.labels(chain.source_frame, get_labels)
             kept = tuple(threshold_labels(labels, teacher_threshold))
-            sweep = _Sweep(kept, box_corners(kept), ())
+            sweep = _Sweep(kept, box_corners(d.bbox for d in kept), ())
             self.stats["sweeps"]["loads"] += 1
         else:
             self.stats["sweeps"]["hits"] += 1

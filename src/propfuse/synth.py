@@ -312,16 +312,6 @@ class SequenceBundle:
             store.add(a, b, f)
         return store
 
-    def get_detections(self, t: int) -> Optional[LabelSet]:
-        if 0 <= t < len(self.detections):
-            return self.detections[t]
-        return None
-
-    def get_ground_truth(self, t: int) -> Optional[LabelSet]:
-        if 0 <= t < len(self.ground_truth):
-            return self.ground_truth[t]
-        return None
-
 
 def _render_span(lo: float, hi: float, limit: int) -> tuple[int, int]:
     """Half-open pixel range covering [lo, hi) for painting."""

@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,7 +17,13 @@ from propfuse.evaluation import (
     self_consistency,
 )
 from propfuse.geometry import BBox, Detection, FrameSize, LabelSet, iou
-from propfuse.motion import FlowStore, constant_field
+from propfuse.motion import (
+    COMPOSITION_MODES,
+    ComposedMotion,
+    FlowStore,
+    constant_field,
+    transfer_box,
+)
 from propfuse.synth import write_bundle
 
 import _bundles
@@ -434,3 +442,141 @@ class TestSelfConsistency:
         assert d["k_hops"] == 1
         assert d["n_boxes"] == 1
         assert math.isclose(sum(d["pmf"]), 1.0, abs_tol=1e-9)
+
+
+SELFCHECK_BUNDLES = (
+    "clean",
+    "occlusion",
+    "type_b",
+    "integer_motion",
+    "fractional_motion",
+    "noisy",
+    "crowd",
+    "benchmark",
+)
+
+
+def torn_boxes(labels, objects=2, step=3):
+    """Thin boxes astride the edges of a frame's first few boxes.
+
+    The motion at an object's edge tears them: some are dropped on the way
+    out and some on the way back.
+    """
+    out = []
+    for g in labels.detections[:objects]:
+        b = g.bbox
+        for x in range(int(b.x1) - 5, int(b.x2) + 5, step):
+            for y in range(int(b.y1) - 5, int(b.y2) + 5, step):
+                if b.x1 + 5 < x < b.x2 - 5 and b.y1 + 5 < y < b.y2 - 5:
+                    continue
+                for w, h in ((3.0, 1.5), (1.5, 3.0)):
+                    x1, y1 = x + 0.375, y + 0.625
+                    out.append(Detection(g.class_id, BBox(x1, y1, x1 + w, y1 + h), 0.5))
+    return out
+
+
+def frame_edge_boxes(size):
+    """Boxes across each frame edge, wholly outside it, and on a corner."""
+    w, h = float(size.width), float(size.height)
+    return [
+        det(0.5, box)
+        for box in (
+            (-4.5, 10.25, 6.5, 20.0),
+            (w - 6.25, 12.0, w + 3.5, 22.75),
+            (20.5, -3.0, 31.0, 5.5),
+            (24.0, h - 5.5, 36.25, h + 2.0),
+            (-30.0, -20.0, -10.0, -5.0),
+            (w + 1.0, 4.0, w + 9.0, 9.0),
+            (w - 3.0, h - 2.0, w + 7.0, h + 8.0),
+        )
+    ]
+
+
+def per_box_round_trip(labels, flows, k, size, mode, min_coverage):
+    """Each box carried on its own by transfer_box, k hops out and k back.
+
+    Returns (IoU with the original, the leg it was dropped on or None) per box.
+    """
+    t = labels.frame_index
+    out = ComposedMotion([flows.get(t + j, t + j + 1) for j in range(k)], mode)
+    back = ComposedMotion([flows.get(t + k - j, t + k - j - 1) for j in range(k)], mode)
+    rows = []
+    for d in labels.detections:
+        ahead = transfer_box(d, out, size, min_coverage)
+        home = transfer_box(ahead, back, size, min_coverage) if ahead is not None else None
+        if home is not None:
+            rows.append((iou(d.bbox, home.bbox), None))
+        else:
+            rows.append((0.0, "out" if ahead is None else "back"))
+    return rows
+
+
+def assert_batch_equals_per_box(labels, flows, size, coverages):
+    """Every hop count 1-3, mode and coverage; returns (mode, leg) drop counts."""
+    drops = Counter()
+    for k, mode, coverage in itertools.product((1, 2, 3), COMPOSITION_MODES, coverages):
+        report = self_consistency(labels, flows, k, size, mode, coverage)
+        want = per_box_round_trip(labels, flows, k, size, mode, coverage)
+        assert [v.hex() for v in report.ious] == [v.hex() for v, _ in want]
+        zeros = [leg for v, leg in want if v == 0.0]
+        assert report.n_zero == len(zeros)
+        dropped = sum(leg is not None for leg in zeros)
+        assert report.out_of_frame_given_zero == (dropped / len(zeros) if zeros else 0.0)
+        drops.update((mode, leg) for _, leg in want if leg is not None)
+    return drops
+
+
+class TestSelfConsistencyBatch:
+    """The batch round trip against boxes carried one at a time, bit for bit."""
+
+    @pytest.mark.parametrize("name", SELFCHECK_BUNDLES)
+    def test_batch_equals_per_box_transfer_bit_for_bit(self, name):
+        bundle = getattr(_bundles, f"{name}_bundle")()
+        flows = bundle.flow_store()
+        edges = frame_edge_boxes(bundle.size)
+        drops = Counter()
+        for t in (0, len(bundle.ground_truth) - 4):
+            for source in (bundle.ground_truth[t], bundle.detections[t]):
+                labels = LabelSet(t, source.detections + edges)
+                drops += assert_batch_equals_per_box(labels, flows, bundle.size, (0.25, 0.0, 0.9))
+        for mode in COMPOSITION_MODES:
+            assert drops[mode, "out"] > 0
+
+    def test_boxes_torn_at_an_object_edge_drop_on_either_leg(self):
+        bundle = _bundles.occlusion_bundle()
+        labels = LabelSet(0, torn_boxes(bundle.ground_truth[0]))
+        drops = assert_batch_equals_per_box(labels, bundle.flow_store(), bundle.size, (0.25, 0.9))
+        for mode in COMPOSITION_MODES:
+            assert drops[mode, "out"] > 0
+            assert drops[mode, "back"] > 0
+
+    def test_min_coverage_holds_on_the_way_back(self):
+        # still on the way out, 8 px left on the way back: 2 of 10 columns come home
+        flows = FlowStore(
+            {(0, 1): constant_field(SIZE, 0.0, 0.0), (1, 0): constant_field(SIZE, -8.0, 0.0)}
+        )
+        labels = LabelSet(0, [det(1.0, (0, 0, 10, 10))])
+        for coverage, want in ((0.2, 0.2), (0.25, 0.0)):
+            report = self_consistency(labels, flows, 1, SIZE, min_coverage=coverage)
+            assert report.ious == [want]
+            assert per_box_round_trip(labels, flows, 1, SIZE, "trajectory", coverage)[0][0] == want
+
+    @pytest.mark.parametrize("boxes", [[], [(0, 0, 10, 10)]])
+    def test_unknown_mode_rejected(self, boxes):
+        labels = LabelSet(0, [det(1.0, b) for b in boxes])
+        with pytest.raises(ValidationError):
+            self_consistency(labels, two_way_store(1, 1.0, 0.0), 1, SIZE, mode="spiral")
+
+    @pytest.mark.parametrize("boxes", [[], [(0, 0, 10, 10)]])
+    def test_mixed_field_sizes_rejected(self, boxes):
+        flows = two_way_store(2, 1.0, 0.0)
+        flows.add(1, 2, constant_field(FrameSize(80, 60), 1.0, 0.0))
+        with pytest.raises(ValidationError):
+            self_consistency(LabelSet(0, [det(1.0, b) for b in boxes]), flows, 2, SIZE)
+
+    @pytest.mark.parametrize("absent", [(1, 2), (2, 1)])
+    def test_missing_field_raises_for_an_empty_label_set(self, absent):
+        pairs = [(0, 1), (1, 2), (2, 1), (1, 0)]
+        flows = FlowStore({p: constant_field(SIZE, 1.0, 0.0) for p in pairs if p != absent})
+        with pytest.raises(MissingFlowError):
+            self_consistency(LabelSet(0, []), flows, 2, SIZE)

@@ -20,13 +20,16 @@ from propfuse.motion import (
     Frame,
     MotionField,
     constant_field,
+    carried_position,
+    carry,
     land_boxes,
     read_flow,
-    sample,
+    sample_bilinear,
     transfer_box,
-    transfer_point,
     write_flow,
 )
+
+from _oracles import ref_chain_point
 
 
 def _field(size, data):
@@ -139,13 +142,13 @@ class TestSampling:
     def test_constant_field_everywhere(self):
         f = constant_field(FrameSize(8, 6), 2.0, 3.0)
         for u, v in [(0.0, 0.0), (3.3, 1.7), (7.0, 5.0), (6.99, 0.01)]:
-            assert sample(f, u, v) == (2.0, 3.0)
+            assert sample_bilinear(f.data, u, v).tolist() == [2.0, 3.0]
 
     def test_integer_lattice_returns_stored_vector(self):
         rng = np.random.default_rng(1)
         data = rng.standard_normal((4, 5, 2)).astype(np.float32)
         f = _field(FrameSize(5, 4), data)
-        du, dv = sample(f, 3.0, 2.0)
+        du, dv = sample_bilinear(f.data, 3.0, 2.0).tolist()
         assert du == float(data[2, 3, 0])
         assert dv == float(data[2, 3, 1])
 
@@ -154,7 +157,7 @@ class TestSampling:
         data = np.zeros((1, 6, 2), dtype=np.float32)
         data[0, :, 0] = np.arange(6)
         f = _field(FrameSize(6, 1), data)
-        du, dv = sample(f, 2.5, 0.0)
+        du, dv = sample_bilinear(f.data, 2.5, 0.0).tolist()
         assert du == 2.5
         assert dv == 0.0
 
@@ -162,32 +165,43 @@ class TestSampling:
         data = np.zeros((2, 2, 2), dtype=np.float32)
         data[:, :, 0] = [[1, 2], [3, 4]]
         f = _field(FrameSize(2, 2), data)
-        assert sample(f, -5.0, -5.0)[0] == 1.0
-        assert sample(f, 10.0, 10.0)[0] == 4.0
+        assert sample_bilinear(f.data, -5.0, -5.0)[0] == 1.0
+        assert sample_bilinear(f.data, 10.0, 10.0)[0] == 4.0
 
 
 class TestTransferPoint:
+    """A point carried by ``carry`` and floored once, at the end of the chain.
+
+    It is read as the top-left corner of a one-pixel box moved by
+    ``transfer_box``, and checked against the per-point oracle.
+    """
+
     SIZE = FrameSize(100, 100)
 
+    def _corner(self, u, v, fields, mode="trajectory"):
+        det = Detection(0, BBox(u, v, u + 1.0, v + 1.0), 0.9)
+        moved = transfer_box(det, ComposedMotion(fields, mode=mode), self.SIZE)
+        want = ref_chain_point(u, v, [f.data for f in fields], mode)
+        assert (moved.bbox.x1, moved.bbox.y1) == want
+        return want
+
     def test_positive_fraction_floors(self):
-        motion = ComposedMotion([constant_field(self.SIZE, 2.7, -1.2)])
-        assert transfer_point(10.0, 20.0, motion) == (12, 18)
+        assert self._corner(10.0, 20.0, [constant_field(self.SIZE, 2.7, -1.2)]) == (12, 18)
 
     def test_negative_fraction_floors_down(self):
-        motion = ComposedMotion([constant_field(self.SIZE, -0.5, 0.0)])
-        assert transfer_point(10.0, 20.0, motion) == (9, 20)
+        assert self._corner(10.0, 20.0, [constant_field(self.SIZE, -0.5, 0.0)]) == (9, 20)
 
     def test_two_constant_hops_agree_across_modes(self):
         fields = [constant_field(self.SIZE, 3.0, 0.0), constant_field(self.SIZE, 3.0, 0.0)]
         for mode in ("trajectory", "additive"):
-            motion = ComposedMotion(fields, mode=mode)
-            assert transfer_point(0.0, 0.0, motion) == (6, 0)
+            assert self._corner(0.0, 0.0, fields, mode) == (6, 0)
 
     def test_floor_applied_once_at_chain_end(self):
         # two hops of +0.6: trajectory tracks 1.2 and floors to 1, not 0
         fields = [constant_field(self.SIZE, 0.6, 0.0)] * 2
-        motion = ComposedMotion(fields, mode="trajectory")
-        assert transfer_point(0.0, 0.0, motion) == (1, 0)
+        hops = carry(np.zeros((1, 2)), fields, "trajectory")
+        assert hops[0][0, 0] < 1.0 <= hops[1][0, 0]
+        assert self._corner(0.0, 0.0, fields) == (1, 0)
 
 
 class TestTransferBox:
@@ -403,10 +417,11 @@ class TestComposedMotion:
         data[:, 5:, 0] = 7.0
         hop1 = constant_field(FrameSize(10, 10), 3.0, 0.0)
         hop2 = MotionField(FrameSize(10, 10), data)
-        traj = transfer_point(3.0, 1.0, ComposedMotion([hop1, hop2], mode="trajectory"))
-        add = transfer_point(3.0, 1.0, ComposedMotion([hop1, hop2], mode="additive"))
-        assert traj == (13, 1)
-        assert add == (7, 1)
+        start = np.array([[3.0, 1.0]])
+        for mode, want in (("trajectory", [13.0, 1.0]), ("additive", [7.0, 1.0])):
+            motion = ComposedMotion([hop1, hop2], mode=mode)
+            acc = carry(start, motion.fields, motion.mode)[-1]
+            assert carried_position(start, acc, mode).tolist() == [want]
 
 
 class TestFrame:

@@ -525,6 +525,18 @@ class TestCli:
         with pytest.raises(CliUsageError):
             _parse_frames(",")
 
+    def test_unknown_frames_named_in_a_bounded_line(self, tmp_path, clean_dir, capsys):
+        # the 8-frame bundle against a range of 300,000: the line gives the
+        # count and the first few frames, not every one of them
+        out = tmp_path / "o"
+        rc = main(["pipeline", "--manifest", str(clean_dir), "--out", str(out), "--frames", "0:300000"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: 299992 target frames not in manifest: [8, 9, 10, 11, 12, ...]\n"
+        rc = main(["pipeline", "--manifest", str(clean_dir), "--out", str(out), "--frames", "2,9"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: 1 target frames not in manifest: [9]\n"
+
     def test_pipeline_then_eval_is_perfect(self, tmp_path, clean_dir, capsys):
         out = tmp_path / "run"
         rc = main(

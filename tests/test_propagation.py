@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from propfuse.errors import MissingFlowError, ValidationError
+import propfuse.propagation
+from propfuse.errors import ValidationError
 from propfuse.geometry import BBox, Detection, FrameSize, LabelSet
 from propfuse.motion import COMPOSITION_MODES, FlowStore, MotionField, constant_field
 from propfuse.propagation import (
@@ -11,7 +12,6 @@ from propfuse.propagation import (
     chain_pairs,
     offset_order,
     plan_offsets,
-    propagate_from_offset,
     threshold_labels,
 )
 
@@ -64,60 +64,102 @@ class TestPlan:
         plan = plan_offsets(5, 2, lambda t: 0 <= t < 20, full_store(20))
         assert sorted(c.offset for c in plan.chains) == [-2, -1, 1, 2]
         assert plan.effective_sources == 5
-        assert plan.omitted == []
 
     def test_boundary_omission_at_sequence_start(self):
         plan = plan_offsets(0, 1, lambda t: 0 <= t < 20, full_store(20))
         assert [c.offset for c in plan.chains] == [-1]
         assert plan.effective_sources == 2
-        assert plan.omitted == [1]
 
     def test_missing_source_frame_omitted(self):
         has = lambda t: 0 <= t < 20 and t != 4
         plan = plan_offsets(5, 1, has, full_store(20))
         assert [c.offset for c in plan.chains] == [-1]
 
+    def test_far_reach_builds_chains_only_for_present_sources(self, monkeypatch):
+        # k = 10,000 around a 6-frame sequence: 20,000 offsets are tried, but
+        # only the 5 whose source frame exists may cost a chain of pairs
+        n, k = 6, 10_000
+        calls = []
+
+        def spy(target, offset):
+            calls.append((target, offset))
+            return chain_pairs(target, offset)
+
+        monkeypatch.setattr(propfuse.propagation, "chain_pairs", spy)
+        asked = []
+
+        def has(t):
+            asked.append(t)
+            return 0 <= t < n
+
+        plan = plan_offsets(2, k, has, full_store(n))
+        assert sorted(calls) == [(2, o) for o in (-3, -2, -1, 1, 2)]
+        assert asked == [2 - o for o in offset_order(k)]
+        assert [c.offset for c in plan.chains] == [1, -1, 2, -2, -3]
+        assert plan.effective_sources == 6
+
+    def test_far_reach_candidates_equal_a_reach_covering_the_sequence(self, monkeypatch):
+        n = 6
+        sources = []
+
+        def spy(target, offset):
+            sources.append(target - offset)
+            return chain_pairs(target, offset)
+
+        monkeypatch.setattr(propfuse.propagation, "chain_pairs", spy)
+        table = {t: labels(t, det(0.9, (10 + t, 10, 30 + t, 25))) for t in range(n)}
+        for t in range(n):
+            far = build_candidates(t, 10_000, table.get, full_store(n, du=1.0), SIZE)
+            near = build_candidates(t, n, table.get, full_store(n, du=1.0), SIZE)
+            assert far == near
+            assert far.effective_sources == n
+        assert sources and set(sources) <= set(range(n))
+
 
 class TestPropagateFromOffset:
+    """One offset's boxes carried onto a target, read from ``build_candidates``."""
+
+    @staticmethod
+    def carried(target, k, table, flows, offset):
+        cand = build_candidates(target, k, table.get, flows, SIZE)
+        pairs = zip(cand.detections, cand.source_boxes)
+        return [(d, src) for d, src in pairs if d.source_offset == offset]
+
     def test_single_forward_hop(self):
         flows = store_with([(4, 5)], du=5.0)
-        src = labels(4, det(0.9, (0, 0, 10, 10)))
-        moved = propagate_from_offset(1, src, flows, SIZE)
-        assert len(moved) == 1
-        carried = moved.detections[0]
+        table = {4: labels(4, det(0.9, (0, 0, 10, 10))), 5: labels(5)}
+        [(carried, src)] = self.carried(5, 1, table, flows, 1)
         assert carried.bbox == BBox(5.0, 0.0, 15.0, 10.0)
         assert carried.source_offset == 1
-        assert moved.frame_index == 5
+        assert src == BBox(0.0, 0.0, 10.0, 10.0)
 
     def test_single_backward_hop(self):
         flows = store_with([(6, 5)], du=-5.0)
-        src = labels(6, det(0.9, (20, 0, 30, 10)))
-        moved = propagate_from_offset(-1, src, flows, SIZE)
-        assert moved.detections[0].bbox == BBox(15.0, 0.0, 25.0, 10.0)
-        assert moved.detections[0].source_offset == -1
-        assert moved.frame_index == 5
+        table = {6: labels(6, det(0.9, (20, 0, 30, 10))), 5: labels(5)}
+        [(carried, _)] = self.carried(5, 1, table, flows, -1)
+        assert carried.bbox == BBox(15.0, 0.0, 25.0, 10.0)
+        assert carried.source_offset == -1
 
     def test_two_hop_chain_composes(self):
         flows = store_with([(3, 4), (4, 5)], du=3.0)
-        src = labels(3, det(0.9, (0, 0, 10, 10)))
-        moved = propagate_from_offset(2, src, flows, SIZE)
-        assert moved.detections[0].bbox == BBox(6.0, 0.0, 16.0, 10.0)
-        assert moved.detections[0].source_offset == 2
-
-    def test_missing_flow_in_chain_raises(self):
-        flows = store_with([(3, 4)])  # (4,5) absent
-        src = labels(3, det(0.9, (0, 0, 10, 10)))
-        with pytest.raises(MissingFlowError):
-            propagate_from_offset(2, src, flows, SIZE)
+        table = {3: labels(3, det(0.9, (0, 0, 10, 10))), 5: labels(5)}
+        [(carried, _)] = self.carried(5, 2, table, flows, 2)
+        assert carried.bbox == BBox(6.0, 0.0, 16.0, 10.0)
+        assert carried.source_offset == 2
 
     def test_pushed_out_boxes_are_dropped(self):
         flows = store_with([(4, 5)], du=120.0)
-        src = labels(4, det(0.9, (0, 0, 10, 10)))
-        assert len(propagate_from_offset(1, src, flows, SIZE)) == 0
+        table = {4: labels(4, det(0.9, (0, 0, 10, 10))), 5: labels(5)}
+        assert self.carried(5, 1, table, flows, 1) == []
 
     def test_offset_zero_rejected(self):
-        with pytest.raises(ValidationError):
-            propagate_from_offset(0, labels(5), store_with([]), SIZE)
+        # offset 0 is never carried: it is the target's own teacher boxes,
+        # taken as they are, and no motion field is asked for
+        teacher = det(0.9, (0, 0, 10, 10))
+        cand = build_candidates(5, 0, {5: labels(5, teacher)}.get, store_with([]), SIZE)
+        assert cand.detections == [teacher]
+        assert cand.source_boxes == [None]
+        assert cand.effective_sources == 1
 
 
 class TestThreshold:

@@ -8,7 +8,7 @@ import propfuse.io
 from propfuse.errors import SceneValidationError, ValidationError
 from propfuse.geometry import BBox, FrameSize
 from propfuse.manifest import load_manifest
-from propfuse.motion import sample
+from propfuse.motion import sample_bilinear
 from propfuse.similarity import PrecomputedEmbeddings
 from propfuse.synth import (
     DetectorNoise,
@@ -84,7 +84,7 @@ class TestGenerate:
         # no object motion stamped across the gap: sample inside where
         # the box would have been and find only background (zero)
         box = spec.objects[0].box(1)
-        du, dv = sample(bundle.forward_flows[(1, 2)], box.x1 + 2, box.y1 + 2)
+        du, dv = sample_bilinear(bundle.forward_flows[(1, 2)].data, box.x1 + 2, box.y1 + 2)
         assert (du, dv) == (0.0, 0.0)
 
     def test_forward_flow_exact_inside_and_at_corner(self):
@@ -92,16 +92,16 @@ class TestGenerate:
         fw = bundle.forward_flows[(1, 2)]
         car = simple_spec().objects[0].box(1)
         # interior point and the exact corner both read the velocity
-        assert sample(fw, car.x1 + 1.0, car.y1 + 1.0) == (6.0, 2.0)
-        assert sample(fw, car.x2, car.y2) == (6.0, 2.0)
+        assert tuple(sample_bilinear(fw.data, car.x1 + 1.0, car.y1 + 1.0)) == (6.0, 2.0)
+        assert tuple(sample_bilinear(fw.data, car.x2, car.y2)) == (6.0, 2.0)
         # far corner of the frame is background
-        assert sample(fw, 95.0, 1.0) == (0.0, 0.0)
+        assert tuple(sample_bilinear(fw.data, 95.0, 1.0)) == (0.0, 0.0)
 
     def test_backward_flow_negates(self):
         bundle = generate(simple_spec())
         bw = bundle.backward_flows[(2, 1)]
         car = simple_spec().objects[0].box(2)
-        assert sample(bw, car.x1 + 1.0, car.y1 + 1.0) == (-6.0, -2.0)
+        assert tuple(sample_bilinear(bw.data, car.x1 + 1.0, car.y1 + 1.0)) == (-6.0, -2.0)
 
     def test_injected_false_positive_only_in_detections(self):
         spec = simple_spec(
