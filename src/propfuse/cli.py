@@ -24,12 +24,10 @@ from .errors import (
     VocabularyError,
 )
 from .evaluation import evaluate, self_consistency
-from .fusion import fuse_candidates
 from .geometry import Detection, unchecked_bbox
 from .io import (
     DetectionRecord,
     read_detections,
-    read_text,
     record_detection,
     write_atomic,
     write_detections,
@@ -40,14 +38,16 @@ from .pipeline import (
     PipelineConfig,
     build_provider,
     candidate_records,
+    fuse_frame,
     gather_candidates,
     label_records,
     load_config,
     run_pipeline,
+    select_targets,
     validate_flow_coverage,
 )
 from .propagation import CandidateSet, RunWindow
-from .synth import SceneSpec, generate, write_bundle
+from .synth import generate, load_spec, write_bundle
 
 log = logging.getLogger("propfuse.cli")
 
@@ -89,9 +89,9 @@ def _config_from_args(args) -> PipelineConfig:
     return load_config(args.config, overrides)
 
 
-def _parse_frames(text: str) -> list[int]:
-    """Comma-separated frame indices; a:b tokens expand half-open ranges."""
-    out: list[int] = []
+def _parse_frames(text: str) -> list[range]:
+    """Comma-separated frame indices; a:b tokens are half-open ranges, not listed."""
+    out: list[range] = []
     for token in text.split(","):
         token = token.strip()
         if not token:
@@ -99,12 +99,12 @@ def _parse_frames(text: str) -> list[int]:
         try:
             if ":" in token:
                 a, _, b = token.partition(":")
-                out.extend(range(int(a), int(b)))
+                out.append(range(int(a), int(b)))
             else:
-                out.append(int(token))
+                out.append(range(int(token), int(token) + 1))
         except ValueError:
             raise CliUsageError(f"bad frame token {token!r} in --frames")
-    if not out:
+    if not any(out):
         raise CliUsageError("--frames selected no frames")
     return out
 
@@ -113,13 +113,7 @@ def _parse_frames(text: str) -> list[int]:
 
 
 def cmd_synth(args) -> int:
-    try:
-        obj = json.loads(read_text(args.spec, "utf-8"))
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-        raise ValidationError(f"{args.spec}: not valid JSON: {exc}") from exc
-    if args.seed is not None:
-        obj["seed"] = args.seed
-    spec = SceneSpec.from_json_dict(obj)
+    spec = load_spec(args.spec, args.seed)
     bundle = generate(spec, include_embeddings=args.embeddings)
     manifest_path = write_bundle(bundle, args.out)
     print(manifest_path)
@@ -179,17 +173,15 @@ def cmd_fuse(args) -> int:
     cands, id_to_name, meta = _candidates_from_file(args.dets, manifest)
 
     k = meta.k if meta is not None else config.k
-    num_sources = config.source_count(cands.effective_sources, k)
-
     provider = None
-    if config.method == "swbf":
+    if config.rescores(k):
         if manifest is None:
             raise ValidationError(
                 "similarity re-scoring needs frame pixels; pass --manifest"
             )
         provider = build_provider(manifest, config)
 
-    result = fuse_candidates(cands, config.fusion_config(num_sources), provider)
+    result, _ = fuse_frame(cands, config, k, provider)
     write_detections(label_records(result.labels, id_to_name), args.out)
     print(args.out)
     return 0
@@ -198,7 +190,7 @@ def cmd_fuse(args) -> int:
 def cmd_pipeline(args) -> int:
     config = _config_from_args(args)
     manifest = load_manifest(args.manifest)
-    targets = _parse_frames(args.frames) if args.frames else None
+    targets = select_targets(manifest, _parse_frames(args.frames)) if args.frames else None
     run = run_pipeline(
         manifest,
         config,

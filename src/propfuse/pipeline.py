@@ -26,9 +26,11 @@ import dataclasses
 import json
 import logging
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import Optional, Sequence, get_args, get_type_hints
+from typing import Iterable, Optional, Sequence, get_args, get_type_hints
 
 from .errors import CliUsageError, PropfuseError, ValidationError
 from .evaluation import DEFAULT_SMALL_HEIGHT
@@ -42,8 +44,7 @@ from .propagation import (
     CandidateSet,
     RunWindow,
     build_candidates,
-    chain_pairs,
-    offset_order,
+    reachable,
 )
 from .similarity import (
     DEFAULT_PATCH_SIZE,
@@ -60,8 +61,10 @@ __all__ = [
     "parse_config_file",
     "run_pipeline",
     "validate_flow_coverage",
+    "select_targets",
     "build_provider",
     "gather_candidates",
+    "fuse_frame",
     "candidate_records",
     "label_records",
 ]
@@ -106,19 +109,22 @@ class PipelineConfig:
             value = getattr(self, f.name)
             if choices is not None and value not in choices:
                 raise ValidationError(f"unknown {f.name} {value!r}; expected one of {choices}")
-        for name in ("teacher_threshold", "post_threshold", "min_coverage"):
+        for name in ("teacher_threshold", "min_coverage"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1], got {v}")
-        if not 0.0 < self.iou_threshold < 1.0:
-            raise ValidationError(f"iou_threshold must lie in (0, 1), got {self.iou_threshold}")
-        if self.num_sources is not None and self.num_sources < 1:
-            raise ValidationError(f"num_sources must be >= 1, got {self.num_sources}")
+        # FusionConfig checks the fusion fields; num_sources is set per frame
+        self._fusion = FusionConfig(
+            method=self.method,
+            iou_threshold=self.iou_threshold,
+            num_sources=1 if self.num_sources is None else self.num_sources,
+            post_threshold=self.post_threshold,
+            snms_sigma=self.snms_sigma,
+            match=self.match,
+        )
         if self.jobs != 1:
             raise ValidationError(f"jobs must be 1 (frames run one at a time), got {self.jobs}")
         check_patch_size(self.patch_size)
-        if self.snms_sigma <= 0.0:
-            raise ValidationError(f"snms_sigma must be > 0, got {self.snms_sigma}")
 
     def replace(self, **kw) -> "PipelineConfig":
         return dataclasses.replace(self, **kw)
@@ -135,15 +141,12 @@ class PipelineConfig:
             return 2 * k + 1
         return effective_sources
 
+    def rescores(self, k: int) -> bool:
+        """Whether fusing candidates gathered with reach k needs a feature provider."""
+        return self.method == "swbf" and k > 0
+
     def fusion_config(self, num_sources: int) -> FusionConfig:
-        return FusionConfig(
-            method=self.method,
-            iou_threshold=self.iou_threshold,
-            num_sources=num_sources,
-            post_threshold=self.post_threshold,
-            snms_sigma=self.snms_sigma,
-            match=self.match,
-        )
+        return dataclasses.replace(self._fusion, num_sources=num_sources)
 
     def to_json_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -213,16 +216,36 @@ def validate_flow_coverage(
     """
     missing: set[tuple[int, int]] = set()
     for t in targets:
-        for off in offset_order(k):
-            source = t - off
-            if not manifest.has_frame(source):
-                continue
-            for a, b in chain_pairs(t, off):
-                if not manifest.flows.has(a, b):
-                    missing.add((a, b))
+        for _, pairs in reachable(t, k, manifest.has_frame):
+            missing.update(pair for pair in pairs if not manifest.flows.has(*pair))
     if missing:
         pairs = ", ".join(f"{a}->{b}" for a, b in sorted(missing))
         raise ValidationError(f"manifest is missing motion fields: {pairs}")
+
+
+def select_targets(manifest: SequenceManifest, spans: Iterable[range]) -> list[int]:
+    """The manifest frames that the spans cover, in frame order, each once.
+
+    A covered frame the manifest lacks is an error that gives their count
+    and the first five. Overlapping spans are merged, not listed, so the
+    cost follows the manifest and the number of spans, not their length.
+    """
+    merged: list[list[int]] = []
+    for span in sorted((s for s in spans if s), key=lambda s: s.start):
+        if merged and span.start <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], span.stop)
+        else:
+            merged.append([span.start, span.stop])
+    frames = manifest.frame_indices()
+    targets = [
+        f for a, b in merged for f in frames[bisect_left(frames, a) : bisect_left(frames, b)]
+    ]
+    unknown = sum(b - a for a, b in merged) - len(targets)
+    if unknown:
+        missing = (f for a, b in merged for f in range(a, b) if not manifest.has_frame(f))
+        named = ", ".join(map(str, islice(missing, 5))) + (", ..." if unknown > 5 else "")
+        raise ValidationError(f"{unknown} target frames not in manifest: [{named}]")
+    return targets
 
 
 def build_provider(manifest: SequenceManifest, config: PipelineConfig):
@@ -311,15 +334,20 @@ class PipelineRun:
     out_dir: Optional[Path] = None
 
 
-def _teacher_passthrough(candidates: CandidateSet, config: PipelineConfig) -> FusionResult:
-    kept = [d for d in candidates.detections if d.score > config.post_threshold]
-    dropped = len(candidates.detections) - len(kept)
-    return FusionResult(
-        labels=LabelSet(candidates.frame_index, kept),
-        clusters=len(kept),
-        dropped_rescore=0,
-        dropped_post=dropped,
-    )
+def fuse_frame(
+    candidates: CandidateSet, config: PipelineConfig, k: int, provider=None
+) -> tuple[FusionResult, int]:
+    """A frame's labels from its candidates gathered with reach k, and the num_sources used.
+
+    With k=0 there is nothing carried in to corroborate: the labels are the
+    candidates above the post threshold, as they stand, with no clustering.
+    """
+    if k == 0:
+        kept = [d for d in candidates.detections if d.score > config.post_threshold]
+        labels = LabelSet(candidates.frame_index, kept)
+        return FusionResult(labels, len(kept), dropped_post=len(candidates) - len(kept)), 1
+    num_sources = config.source_count(candidates.effective_sources, k)
+    return fuse_candidates(candidates, config.fusion_config(num_sources), provider), num_sources
 
 
 def run_pipeline(
@@ -337,16 +365,10 @@ def run_pipeline(
     if targets is None:
         targets = manifest.frame_indices()
     else:
-        targets = sorted(set(targets))
-        unknown = [t for t in targets if not manifest.has_frame(t)]
-        if unknown:
-            named = ", ".join(map(str, unknown[:5])) + (", ..." if len(unknown) > 5 else "")
-            raise ValidationError(f"{len(unknown)} target frames not in manifest: [{named}]")
+        targets = select_targets(manifest, [range(t, t + 1) for t in targets])
     validate_flow_coverage(manifest, config.k, targets)
 
-    provider = None
-    if config.method == "swbf" and config.k > 0:
-        provider = build_provider(manifest, config)
+    provider = build_provider(manifest, config) if config.rescores(config.k) else None
 
     labels_dir = None
     if out_dir is not None:
@@ -359,12 +381,7 @@ def run_pipeline(
         t0 = time.perf_counter()
         candidates = gather_candidates(manifest, config, t, window)
         t1 = time.perf_counter()
-        if config.k == 0:
-            result = _teacher_passthrough(candidates, config)
-            num_sources = 1
-        else:
-            num_sources = config.source_count(candidates.effective_sources, config.k)
-            result = fuse_candidates(candidates, config.fusion_config(num_sources), provider)
+        result, num_sources = fuse_frame(candidates, config, config.k, provider)
         t2 = time.perf_counter()
         if labels_dir is not None:
             records = label_records(result.labels, manifest.class_name)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -44,9 +44,7 @@ from .motion import transfer_box  # noqa: F401
 
 __all__ = [
     "chain_pairs",
-    "OffsetChain",
-    "PropagationPlan",
-    "plan_offsets",
+    "reachable",
     "CandidateSet",
     "RunWindow",
     "build_candidates",
@@ -76,49 +74,21 @@ def chain_pairs(target: int, offset: int) -> list[tuple[int, int]]:
     return [(s, s - 1) for s in range(source, target, -1)]
 
 
-@dataclass(frozen=True)
-class OffsetChain:
-    """One usable neighbour offset and the motion pairs that reach the target."""
+def reachable(
+    target: int, k: int, has_frame: Callable[[int], bool]
+) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+    """Each offset in ``offset_order(k)`` whose source frame exists, with its chain.
 
-    offset: int
-    source_frame: int
-    pairs: tuple[tuple[int, int], ...]
-
-
-@dataclass
-class PropagationPlan:
-    """Which offsets around a target frame can actually contribute."""
-
-    target_frame: int
-    k: int
-    chains: list[OffsetChain] = field(default_factory=list)
-
-    @property
-    def effective_sources(self) -> int:
-        # offset 0 (the teacher on the target frame itself) always counts
-        return 1 + len(self.chains)
-
-
-def plan_offsets(
-    target: int,
-    k: int,
-    has_frame: Callable[[int], bool],
-    flows: FlowStore,
-) -> PropagationPlan:
-    """Work out which neighbour offsets are reachable for a target frame."""
+    Yields ``(offset, chain_pairs(target, offset))``. The frame is checked
+    first: a reach far past the sequence then costs one check per offset,
+    not an |offset|-long chain for a source that is not there. Whether the
+    chain's motion fields exist is left to the caller.
+    """
     if k < 0:
         raise ValidationError(f"k must be >= 0, got {k}")
-    plan = PropagationPlan(target_frame=target, k=k)
     for offset in offset_order(k):
-        source = target - offset
-        # the frame first: a reach far past the sequence makes |offset|-long
-        # chains for sources that are not there
-        if not has_frame(source):
-            continue
-        pairs = chain_pairs(target, offset)
-        if all(flows.has(a, b) for a, b in pairs):
-            plan.chains.append(OffsetChain(offset, source, tuple(pairs)))
-    return plan
+        if has_frame(target - offset):
+            yield offset, chain_pairs(target, offset)
 
 
 def threshold_labels(labels: LabelSet, threshold: float) -> list[Detection]:
@@ -229,34 +199,35 @@ class RunWindow:
 
     def carried(
         self,
-        chain: OffsetChain,
+        source: int,
+        pairs: list[tuple[int, int]],
         get_labels: Callable[[int], Optional[LabelSet]],
         flows: FlowStore,
         teacher_threshold: float,
         mode: str,
     ) -> tuple[tuple[Detection, ...], np.ndarray]:
-        """The source's kept boxes and their corner positions at the chain's end.
+        """The source's kept boxes and their corner positions at the end of ``pairs``.
 
         A sweep is extended only as far as the chain asking for it, so no
         flow outside a requested target's chains is read. One window serves
         one run: the same labels, flows, teacher threshold and mode.
         """
-        key = chain.pairs[0]
+        key = pairs[0]
         sweep = self._sweeps.get(key)
         if sweep is None:
-            labels = self.labels(chain.source_frame, get_labels)
+            labels = self.labels(source, get_labels)
             kept = tuple(threshold_labels(labels, teacher_threshold))
             sweep = _Sweep(kept, box_corners(d.bbox for d in kept), ())
             self.stats["sweeps"]["loads"] += 1
         else:
             self.stats["sweeps"]["hits"] += 1
         have = len(sweep.hops)
-        if have < len(chain.pairs):
-            fields = [self._field(a, b, flows) for a, b in chain.pairs[have:]]
+        if have < len(pairs):
+            fields = [self._field(a, b, flows) for a, b in pairs[have:]]
             acc = sweep.hops[-1] if have else None
             hops = sweep.hops + tuple(carry(sweep.corners, fields, mode, acc))
             sweep = self._sweeps[key] = sweep._replace(hops=hops)
-        acc = sweep.hops[len(chain.pairs) - 1]
+        acc = sweep.hops[len(pairs) - 1]
         return sweep.kept, carried_position(sweep.corners, acc, mode)
 
     def finish(self, target: int) -> None:
@@ -329,14 +300,18 @@ def build_candidates(
             det = unchecked_detection(det.class_id, det.bbox, det.score)
         cand.detections.append(det)
         cand.source_boxes.append(None)
-    plan = plan_offsets(target, k, lambda f: window.labels(f, get_labels) is not None, flows)
-    for chain in plan.chains:
-        kept, corners = window.carried(chain, get_labels, flows, teacher_threshold, mode)
+    reach = reachable(target, k, lambda f: window.labels(f, get_labels) is not None)
+    chains = [(offset, pairs) for offset, pairs in reach if all(flows.has(*p) for p in pairs)]
+    # offset 0, the teacher on the target itself, always counts
+    cand.effective_sources = 1 + len(chains)
+    for offset, pairs in chains:
+        kept, corners = window.carried(
+            target - offset, pairs, get_labels, flows, teacher_threshold, mode
+        )
         for src, box in zip(kept, land_boxes(corners, size, min_coverage)):
             if box is not None:
                 # the source was checked, and land_boxes checked the landed box
-                det = unchecked_detection(src.class_id, box, src.score, chain.offset)
+                det = unchecked_detection(src.class_id, box, src.score, offset)
                 cand.detections.append(det)
                 cand.source_boxes.append(src.bbox)
-    cand.effective_sources = plan.effective_sources
     return cand

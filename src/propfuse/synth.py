@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import SceneValidationError, ValidationError
 from .geometry import BBox, Detection, FrameSize, LabelSet, clip_to_frame
-from .io import DetectionRecord, write_atomic, write_detections, write_frame
+from .io import DetectionRecord, read_text, write_atomic, write_detections, write_frame
 from .motion import DEFAULT_MIN_COVERAGE, FlowStore, Frame, MotionField, write_flow
 from .similarity import DEFAULT_PATCH_SIZE, PatchDescriptor, embedding_key
 
@@ -35,6 +35,7 @@ __all__ = [
     "DetectorNoise",
     "InjectedFalsePositive",
     "SceneSpec",
+    "load_spec",
     "SequenceBundle",
     "generate",
     "write_bundle",
@@ -44,6 +45,14 @@ __all__ = [
 def _quant(value: float) -> float:
     """Snap a float to its 6-decimal serialized form so write/read is exact."""
     return float(f"{value:.6f}")
+
+
+def _numbers(value, n: Optional[int] = None) -> tuple:
+    """A spec's list of numbers (``n`` of them if given), as given; else a ValueError."""
+    values = tuple(value)
+    if (n is not None and len(values) != n) or not all(isinstance(v, (int, float)) for v in values):
+        raise ValueError(f"expected {n or 'some'} numbers, got {value!r}")
+    return values
 
 
 def _in_intervals(t: int, intervals) -> bool:
@@ -165,8 +174,7 @@ class SceneSpec:
             raise SceneValidationError(f"channels must be 1 or 3, got {self.channels}")
         if self.background_mode not in ("noise", "flat"):
             raise SceneValidationError(f"unknown background mode {self.background_mode!r}")
-        mx, my = self.background_motion
-        if mx != int(mx) or my != int(my):
+        if not all(float(m).is_integer() for m in self.background_motion):
             raise SceneValidationError("background motion must be integer pixels per frame")
         for idx, obj in enumerate(self.objects):
             if not 0 <= obj.class_id < len(self.classes):
@@ -179,6 +187,12 @@ class SceneSpec:
             w, h = obj.size
             if w <= 0 or h <= 0:
                 raise SceneValidationError(f"object {idx}: size must be positive, got {obj.size}")
+            color = obj.color if isinstance(obj.color, tuple) else (obj.color,)
+            if len(color) not in (1, self.channels) or not all(0 <= c <= 255 for c in color):
+                raise SceneValidationError(
+                    f"object {idx}: color must be one value, or one per channel, "
+                    f"in [0, 255], got {obj.color}"
+                )
             for name in ("occlusion", "absent"):
                 for a, b in getattr(obj, name):
                     if not (0 <= a < b <= self.length):
@@ -207,12 +221,24 @@ class SceneSpec:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SceneSpec":
+        """The spec a parsed JSON object describes; ``validate`` checks the values.
+
+        A field of the wrong type or shape is a ``SceneValidationError``.
+        """
+        try:
+            return cls._parse(obj)
+        except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise SceneValidationError(f"malformed scene spec: {type(exc).__name__}: {exc}") from exc
+
+    @classmethod
+    def _parse(cls, obj: dict) -> "SceneSpec":
         try:
             size = FrameSize(int(obj["size"][0]), int(obj["size"][1]))
             length = int(obj["length"])
             classes = [str(c) for c in obj["classes"]]
-        except (KeyError, TypeError, IndexError, ValueError) as exc:
+        except (KeyError, TypeError, IndexError, OverflowError, ValueError) as exc:
             raise SceneValidationError(f"scene spec needs size, length, classes: {exc}") from exc
+
         def class_id_of(entry: dict, where: str) -> int:
             if "class" in entry:
                 name = str(entry["class"])
@@ -229,9 +255,13 @@ class SceneSpec:
             kw = dict(
                 class_id=class_id_of(o, f"object {i}"),
                 size=(float(o["size"][0]), float(o["size"][1])),
-                color=tuple(o["color"]) if isinstance(o.get("color"), list) else int(o.get("color", 200)),
-                occlusion=[tuple(iv) for iv in o.get("occlusion", [])],
-                absent=[tuple(iv) for iv in o.get("absent", [])],
+                color=(
+                    _numbers(o["color"])
+                    if isinstance(o.get("color"), list)
+                    else int(o.get("color", 200))
+                ),
+                occlusion=[_numbers(iv, 2) for iv in o.get("occlusion", [])],
+                absent=[_numbers(iv, 2) for iv in o.get("absent", [])],
             )
             if "waypoints" in o:
                 spec = ObjectSpec(
@@ -253,10 +283,10 @@ class SceneSpec:
             miss_prob=float(noise_obj.get("miss_prob", 0.0)),
             jitter_sigma=float(noise_obj.get("jitter_sigma", 0.0)),
             fp_rate=float(noise_obj.get("fp_rate", 0.0)),
-            fp_score_range=tuple(noise_obj.get("fp_score_range", (0.5, 0.9))),
-            true_score_range=tuple(noise_obj.get("true_score_range", (1.0, 1.0))),
-            fp_width_range=tuple(noise_obj.get("fp_width_range", (8.0, 24.0))),
-            fp_height_range=tuple(noise_obj.get("fp_height_range", (8.0, 24.0))),
+            fp_score_range=_numbers(noise_obj.get("fp_score_range", (0.5, 0.9)), 2),
+            true_score_range=_numbers(noise_obj.get("true_score_range", (1.0, 1.0)), 2),
+            fp_width_range=_numbers(noise_obj.get("fp_width_range", (8.0, 24.0)), 2),
+            fp_height_range=_numbers(noise_obj.get("fp_height_range", (8.0, 24.0)), 2),
         )
         injected = [
             InjectedFalsePositive(
@@ -280,8 +310,28 @@ class SceneSpec:
             channels=int(obj.get("channels", 1)),
             background_mode=str(bg.get("mode", "noise")),
             background_level=int(bg.get("level", 96)),
-            background_motion=tuple(bg.get("motion", (0, 0))),
+            background_motion=_numbers(bg.get("motion", (0, 0)), 2),
         )
+
+
+def load_spec(path: str | Path, seed: Optional[int] = None) -> SceneSpec:
+    """The validated scene spec in the JSON file at ``path``; ``seed`` overrides its seed.
+
+    Content that is wrong ends in a ``ValidationError`` naming the file: a
+    ``SceneValidationError`` once the file parses as JSON.
+    """
+    try:
+        obj = json.loads(read_text(path, "utf-8"))
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+        raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
+    if seed is not None and isinstance(obj, dict):
+        obj["seed"] = seed
+    try:
+        spec = SceneSpec.from_json_dict(obj)
+        spec.validate()
+    except ValidationError as exc:
+        raise SceneValidationError(f"{path}: {exc}") from exc
+    return spec
 
 
 @dataclass

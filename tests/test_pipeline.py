@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ import propfuse.manifest
 import propfuse.pipeline
 from propfuse.cli import _config_from_args, _parse_frames, build_parser, main
 from propfuse.errors import CliUsageError, FlowFormatError, ValidationError
+from propfuse.fusion import FusionConfig
 from propfuse.geometry import FrameSize
 from propfuse.io import DetectionRecord, detection_line
 from propfuse.manifest import load_manifest
@@ -113,6 +115,21 @@ class TestConfig:
             PipelineConfig(k=-1)
         with pytest.raises(ValidationError):
             PipelineConfig(method="magic")
+        # the fusion fields are checked once, by the FusionConfig the run uses
+        for name, value, message in (
+            ("iou_threshold", 1.0, "iou_threshold must lie in (0, 1), got 1.0"),
+            ("post_threshold", 1.5, "post_threshold must lie in [0, 1], got 1.5"),
+            ("num_sources", 0, "num_sources must be >= 1, got 0"),
+            ("snms_sigma", 0.0, "snms_sigma must be > 0, got 0.0"),
+        ):
+            with pytest.raises(ValidationError) as err:
+                PipelineConfig(**{name: value})
+            assert str(err.value) == message
+
+    def test_fusion_config_carries_the_run_settings(self):
+        cfg = PipelineConfig(method="snms", iou_threshold=0.6, post_threshold=0.2, snms_sigma=0.3)
+        fusion = cfg.replace(match="best", num_sources=4).fusion_config(7)
+        assert fusion == FusionConfig("snms", 0.6, 7, 0.2, 0.3, "best")
 
     def test_patch_size_bounded_before_any_frame(self, tmp_path, clean_dir, capsys, monkeypatch):
         from propfuse.similarity import MAX_PATCH_SIZE
@@ -518,8 +535,8 @@ def _bundles_simple_spec():
 
 class TestCli:
     def test_parse_frames(self):
-        assert _parse_frames("2:5,7") == [2, 3, 4, 7]
-        assert _parse_frames("3") == [3]
+        assert _parse_frames("2:5,7") == [range(2, 5), range(7, 8)]
+        assert _parse_frames("3") == [range(3, 4)]
         with pytest.raises(CliUsageError):
             _parse_frames("nope")
         with pytest.raises(CliUsageError):
@@ -536,6 +553,19 @@ class TestCli:
         rc = main(["pipeline", "--manifest", str(clean_dir), "--out", str(out), "--frames", "2,9"])
         assert rc == 1
         assert capsys.readouterr().err == "error: 1 target frames not in manifest: [9]\n"
+
+    def test_huge_frame_range_checked_without_listing_it(self, tmp_path, clean_dir, capsys):
+        # a range of 10**12 frames is merged with the overlapping tokens and
+        # counted against the 8-frame manifest, never expanded
+        out = tmp_path / "o"
+        frames = "0:1000000000000,5,999999999990:1000000000001,3:9"
+        started = time.perf_counter()
+        rc = main(["pipeline", "--manifest", str(clean_dir), "--out", str(out), "--frames", frames])
+        assert time.perf_counter() - started < 1.0
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: 999999999993 target frames not in manifest: [8, 9, 10, 11, 12, ...]\n"
+        assert not out.exists()
 
     def test_pipeline_then_eval_is_perfect(self, tmp_path, clean_dir, capsys):
         out = tmp_path / "run"
@@ -575,59 +605,28 @@ class TestCli:
         assert report["map50"] == 1.0
         assert csv_path.read_text().splitlines()[0].startswith("map,map50,map75")
 
-    def test_propagate_plus_fuse_matches_pipeline(self, tmp_path, clean_dir):
-        pipe_out = tmp_path / "pipe"
-        assert (
-            main(
-                [
-                    "pipeline",
-                    "--manifest",
-                    str(clean_dir),
-                    "--out",
-                    str(pipe_out),
-                    "--method",
-                    "swbf",
-                    "--k",
-                    "1",
-                ]
-            )
-            == 0
-        )
-        cand_path = tmp_path / "cand_4.jsonl"
-        assert (
-            main(
-                [
-                    "propagate",
-                    "--manifest",
-                    str(clean_dir),
-                    "--frame",
-                    "4",
-                    "--k",
-                    "1",
-                    "--out",
-                    str(cand_path),
-                ]
-            )
-            == 0
-        )
-        fused_path = tmp_path / "fused_4.jsonl"
-        assert (
-            main(
-                [
-                    "fuse",
-                    "--in",
-                    str(cand_path),
-                    "--method",
-                    "swbf",
-                    "--manifest",
-                    str(clean_dir),
-                    "--out",
-                    str(fused_path),
-                ]
-            )
-            == 0
-        )
-        assert fused_path.read_bytes() == (pipe_out / "labels" / "fused_000004.jsonl").read_bytes()
+    def test_propagate_plus_fuse_matches_pipeline(self, tmp_path, clean_dir, noisy_dir):
+        # the two-step route writes the pipeline's bytes for every frame, at
+        # k=0 (teacher labels, no fusion and no provider) as at k=1 and 3
+        for manifest, k, method in [(clean_dir, 1, "swbf")] + [
+            (noisy_dir, k, method) for k in (0, 1, 3) for method in ("swbf", "wbf")
+        ]:
+            pipe_out = tmp_path / f"pipe_{manifest.parent.name}_{k}_{method}"
+            flags = ["--k", str(k), "--method", method]
+            run = ["pipeline", "--manifest", str(manifest), "--out", str(pipe_out)]
+            assert main(run + flags) == 0
+            for t in load_manifest(manifest).frame_indices():
+                cand_path = tmp_path / f"cand_{t}.jsonl"
+                propagate = ["propagate", "--manifest", str(manifest), "--frame", str(t)]
+                assert main(propagate + ["--k", str(k), "--out", str(cand_path)]) == 0
+                fused_path = tmp_path / f"fused_{t}.jsonl"
+                fuse = ["fuse", "--in", str(cand_path), "--out", str(fused_path), "--method", method]
+                # at k=0 swbf rescores nothing, so fuse needs no frame pixels
+                if k > 0:
+                    fuse += ["--manifest", str(manifest)]
+                assert main(fuse) == 0
+                expected = pipe_out / "labels" / f"fused_{t:06d}.jsonl"
+                assert fused_path.read_bytes() == expected.read_bytes(), (k, method, t)
 
     def test_fuse_swbf_needs_manifest(self, tmp_path, clean_dir, capsys):
         cand_path = tmp_path / "cand.jsonl"

@@ -11,7 +11,7 @@ from propfuse.propagation import (
     build_candidates,
     chain_pairs,
     offset_order,
-    plan_offsets,
+    reachable,
     threshold_labels,
 )
 
@@ -60,20 +60,37 @@ class TestOffsets:
 
 
 class TestPlan:
+    """Which offsets reach a target: ``reachable``, and what ``build_candidates`` counts."""
+
+    @staticmethod
+    def effective_sources(target, k, n, flows):
+        table = {t: labels(t) for t in range(n)}
+        return build_candidates(target, k, table.get, flows, SIZE).effective_sources
+
     def test_all_frames_available(self):
-        plan = plan_offsets(5, 2, lambda t: 0 <= t < 20, full_store(20))
-        assert sorted(c.offset for c in plan.chains) == [-2, -1, 1, 2]
-        assert plan.effective_sources == 5
+        reach = dict(reachable(5, 2, lambda t: 0 <= t < 20))
+        assert sorted(reach) == [-2, -1, 1, 2]
+        assert all(pairs == chain_pairs(5, o) for o, pairs in reach.items())
+        assert self.effective_sources(5, 2, 20, full_store(20)) == 5
 
     def test_boundary_omission_at_sequence_start(self):
-        plan = plan_offsets(0, 1, lambda t: 0 <= t < 20, full_store(20))
-        assert [c.offset for c in plan.chains] == [-1]
-        assert plan.effective_sources == 2
+        assert [o for o, _ in reachable(0, 1, lambda t: 0 <= t < 20)] == [-1]
+        assert self.effective_sources(0, 1, 20, full_store(20)) == 2
 
     def test_missing_source_frame_omitted(self):
         has = lambda t: 0 <= t < 20 and t != 4
-        plan = plan_offsets(5, 1, has, full_store(20))
-        assert [c.offset for c in plan.chains] == [-1]
+        assert [o for o, _ in reachable(5, 1, has)] == [-1]
+
+    def test_missing_field_omitted_by_build_candidates(self):
+        # frame 4 exists but the field 4 -> 5 does not: offset +1 is reachable
+        # by frame and dropped for its chain, so only -1 counts
+        flows = store_with([(6, 5)])
+        assert [o for o, _ in reachable(5, 1, lambda t: 0 <= t < 20)] == [1, -1]
+        assert self.effective_sources(5, 1, 20, flows) == 2
+
+    def test_negative_reach_rejected(self):
+        with pytest.raises(ValidationError, match="k must be >= 0"):
+            list(reachable(5, -1, lambda t: True))
 
     def test_far_reach_builds_chains_only_for_present_sources(self, monkeypatch):
         # k = 10,000 around a 6-frame sequence: 20,000 offsets are tried, but
@@ -92,11 +109,13 @@ class TestPlan:
             asked.append(t)
             return 0 <= t < n
 
-        plan = plan_offsets(2, k, has, full_store(n))
+        reach = list(reachable(2, k, has))
         assert sorted(calls) == [(2, o) for o in (-3, -2, -1, 1, 2)]
         assert asked == [2 - o for o in offset_order(k)]
-        assert [c.offset for c in plan.chains] == [1, -1, 2, -2, -3]
-        assert plan.effective_sources == 6
+        assert [o for o, _ in reach] == [1, -1, 2, -2, -3]
+        calls.clear()
+        assert self.effective_sources(2, k, n, full_store(n)) == 6
+        assert sorted(calls) == [(2, o) for o in (-3, -2, -1, 1, 2)]
 
     def test_far_reach_candidates_equal_a_reach_covering_the_sequence(self, monkeypatch):
         n = 6

@@ -19,6 +19,7 @@ from propfuse.manifest import load_manifest
 from propfuse.motion import Frame, constant_field, read_flow, write_flow
 from propfuse.pipeline import load_config
 from propfuse.similarity import PrecomputedEmbeddings
+from propfuse.synth import load_spec
 
 DETECTIONS = (
     b'{"type": "candidate_meta", "frame": 1, "effective_sources": 3, "k": 1}\n'
@@ -27,6 +28,15 @@ DETECTIONS = (
     b'"source_offset": -1, "source_bbox": [1, 1, 4, 5]}\n'
 )
 CONFIG = b"# run\nk = 2\nmethod = swbf\nteacher_threshold = 0.35  # keep\nnum_sources = 3\njobs = 1\n"
+SCENE = (
+    b'{"size": [32, 24], "length": 3, "classes": ["car", "person"], "seed": 2,\n'
+    b' "objects": [{"class": "car", "size": [8, 6], "start": [4, 4], "velocity": [2, 1],\n'
+    b'              "occlusion": [[1, 2]], "color": [200, 90, 40]},\n'
+    b'             {"class_id": 1, "size": [5, 9], "waypoints": [[0, 20, 8], [2, 16, 10]]}],\n'
+    b' "noise": {"miss_prob": 0.1, "fp_rate": 0.5, "fp_score_range": [0.4, 0.8]},\n'
+    b' "injected_false_positives": [{"frame": 1, "class": "person", "bbox": [1, 1, 6, 7], "score": 0.6}],\n'
+    b' "channels": 3, "background": {"mode": "flat", "level": 90, "motion": [1, 0]}}\n'
+)
 EMBEDDINGS = (
     b'{"frame": 0, "box": [1.0, 2.0, 5.0, 6.0], "vec": [0.25, 1.0, 0.0, 0.5]}\n'
     b'{"frame": 1, "box": [0, 0, 3, 3], "vec": [1, 0, 0, 0]}\n'
@@ -58,6 +68,7 @@ def originals(tmp_path_factory):
         "manifest": json.dumps(manifest, indent=1).encode("ascii"),
         "config": CONFIG,
         "embeddings": EMBEDDINGS,
+        "scene": SCENE,
     }
     return root, originals
 
@@ -69,6 +80,9 @@ READERS = {
     "manifest": load_manifest,
     "config": load_config,
     "embeddings": PrecomputedEmbeddings.load,
+    # parsed and validated only: never rendered, so no edit asks for a large
+    # allocation
+    "scene": load_spec,
 }
 
 edits = st.lists(

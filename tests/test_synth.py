@@ -1,4 +1,6 @@
+import copy
 import filecmp
+import json
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +18,11 @@ from propfuse.synth import (
     ObjectSpec,
     SceneSpec,
     generate,
+    load_spec,
     write_bundle,
 )
+
+from propfuse.cli import main
 
 import _bundles
 
@@ -203,6 +208,65 @@ class TestFromJson:
                     "objects": [{"class": "car", "size": [10, 10]}],
                 }
             )
+
+
+SPEC = {
+    "size": [64, 48],
+    "length": 4,
+    "classes": ["car", "person"],
+    "objects": [
+        {"class": "car", "size": [10, 8], "start": [10, 10], "velocity": [2, 0],
+         "occlusion": [[1, 2]], "color": 180}
+    ],
+    "noise": {"miss_prob": 0.1},
+    "background": {"mode": "flat", "motion": [1, 0]},
+    "injected_false_positives": [{"frame": 1, "class": "person", "bbox": [5, 5, 15, 15], "score": 0.7}],
+}
+
+
+def _edited(edit):
+    spec = copy.deepcopy(SPEC)
+    edit(spec)
+    return json.dumps(spec)
+
+
+MALFORMED_SPECS = {
+    "object without size": _edited(lambda s: s["objects"][0].pop("size")),
+    "noise not an object": _edited(lambda s: s.update(noise=[1])),
+    "one-element occlusion": _edited(lambda s: s["objects"][0].update(occlusion=[[1]])),
+    "one-element background motion": _edited(lambda s: s["background"].update(motion=[1])),
+    "false positive without score": _edited(lambda s: s["injected_false_positives"][0].pop("score")),
+    "length too large to convert": json.dumps(SPEC).replace('"length": 4', '"length": 1e400'),
+    "two-value color": _edited(lambda s: s["objects"][0].update(color=[1, 2])),
+    "color of strings": _edited(lambda s: s["objects"][0].update(color=["a", "b", "c"])),
+    "color out of range": _edited(lambda s: s["objects"][0].update(color=300)),
+    "occlusion of strings": _edited(lambda s: s["objects"][0].update(occlusion=["ab"])),
+    "infinite background motion": json.dumps(SPEC).replace('"motion": [1, 0]', '"motion": [1e400, 0]'),
+    "spec not an object": "[1, 2]",
+}
+
+
+class TestLoadSpec:
+    def test_valid_spec_loads_with_seed_override(self, tmp_path):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(SPEC))
+        spec = load_spec(path, seed=5)
+        assert spec.seed == 5
+        assert spec.objects[0].occlusion == [(1, 2)]
+        assert spec.background_motion == (1, 0)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_SPECS))
+    def test_malformed_spec_is_a_scene_error_naming_the_file(self, tmp_path, capsys, name):
+        path = tmp_path / "scene.json"
+        path.write_text(MALFORMED_SPECS[name])
+        with pytest.raises(SceneValidationError) as err:
+            load_spec(path)
+        assert str(err.value).startswith(f"{path}: ")
+        # the CLI ends there too, before anything is rendered or written
+        rc = main(["synth", "--spec", str(path), "--out", str(tmp_path / "bundle")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {err.value}\n"
+        assert not (tmp_path / "bundle").exists()
 
 
 class TestWriteBundle:
