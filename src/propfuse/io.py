@@ -254,7 +254,7 @@ def write_frame(frame: Frame, path: str | Path) -> None:
     write_atomic(path, header + np.ascontiguousarray(frame.data).tobytes())
 
 
-def _next_token(raw: bytes, pos: int, path) -> tuple[bytes, int]:
+def _next_token(raw: bytearray, pos: int, path) -> tuple[bytes, int]:
     n = len(raw)
     while pos < n:
         c = raw[pos : pos + 1]
@@ -270,11 +270,18 @@ def _next_token(raw: bytes, pos: int, path) -> tuple[bytes, int]:
     start = pos
     while pos < n and not raw[pos : pos + 1].isspace():
         pos += 1
-    return raw[start:pos], pos
+    return bytes(raw[start:pos]), pos
 
 
 def read_frame(path: str | Path) -> Frame:
-    raw = Path(path).read_bytes()
+    """Parse a binary PGM or PPM frame; bytes after the payload are ignored.
+
+    The file is read once into a buffer that the returned pixel array views,
+    so the pixels are copied once, from the file, and stay writable.
+    """
+    with Path(path).open("rb") as fh:
+        raw = bytearray(os.fstat(fh.fileno()).st_size)
+        del raw[fh.readinto(raw) :]
     magic, pos = _next_token(raw, 0, path)
     if magic not in (b"P5", b"P6"):
         raise ValidationError(f"{path}: unsupported image magic {magic!r}")
@@ -293,9 +300,10 @@ def read_frame(path: str | Path) -> Frame:
     pos += 1  # single whitespace byte after maxval
     channels = 1 if magic == b"P5" else 3
     expected = width * height * channels
-    payload = raw[pos : pos + expected]
-    if len(payload) != expected:
-        raise ValidationError(f"{path}: payload has {len(payload)} bytes, expected {expected}")
-    data = np.frombuffer(payload, dtype=np.uint8).copy()
+    if len(raw) < pos + expected:
+        have = max(len(raw) - pos, 0)
+        raise ValidationError(f"{path}: payload has {have} bytes, expected {expected}")
+    del raw[pos + expected :]  # trailing bytes: the frame holds only its own
+    data = np.frombuffer(raw, dtype=np.uint8, count=expected, offset=pos)
     shape = (height, width) if channels == 1 else (height, width, 3)
     return Frame(FrameSize(width, height), data.reshape(shape))

@@ -42,6 +42,15 @@ __all__ = [
 ]
 
 
+# ``validate`` checks every object at every frame and ``generate`` holds
+# every frame and both motion fields of every frame pair in memory, about 17
+# bytes a grey pixel-frame, so both are capped before either starts. 10^4
+# frames is 50 times the longest benchmark scene; 10^8 pixel-frames is about
+# twice the 24-frame 1920x1080 one (5.0e7) and near 1.7 GB of frames and fields.
+MAX_SCENE_LENGTH = 10_000
+MAX_SCENE_PIXEL_FRAMES = 10**8
+
+
 def _quant(value: float) -> float:
     """Snap a float to its 6-decimal serialized form so write/read is exact."""
     return float(f"{value:.6f}")
@@ -168,6 +177,16 @@ class SceneSpec:
     def validate(self) -> None:
         if self.length < 1:
             raise SceneValidationError(f"sequence length must be >= 1, got {self.length}")
+        if self.length > MAX_SCENE_LENGTH:
+            raise SceneValidationError(
+                f"sequence length must be at most {MAX_SCENE_LENGTH}, got {self.length}"
+            )
+        pixel_frames = self.length * self.size.width * self.size.height
+        if pixel_frames > MAX_SCENE_PIXEL_FRAMES:
+            raise SceneValidationError(
+                f"length x width x height must be at most {MAX_SCENE_PIXEL_FRAMES}, got "
+                f"{self.length} x {self.size.width} x {self.size.height} = {pixel_frames}"
+            )
         if not self.classes:
             raise SceneValidationError("the class vocabulary must not be empty")
         if self.channels not in (1, 3):

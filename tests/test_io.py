@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -361,6 +362,42 @@ class TestFrameFiles:
         path.write_bytes(b"P7\n1 1\n255\n\x00")
         with pytest.raises(ValidationError):
             read_frame(path)
+
+    def test_trailing_bytes_are_ignored(self, tmp_path):
+        path = tmp_path / "t.pgm"
+        path.write_bytes(b"P5\n3 2\n255\n" + bytes(range(6)) + b"extra")
+        assert read_frame(path).data.tobytes() == bytes(range(6))
+
+    @pytest.mark.parametrize(
+        "raw, have, expected",
+        [(b"P5\n3 2\n255\n\x01\x02", 2, 6), (b"P6\n2 2\n255", 0, 12), (b"P5 1 1 255 ", 0, 1)],
+        ids=["short", "no separator", "no payload"],
+    )
+    def test_short_payload_message(self, tmp_path, raw, have, expected):
+        path = tmp_path / "s.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(ValidationError) as err:
+            read_frame(path)
+        assert str(err.value) == f"{path}: payload has {have} bytes, expected {expected}"
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_pixels_are_copied_once_and_writable(self, tmp_path, channels):
+        shape = (480, 640) if channels == 1 else (480, 640, 3)
+        data = np.random.default_rng(4).integers(0, 256, size=shape, dtype=np.uint8)
+        path = tmp_path / "big.pnm"
+        write_frame(Frame(FrameSize(640, 480), data), path)
+        read_frame(path)
+        tracemalloc.start()
+        try:
+            frame = read_frame(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * data.nbytes
+        assert np.array_equal(frame.data, data)
+        assert frame.data.flags.writeable
+        frame.data[0, 0] ^= 255
+        assert read_frame(path).data.tobytes() == data.tobytes()
 
     @pytest.mark.parametrize("dims", [b"-2 4", b"3 0", b"0 0"])
     def test_non_positive_dimensions_rejected(self, tmp_path, dims):

@@ -1,6 +1,8 @@
 import math
+import os
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from propfuse.errors import (
 )
 from propfuse.geometry import BBox, Detection, FrameSize
 from propfuse.motion import (
+    FLOW_BLOCK_BYTES,
     ComposedMotion,
     FlowStore,
     Frame,
@@ -136,6 +139,92 @@ class TestFlowFile:
             path = Path(tmp) / "r.flo"
             write_flow(_field(FrameSize(w, h), data), path)
             assert read_flow(path).data.tobytes() == data.tobytes()
+
+
+# A field of several blocks whose last block is partial, and one so wide
+# that each block is a single row.
+ROWS_PER_BLOCK = FLOW_BLOCK_BYTES // (1000 * 8)
+TALL = FrameSize(1000, 3 * ROWS_PER_BLOCK + 7)
+WIDE = FrameSize(FLOW_BLOCK_BYTES // 8 + 1, 3)
+
+
+def _ramp(size):
+    n = size.height * size.width * 2
+    return np.linspace(-9.0, 9.0, n, dtype=np.float32).reshape(size.height, size.width, 2)
+
+
+class TestBlockwiseCheck:
+    def test_block_layout(self):
+        from propfuse.motion import _row_blocks
+
+        tall = [b.shape[0] for b in _row_blocks(_ramp(TALL))]
+        assert tall == [ROWS_PER_BLOCK] * 3 + [7]
+        assert [b.shape[0] for b in _row_blocks(_ramp(WIDE))] == [1, 1, 1]
+        assert len(list(_row_blocks(np.zeros((160, 224, 2), np.float32)))) == 1
+        assert len(list(_row_blocks(np.zeros((192, 256, 2), np.float32)))) == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("channel", [0, 1])
+    @pytest.mark.parametrize(
+        "size, at",
+        [
+            (TALL, (1, 7)),
+            (TALL, (2 * ROWS_PER_BLOCK, 500)),
+            (TALL, (TALL.height - 1, TALL.width - 1)),
+            (WIDE, (0, 0)),
+            (WIDE, (1, WIDE.width // 2)),
+            (WIDE, (2, WIDE.width - 1)),
+        ],
+        ids=["tall-first", "tall-middle", "tall-last-row", "wide-first", "wide-middle", "wide-last-row"],
+    )
+    def test_non_finite_value_in_any_block_is_rejected(self, tmp_path, bad, channel, size, at):
+        data = _ramp(size)
+        data[at + (channel,)] = bad
+        path = tmp_path / "n.flo"
+        path.write_bytes(struct.pack("<fii", 202021.25, size.width, size.height) + data.tobytes())
+        with pytest.raises(FlowFormatError) as err:
+            read_flow(path)
+        assert str(err.value) == f"{path}: payload contains non-finite values"
+        with pytest.raises(ValidationError, match="^motion field contains non-finite values$"):
+            MotionField(size, data)
+
+    @pytest.mark.parametrize("size", [TALL, WIDE], ids=["tall", "wide"])
+    def test_valid_multi_block_field_round_trips_bit_for_bit(self, tmp_path, size):
+        data = _ramp(size)
+        data[-1, -1] = np.finfo(np.float32).max, -np.finfo(np.float32).max
+        path = tmp_path / "v.flo"
+        write_flow(MotionField(size, data), path)
+        back = read_flow(path, from_frame=3, to_frame=4)
+        assert back.data.tobytes() == data.tobytes()
+        assert (back.size, back.from_frame, back.to_frame) == (size, 3, 4)
+        assert back.data.dtype == np.float32 and back.data.nbytes == size.width * size.height * 8
+
+    def test_payload_that_ends_inside_a_block_is_a_length_error(self, tmp_path, monkeypatch):
+        # a file that shrinks after its size was checked
+        path = tmp_path / "s.flo"
+        write_flow(MotionField(TALL, _ramp(TALL)), path)
+        expected = path.stat().st_size
+        cut = 12 + (2 * ROWS_PER_BLOCK + 3) * TALL.width * 8 + 5
+        path.write_bytes(path.read_bytes()[:cut])
+        stat = os.stat_result((0,) * 6 + (expected,) + (0,) * 3)
+        with monkeypatch.context() as m:
+            m.setattr(os, "fstat", lambda fd: stat)
+            with pytest.raises(FlowLengthError) as err:
+                read_flow(path)
+        assert str(err.value) == f"{path}: payload ended after {cut} of {expected} bytes"
+
+    def test_read_allocates_the_payload_and_no_field_sized_temporary(self, tmp_path):
+        size = FrameSize(640, 480)
+        path = tmp_path / "m.flo"
+        write_flow(MotionField(size, _ramp(size)), path)
+        read_flow(path)
+        tracemalloc.start()
+        try:
+            field = read_flow(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * field.data.nbytes
 
 
 class TestSampling:

@@ -1,6 +1,8 @@
 import copy
 import filecmp
+import importlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,8 @@ from propfuse.manifest import load_manifest
 from propfuse.motion import sample_bilinear
 from propfuse.similarity import PrecomputedEmbeddings
 from propfuse.synth import (
+    MAX_SCENE_LENGTH,
+    MAX_SCENE_PIXEL_FRAMES,
     DetectorNoise,
     InjectedFalsePositive,
     ObjectSpec,
@@ -267,6 +271,54 @@ class TestLoadSpec:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {err.value}\n"
         assert not (tmp_path / "bundle").exists()
+
+    @pytest.mark.parametrize(
+        "length, size, message",
+        [
+            (10**12, [64, 48], f"sequence length must be at most {MAX_SCENE_LENGTH}, got 1000000000000"),
+            (MAX_SCENE_LENGTH + 1, [1, 1], f"sequence length must be at most {MAX_SCENE_LENGTH}, got 10001"),
+            (
+                4,
+                [10**12, 10**12],
+                f"length x width x height must be at most {MAX_SCENE_PIXEL_FRAMES}, got "
+                "4 x 1000000000000 x 1000000000000 = 4000000000000000000000000",
+            ),
+            (
+                MAX_SCENE_LENGTH,
+                [100, 101],
+                f"length x width x height must be at most {MAX_SCENE_PIXEL_FRAMES}, got "
+                "10000 x 100 x 101 = 101000000",
+            ),
+        ],
+        ids=["length 1e12", "length one over", "size 1e12", "pixel-frames one row over"],
+    )
+    def test_oversized_scene_rejected_before_any_frame_is_checked(
+        self, tmp_path, capsys, length, size, message
+    ):
+        path = tmp_path / "scene.json"
+        path.write_text(_edited(lambda s: s.update(length=length, size=size)))
+        with pytest.raises(SceneValidationError) as err:
+            load_spec(path)
+        assert str(err.value) == f"{path}: {message}"
+        rc = main(["synth", "--spec", str(path), "--out", str(tmp_path / "bundle")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {err.value}\n"
+        assert not (tmp_path / "bundle").exists()
+
+    def test_scenes_at_the_caps_are_admitted(self):
+        SceneSpec(size=FrameSize(1, 1), length=MAX_SCENE_LENGTH, classes=["car"]).validate()
+        SceneSpec(size=FrameSize(10**4, 10**4), length=1, classes=["car"]).validate()
+        SceneSpec(size=FrameSize(100, 100), length=MAX_SCENE_LENGTH, classes=["car"]).validate()
+
+    def test_caps_admit_every_benchmark_scene(self):
+        bench = Path(__file__).resolve().parent.parent / "bench"
+        sys.path.insert(0, str(bench))
+        try:
+            workloads = importlib.import_module("workloads")
+        finally:
+            sys.path.remove(str(bench))
+        for workload in workloads.WORKLOADS.values():
+            workload.build(1, False).validate()
 
 
 class TestWriteBundle:
