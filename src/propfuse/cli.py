@@ -99,12 +99,15 @@ def _parse_frames(text: str) -> list[range]:
         try:
             if ":" in token:
                 a, _, b = token.partition(":")
-                out.append(range(int(a), int(b)))
+                span = range(int(a), int(b))
             else:
-                out.append(range(int(token), int(token) + 1))
+                span = range(int(token), int(token) + 1)
         except ValueError:
             raise CliUsageError(f"bad frame token {token!r} in --frames")
-    if not any(out):
+        if not span:
+            raise CliUsageError(f"empty frame range {token!r} in --frames: need a < b in a:b")
+        out.append(span)
+    if not out:
         raise CliUsageError("--frames selected no frames")
     return out
 

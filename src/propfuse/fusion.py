@@ -61,8 +61,8 @@ class FusionConfig:
             raise ValidationError(f"post_threshold must lie in [0, 1], got {self.post_threshold}")
         if self.num_sources < 1:
             raise ValidationError(f"num_sources must be >= 1, got {self.num_sources}")
-        if self.snms_sigma <= 0.0:
-            raise ValidationError(f"snms_sigma must be > 0, got {self.snms_sigma}")
+        if not 0.0 < self.snms_sigma < math.inf:
+            raise ValidationError(f"snms_sigma must be finite and > 0, got {self.snms_sigma}")
         if self.match not in MATCH_MODES:
             raise ValidationError(f"unknown match mode {self.match!r}; expected one of {MATCH_MODES}")
 

@@ -76,8 +76,8 @@ def write_atomic(path: str | Path, data: str | bytes, encoding: str | None = Non
     """Write text or bytes to a sibling temporary file, then move it over ``path``.
 
     Text is encoded with ``encoding`` before anything is opened. If writing
-    fails the temporary file is removed and ``path`` keeps whatever it held
-    before.
+    fails the temporary file is removed, ``path`` keeps whatever it held
+    before, and an ``OSError`` names ``path``, not the temporary file.
     """
     path = Path(path)
     if isinstance(data, str):
@@ -87,6 +87,9 @@ def write_atomic(path: str | Path, data: str | bytes, encoding: str | None = Non
         with open(tmp, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
+    except OSError as exc:
+        tmp.unlink(missing_ok=True)
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

@@ -4,8 +4,8 @@ A manifest lists the frame size, the class vocabulary (index -> name), one
 entry per frame (frame image plus its teacher detections), the motion-field
 files keyed by ordered (from, to) frame pair, and optional ground-truth and
 embedding files. Paths are relative to the manifest's directory and must
-exist at load time. Frames and teacher labels are read on every request; a
-run keeps what it reads in its ``propagation.RunWindow``.
+exist at load time. Each listed file is read on every request, so a manifest
+keeps nothing it reads; a run holds what it reads in its ``RunWindow``.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ class SequenceManifest:
         self.gt_path = gt_path
         self.embeddings_path = embeddings_path
         self._class_to_id = {name: i for i, name in enumerate(classes)}
-        self._gt_cache: Optional[dict[int, LabelSet]] = None
 
     # -- vocabulary ---------------------------------------------------------
 
@@ -100,16 +99,21 @@ class SequenceManifest:
         return frame
 
     def ground_truth(self) -> dict[int, LabelSet]:
+        """Ground-truth labels by frame, read from the manifest's file on every call."""
         if self.gt_path is None:
             raise ValidationError("manifest has no ground-truth file")
-        if self._gt_cache is None:
-            records, _ = read_detections(self.gt_path)
-            by_frame: dict[int, LabelSet] = {}
-            for rec in records:
-                labels = by_frame.setdefault(rec.frame, LabelSet(frame_index=rec.frame))
-                labels.detections.append(record_detection(rec, self.class_id(rec.class_name)))
-            self._gt_cache = by_frame
-        return self._gt_cache
+        records, _ = read_detections(self.gt_path)
+        by_frame: dict[int, LabelSet] = {}
+        for rec in records:
+            labels = by_frame.setdefault(rec.frame, LabelSet(frame_index=rec.frame))
+            labels.detections.append(record_detection(rec, self.class_id(rec.class_name)))
+        return by_frame
+
+
+def _integer(value, key: str) -> int:
+    if type(value) is not int:  # int() would floor 1.7 and read true as 1
+        raise TypeError(f"{key} must be an integer, got {type(value).__name__} {value!r}")
+    return value
 
 
 def load_manifest(path: str | Path) -> SequenceManifest:
@@ -124,8 +128,8 @@ def load_manifest(path: str | Path) -> SequenceManifest:
     root = path.parent
 
     try:
-        size = FrameSize(int(obj["size"][0]), int(obj["size"][1]))
-    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
+        size = FrameSize(_integer(obj["size"][0], "width"), _integer(obj["size"][1], "height"))
+    except (KeyError, TypeError, IndexError, ValidationError) as exc:
         raise ValidationError(f"{path}: bad or missing size: {exc}") from exc
     classes = obj.get("classes")
     if not isinstance(classes, list) or not classes:
@@ -145,10 +149,10 @@ def load_manifest(path: str | Path) -> SequenceManifest:
     frames: dict[int, FrameEntry] = {}
     for entry in obj.get("frames", []):
         try:
-            idx = int(entry["index"])
+            idx = _integer(entry["index"], "index")
             frame_path = _resolve(entry["frame"])
             det_path = _resolve(entry["detections"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"{path}: malformed frame entry {entry}: {exc}") from exc
         if idx in frames:
             raise ValidationError(f"{path}: duplicate frame index {idx}")
@@ -157,17 +161,15 @@ def load_manifest(path: str | Path) -> SequenceManifest:
         raise ValidationError(f"{path}: manifest lists no frames")
 
     flows = FlowStore(size=size)
-    seen_pairs = set()
     for entry in obj.get("flows", []):
         try:
-            a = int(entry["from"])
-            b = int(entry["to"])
+            a = _integer(entry["from"], "from")
+            b = _integer(entry["to"], "to")
             flow_path = _resolve(entry["path"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"{path}: malformed flow entry {entry}: {exc}") from exc
-        if (a, b) in seen_pairs:
+        if flows.has(a, b):
             raise ValidationError(f"{path}: duplicate flow pair ({a}, {b})")
-        seen_pairs.add((a, b))
         flows.add(a, b, flow_path)
 
     gt_path = _resolve(obj["gt"]) if obj.get("gt") else None

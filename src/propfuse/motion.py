@@ -382,10 +382,10 @@ def transfer_box(
 class FlowStore:
     """Lookup of motion fields by ordered (from_frame, to_frame) pair.
 
-    Entries may be in-memory fields or paths. A path is read on first use
-    and its field kept until ``release`` gives the entry back to its path;
-    an in-memory field is never released. With ``size`` given, a field read
-    from a path must have that size.
+    Entries may be in-memory fields or paths. ``get`` returns an in-memory
+    field as it is and reads a path on every call, keeping nothing; a run
+    holds what it reads in its ``propagation.RunWindow``. With ``size``
+    given, a field read from a path must have that size.
     """
 
     def __init__(
@@ -395,16 +395,13 @@ class FlowStore:
     ):
         self.size = size
         self._entries: dict[tuple[int, int], MotionField | Path] = {}
-        self._loaded: dict[tuple[int, int], MotionField] = {}
         for pair, value in (entries or {}).items():
             self.add(pair[0], pair[1], value)
 
     def add(self, from_frame: int, to_frame: int, value: MotionField | str | Path) -> None:
-        key = (int(from_frame), int(to_frame))
         if not isinstance(value, MotionField):
             value = Path(value)
-        self._entries[key] = value
-        self._loaded.pop(key, None)
+        self._entries[int(from_frame), int(to_frame)] = value
 
     def has(self, from_frame: int, to_frame: int) -> bool:
         return (from_frame, to_frame) in self._entries
@@ -413,24 +410,16 @@ class FlowStore:
         return sorted(self._entries)
 
     def get(self, from_frame: int, to_frame: int) -> MotionField:
-        key = (from_frame, to_frame)
-        value = self._entries.get(key)
+        value = self._entries.get((from_frame, to_frame))
         if value is None:
             raise MissingFlowError(from_frame, to_frame)
         if isinstance(value, MotionField):
             return value
-        field = self._loaded.get(key)
-        if field is None:
-            field = read_flow(value, from_frame=from_frame, to_frame=to_frame)
-            if self.size is not None and field.size != self.size:
-                got, want = field.size, self.size
-                raise FlowFormatError(
-                    f"{value}: field is {got.width}x{got.height}, "
-                    f"frames are {want.width}x{want.height}"
-                )
-            self._loaded[key] = field
+        field = read_flow(value, from_frame=from_frame, to_frame=to_frame)
+        if self.size is not None and field.size != self.size:
+            got, want = field.size, self.size
+            raise FlowFormatError(
+                f"{value}: field is {got.width}x{got.height}, "
+                f"frames are {want.width}x{want.height}"
+            )
         return field
-
-    def release(self, from_frame: int, to_frame: int) -> None:
-        """Drop a field read from a path; the next ``get`` reads the file again."""
-        self._loaded.pop((from_frame, to_frame), None)

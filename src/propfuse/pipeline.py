@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -113,6 +114,9 @@ class PipelineConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1], got {v}")
+        small = self.small_height_threshold
+        if not 0.0 <= small < math.inf:
+            raise ValidationError(f"small_height_threshold must be finite and >= 0, got {small}")
         # FusionConfig checks the fusion fields; num_sources is set per frame
         self._fusion = FusionConfig(
             method=self.method,

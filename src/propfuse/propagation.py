@@ -151,10 +151,10 @@ class RunWindow:
     target reads, and each label and flow file is read once; in any other
     order the window holds no more than two targets' reach. Dropping early
     is never wrong, only slower: what a target reads again is loaded again,
-    bit for bit the same. A field goes back to its ``FlowStore``, which
-    drops it only if it was read from a path; provider frames go back to
-    the provider. ``stats`` counts, per kind of data, loads, hits,
-    evictions and the most held at once.
+    bit for bit the same. The window is the only holder of the fields it
+    reads: ``FlowStore`` keeps none, so a dropped field read from a file is
+    freed; provider frames go back to the provider. ``stats`` counts, per
+    kind of data, loads, hits, evictions and the most held at once.
     """
 
     def __init__(self, targets: Iterable[int], k: int, provider=None):
@@ -162,7 +162,7 @@ class RunWindow:
         self.k = k
         self.provider = provider
         self._labels: dict[int, Optional[LabelSet]] = {}
-        self._fields: dict[tuple[int, int], FlowStore] = {}
+        self._fields: dict[tuple[int, int], MotionField] = {}
         self._sweeps: dict[tuple[int, int], _Sweep] = {}
         self.stats = {kind: Counter() for kind in ("labels", "fields", "sweeps", "frames")}
 
@@ -180,22 +180,20 @@ class RunWindow:
         self, frame: int, get_labels: Callable[[int], Optional[LabelSet]]
     ) -> Optional[LabelSet]:
         """The frame's teacher labels, or None where it has none."""
-        try:
-            labels = self._labels[frame]
-        except KeyError:
-            labels = self._labels[frame] = get_labels(frame)
-            self.stats["labels"]["loads"] += 1
-        else:
-            self.stats["labels"]["hits"] += 1
-        return labels
+        return self._hold("labels", self._labels, frame, get_labels)
 
     def _field(self, a: int, b: int, flows: FlowStore) -> MotionField:
         """The motion field (a, b) of ``flows``, held until the window drops it."""
-        held = (a, b) in self._fields
-        field = flows.get(a, b)
-        self._fields[a, b] = flows
-        self.stats["fields"]["hits" if held else "loads"] += 1
-        return field
+        return self._hold("fields", self._fields, (a, b), lambda pair: flows.get(*pair))
+
+    def _hold(self, kind: str, held: dict, key, load: Callable):
+        """``held[key]``, stored as ``load(key)`` first if the window lacks it."""
+        if key in held:
+            self.stats[kind]["hits"] += 1
+            return held[key]
+        value = held[key] = load(key)
+        self.stats[kind]["loads"] += 1
+        return value
 
     def carried(
         self,
@@ -252,9 +250,9 @@ class RunWindow:
             a, b = pair
             return next_target is not None and 1 <= (next_target - a) * (b - a) <= k
 
-        self._evict("labels", list(self._labels), frame_read, lambda f: self._labels.pop(f, None))
-        self._evict("fields", list(self._fields), pair_read, self._release_field)
-        self._evict("sweeps", list(self._sweeps), pair_read, lambda p: self._sweeps.pop(p, None))
+        self._evict("labels", list(self._labels), frame_read, self._labels.pop)
+        self._evict("fields", list(self._fields), pair_read, self._fields.pop)
+        self._evict("sweeps", list(self._sweeps), pair_read, self._sweeps.pop)
         if self.provider is not None:
             self._evict("frames", self.provider.held_frames(), frame_read, self.provider.release)
 
@@ -263,11 +261,6 @@ class RunWindow:
             if not is_read(key):
                 drop(key)
                 self.stats[kind]["evictions"] += 1
-
-    def _release_field(self, pair: tuple[int, int]) -> None:
-        flows = self._fields.pop(pair, None)
-        if flows is not None:
-            flows.release(*pair)
 
 
 def build_candidates(

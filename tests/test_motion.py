@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import propfuse.motion
 from propfuse.errors import (
     FlowFormatError,
     FlowLengthError,
@@ -450,26 +451,32 @@ class TestFlowStore:
             store.get(1, 0)
         assert "1" in str(err.value) and "0" in str(err.value)
 
-    def test_lazy_path_loading(self, tmp_path):
+    def test_path_entry_is_read_on_every_get(self, tmp_path, monkeypatch):
         f = constant_field(FrameSize(3, 2), 0.5, -0.5)
         path = tmp_path / "x.flo"
         write_flow(f, path)
+        reads = []
+        real = propfuse.motion.read_flow
+
+        def counted(*args, **kwargs):
+            reads.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(propfuse.motion, "read_flow", counted)
         store = FlowStore()
         store.add(2, 3, path)
+        assert reads == []
         got = store.get(2, 3)
-        assert np.array_equal(got.data, f.data)
-        assert store.get(2, 3) is got
-
-    def test_release_returns_a_path_entry_to_its_file(self, tmp_path):
-        path = tmp_path / "x.flo"
-        write_flow(constant_field(FrameSize(3, 2), 0.5, -0.5), path)
-        mine = constant_field(FrameSize(3, 2), 1.0, 0.0)
-        store = FlowStore({(2, 3): path, (3, 2): mine})
-        got = store.get(2, 3)
-        store.release(2, 3)
-        store.release(3, 2)
         again = store.get(2, 3)
-        assert again is not got and np.array_equal(again.data, got.data)
+        assert reads == [path, path]
+        assert again is not got
+        assert got.data.tobytes() == again.data.tobytes() == f.data.tobytes()
+        assert (got.from_frame, got.to_frame) == (again.from_frame, again.to_frame) == (2, 3)
+
+    def test_in_memory_entry_is_returned_as_it_is(self):
+        mine = constant_field(FrameSize(3, 2), 1.0, 0.0)
+        store = FlowStore({(3, 2): mine})
+        assert store.get(3, 2) is mine
         assert store.get(3, 2) is mine
 
     def test_field_of_another_size_names_the_file(self, tmp_path):

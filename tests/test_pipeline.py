@@ -120,7 +120,9 @@ class TestConfig:
             ("iou_threshold", 1.0, "iou_threshold must lie in (0, 1), got 1.0"),
             ("post_threshold", 1.5, "post_threshold must lie in [0, 1], got 1.5"),
             ("num_sources", 0, "num_sources must be >= 1, got 0"),
-            ("snms_sigma", 0.0, "snms_sigma must be > 0, got 0.0"),
+            ("snms_sigma", 0.0, "snms_sigma must be finite and > 0, got 0.0"),
+            ("snms_sigma", float("nan"), "snms_sigma must be finite and > 0, got nan"),
+            ("snms_sigma", float("inf"), "snms_sigma must be finite and > 0, got inf"),
         ):
             with pytest.raises(ValidationError) as err:
                 PipelineConfig(**{name: value})
@@ -157,6 +159,51 @@ class TestConfig:
             if "choices" in f.metadata:
                 with pytest.raises(ValidationError):
                     PipelineConfig(**{f.name: "bogus"})
+
+
+def strict_json(text: str):
+    """``json.loads`` that rejects NaN and the infinities, which are not JSON."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestNonFiniteConfig:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "command, flag, message",
+        [
+            ("pipeline --method wbf", "--snms-sigma", "snms_sigma must be finite and > 0"),
+            ("pipeline --method snms", "--snms-sigma", "snms_sigma must be finite and > 0"),
+            ("selfcheck", "--small-height-threshold", "small_height_threshold must be finite and >= 0"),
+        ],
+    )
+    def test_rejected_before_any_output(self, tmp_path, clean_dir, capsys, command, flag, value, message):
+        out = tmp_path / "out"
+        argv = command.split() + ["--manifest", str(clean_dir), "--out", str(out), f"{flag}={value}"]
+        if command == "selfcheck":
+            argv += ["--frame", "2"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}, got {float(value)}\n"
+        assert not out.exists()
+
+    def test_negative_small_height_threshold_rejected(self):
+        with pytest.raises(ValidationError) as err:
+            PipelineConfig(small_height_threshold=-1.0)
+        assert str(err.value) == "small_height_threshold must be finite and >= 0, got -1.0"
+        assert PipelineConfig(small_height_threshold=0.0).small_height_threshold == 0.0
+
+    def test_reports_are_strict_json(self, tmp_path, clean_dir):
+        out = tmp_path / "out"
+        argv = ["--snms-sigma", "1e300", "--small-height-threshold", "1e300"]
+        assert main(["pipeline", "--manifest", str(clean_dir), "--out", str(out), "--method", "wbf"] + argv) == 0
+        config = strict_json((out / "run_report.json").read_text())["config"]
+        assert (config["snms_sigma"], config["small_height_threshold"]) == (1e300, 1e300)
+        check = tmp_path / "check.json"
+        assert main(["selfcheck", "--manifest", str(clean_dir), "--frame", "2", "--out", str(check)] + argv) == 0
+        assert strict_json(check.read_text())["small_height_threshold"] == 1e300
 
 
 def _non_default(f: dataclasses.Field):
@@ -541,6 +588,39 @@ class TestCli:
             _parse_frames("nope")
         with pytest.raises(CliUsageError):
             _parse_frames(",")
+        # an empty a:b range is named, not dropped in favour of the other tokens
+        for text, token in (("5:3,7", "5:3"), ("7, 4:4", "4:4"), ("2:5,9:-1", "9:-1")):
+            with pytest.raises(CliUsageError) as err:
+                _parse_frames(text)
+            assert str(err.value) == f"empty frame range {token!r} in --frames: need a < b in a:b"
+
+    def test_reversed_frame_range_exits_one(self, tmp_path, clean_dir, capsys):
+        out = tmp_path / "o"
+        rc = main(["pipeline", "--manifest", str(clean_dir), "--out", str(out), "--frames", "5:3,7"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: empty frame range '5:3' in --frames: need a < b in a:b\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["selfcheck", "eval", "eval --csv"])
+    def test_out_in_a_missing_directory_names_the_path(self, tmp_path, clean_dir, capsys, command):
+        gt = str(clean_dir.parent / "gt.jsonl")
+        target = tmp_path / "nodir" / "r.json"
+        if command == "selfcheck":
+            argv = ["selfcheck", "--manifest", str(clean_dir), "--frame", "2", "--out", str(target)]
+        else:
+            argv = ["eval", "--dets", gt, "--gt", gt, "--out", str(tmp_path / "r.json")]
+            if command == "eval":
+                argv[-1] = str(target)
+            else:
+                target = target.with_suffix(".csv")
+                argv += ["--csv", str(target)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+        # no temporary file is left beside the report, and none is named
+        left = sorted(p.name for p in tmp_path.iterdir())
+        assert left == (["r.json"] if command == "eval --csv" else [])
 
     def test_unknown_frames_named_in_a_bounded_line(self, tmp_path, clean_dir, capsys):
         # the 8-frame bundle against a range of 300,000: the line gives the

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from propfuse.cli import main
 from propfuse.errors import PropfuseError, ValidationError
 from propfuse.geometry import BBox, Detection, FrameSize, unchecked_bbox
 from propfuse.io import read_detections, read_frame, record_detection, write_frame
@@ -219,3 +220,37 @@ def test_manifest_number_out_of_range_is_a_validation_error(originals, where):
     path.write_text(json.dumps(manifest))
     with pytest.raises(ValidationError, match="^" + re.escape(f"{path}: ")):
         load_manifest(path)
+
+
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        ("index", 1.7, "malformed frame entry {entry}: index must be an integer, got float 1.7"),
+        ("index", True, "malformed frame entry {entry}: index must be an integer, got bool True"),
+        ("size", 6.9, "bad or missing size: width must be an integer, got float 6.9"),
+        ("from", 0.9, "malformed flow entry {entry}: from must be an integer, got float 0.9"),
+        ("to", 1.0, "malformed flow entry {entry}: to must be an integer, got float 1.0"),
+    ],
+    ids=["index-float", "index-bool", "size-float", "from-float", "to-float"],
+)
+def test_manifest_numbers_must_be_json_integers(originals, capsys, where, value, message):
+    # int() would floor each of these, or read true as 1, and load a wrong frame
+    root, valid = originals
+    manifest = json.loads(valid["manifest"])
+    if where == "index":
+        entry = manifest["frames"][1]
+    elif where == "size":
+        entry = manifest["size"]
+        where = 0
+    else:
+        entry = manifest["flows"][0]
+    entry[where] = value
+    path = root / "not-an-integer.json"
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValidationError) as err:
+        load_manifest(path)
+    assert str(err.value) == f"{path}: " + message.format(entry=entry)
+    out = root / "not-an-integer-check.json"
+    assert main(["selfcheck", "--manifest", str(path), "--frame", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+    assert not out.exists()

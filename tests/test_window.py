@@ -1,8 +1,10 @@
 """What a run holds in memory, and that it lets go of it."""
 
+import gc
 import json
 import random
 import shutil
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -12,6 +14,7 @@ import propfuse.manifest
 import propfuse.motion
 import propfuse.pipeline
 from propfuse.errors import FlowFormatError
+from propfuse.evaluation import self_consistency
 from propfuse.geometry import BBox, Detection, FrameSize, LabelSet
 from propfuse.manifest import load_manifest
 from propfuse.motion import FlowStore, Frame, MotionField, constant_field
@@ -83,6 +86,27 @@ def reads(monkeypatch):
     return counts
 
 
+@pytest.fixture()
+def fields_read(monkeypatch):
+    """A weak reference to every motion field read from a file."""
+    refs = []
+    real = propfuse.motion.read_flow
+
+    def read(*args, **kwargs):
+        field = real(*args, **kwargs)
+        refs.append(weakref.ref(field))
+        return field
+
+    monkeypatch.setattr(propfuse.motion, "read_flow", read)
+    return refs
+
+
+def alive(refs) -> int:
+    """How many of the referenced fields something still holds."""
+    gc.collect()
+    return sum(ref() is not None for ref in refs)
+
+
 @pytest.mark.parametrize("k", [1, 3])
 def test_most_held_does_not_grow_with_the_sequence(k):
     in_order = most_held(200, k, False)
@@ -113,7 +137,7 @@ def test_each_file_is_read_once_per_run(noisy_dir, reads, k, order):
 
 
 @pytest.mark.parametrize("case", ["full", "stopped on a corrupt flow", "keep going", "shuffled"])
-def test_nothing_is_held_after_a_run(tmp_path, clean_dir, windows, monkeypatch, case):
+def test_nothing_is_held_after_a_run(tmp_path, clean_dir, windows, fields_read, monkeypatch, case):
     path = clean_dir
     if case in ("stopped on a corrupt flow", "keep going"):
         shutil.copytree(clean_dir.parent, tmp_path / "bundle")
@@ -142,7 +166,22 @@ def test_nothing_is_held_after_a_run(tmp_path, clean_dir, windows, monkeypatch, 
         random.Random(4).shuffle(targets)
         run_pipeline(manifest, config, targets=targets)
     assert windows[-1].held() == NOTHING_HELD
-    assert not manifest.flows._loaded
+    assert fields_read and alive(fields_read) == 0
+
+
+@pytest.mark.parametrize("caller", ["build_candidates", "self_consistency"])
+def test_window_less_callers_hold_no_field(clean_dir, fields_read, caller):
+    # one call per frame, each on its own: the manifest and its FlowStore
+    # outlive the calls but keep none of the fields they read
+    manifest = load_manifest(clean_dir)
+    frames = manifest.frame_indices()
+    for t in frames:
+        if caller == "build_candidates":
+            build_candidates(t, 2, manifest.teacher_labels, manifest.flows, manifest.size)
+        elif t + 1 in frames:
+            self_consistency(manifest.teacher_labels(t), manifest.flows, 1, manifest.size)
+    assert len(fields_read) >= len(manifest.flows.pairs())
+    assert alive(fields_read) == 0
 
 
 def test_callers_in_memory_fields_survive_the_run(clean_dir):
