@@ -27,6 +27,7 @@ from .evaluation import evaluate, self_consistency
 from .geometry import Detection, unchecked_bbox
 from .io import (
     DetectionRecord,
+    quote_names,
     read_detections,
     record_detection,
     write_atomic,
@@ -40,7 +41,6 @@ from .pipeline import (
     candidate_records,
     fuse_frame,
     gather_candidates,
-    label_records,
     load_config,
     run_pipeline,
     select_targets,
@@ -140,9 +140,9 @@ def cmd_propagate(args) -> int:
 def _candidates_from_file(path, manifest: SequenceManifest | None):
     """Rebuild a candidate set from a detections/candidates file.
 
-    Returns (candidates, id_to_name, meta). Class ids come from the manifest
-    vocabulary when one is given, otherwise from the sorted names that appear
-    in the file itself.
+    Returns (candidates, class names by id, meta). Class ids come from the
+    manifest vocabulary when one is given, otherwise from the sorted names
+    that appear in the file itself.
     """
     records, meta = read_detections(path)
     if not records and meta is None:
@@ -156,24 +156,23 @@ def _candidates_from_file(path, manifest: SequenceManifest | None):
 
     if manifest is not None:
         name_to_id = {name: manifest.class_id(name) for name in {r.class_name for r in records}}
-        id_to_name = manifest.class_name
+        names = manifest.classes
     else:
         names = sorted({r.class_name for r in records})
         name_to_id = {name: i for i, name in enumerate(names)}
-        id_to_name = names.__getitem__
     dets = [record_detection(r, name_to_id[r.class_name], r.source_offset) for r in records]
     boxes = [None if r.source_bbox is None else unchecked_bbox(*r.source_bbox) for r in records]
     effective = meta.effective_sources if meta is not None else 1
     cands = CandidateSet(
         frame_index=frame, detections=dets, source_boxes=boxes, effective_sources=effective
     )
-    return cands, id_to_name, meta
+    return cands, names, meta
 
 
 def cmd_fuse(args) -> int:
     config = _config_from_args(args)
     manifest = load_manifest(args.manifest) if args.manifest else None
-    cands, id_to_name, meta = _candidates_from_file(args.dets, manifest)
+    cands, names, meta = _candidates_from_file(args.dets, manifest)
 
     k = meta.k if meta is not None else config.k
     provider = None
@@ -185,7 +184,7 @@ def cmd_fuse(args) -> int:
         provider = build_provider(manifest, config)
 
     result, _ = fuse_frame(cands, config, k, provider)
-    write_detections(label_records(result.labels, id_to_name), args.out)
+    write_detections(result.labels, args.out, quoted_names=quote_names(names))
     print(args.out)
     return 0
 

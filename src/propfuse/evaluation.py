@@ -9,13 +9,14 @@ metric averages AP over IoU thresholds 0.50 to 0.95 in steps of 0.05.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from .errors import ValidationError, VocabularyError
-from .geometry import BBox, Detection, FrameSize, LabelSet, iou
+from .geometry import BBox, Detection, FrameSize, LabelSet, iou, ordered_sum
 from .motion import DEFAULT_MIN_COVERAGE, ComposedMotion, FlowStore, carry_boxes
 # bench/tracer.py patches ``transfer_box`` here by name and fails a traced
 # run without the binding, so it stays bound although nothing here calls it
@@ -39,6 +40,12 @@ RECALL_GRID = tuple(j / 100.0 for j in range(RECALL_GRID_POINTS))
 PMF_BIN_WIDTH = 0.05
 PMF_BINS = 20
 DEFAULT_SMALL_HEIGHT = 45.0
+
+
+def check_small_height_threshold(value: float) -> None:
+    """The one rule for ``small_height_threshold``: finite and >= 0."""
+    if not 0.0 <= value < math.inf:
+        raise ValidationError(f"small_height_threshold must be finite and >= 0, got {value}")
 
 
 @dataclass
@@ -111,8 +118,7 @@ def _pr_curves(
         # best[i] is the highest precision at rank i or later; 0.0 past the end
         best = list(accumulate(reversed(precisions), max))[::-1] + [0.0]
         interpolated = tuple(best[bisect_left(recalls, r)] for r in RECALL_GRID)
-        # sum(), not a running total: from Python 3.12 sum() is compensated
-        ap = sum(interpolated) / RECALL_GRID_POINTS
+        ap = ordered_sum(interpolated) / RECALL_GRID_POINTS
         curves.append(PRCurve(recalls=RECALL_GRID, precisions=interpolated, ap=ap))
     return curves
 
@@ -253,10 +259,10 @@ def evaluate(
         per_class_ap50[key] = aps[0]
         ap50s.append(aps[0])
         ap75s.append(aps[5])
-        class_means.append(sum(aps) / len(aps))
+        class_means.append(ordered_sum(aps) / len(aps))
 
     def _mean(vals: list[float]) -> float:
-        return sum(vals) / len(vals) if vals else 0.0
+        return ordered_sum(vals) / len(vals) if vals else 0.0
 
     return EvalReport(
         map=_mean(class_means),
@@ -332,6 +338,7 @@ def self_consistency(
     """
     if k_hops < 1:
         raise ValidationError(f"k_hops must be >= 1, got {k_hops}")
+    check_small_height_threshold(small_height_threshold)
     t = labels.frame_index
     forward_pairs = [(t + j, t + j + 1) for j in range(k_hops)]
     backward_pairs = [(t + k_hops - j, t + k_hops - j - 1) for j in range(k_hops)]
@@ -370,8 +377,8 @@ def self_consistency(
         frame_index=t,
         k_hops=k_hops,
         ious=ious,
-        mean_iou=(sum(ious) / n) if n else 0.0,
-        per_class_mean={c: sum(v) / len(v) for c, v in per_class.items()},
+        mean_iou=(ordered_sum(ious) / n) if n else 0.0,
+        per_class_mean={c: ordered_sum(v) / len(v) for c, v in per_class.items()},
         pmf=pmf,
         n_boxes=n,
         n_zero=n_zero,

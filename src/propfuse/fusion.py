@@ -18,7 +18,15 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import BBox, Detection, LabelSet, iou, unchecked_detection
+from .geometry import (
+    BBox,
+    Detection,
+    LabelSet,
+    iou,
+    ordered_sum,
+    unchecked_bbox,
+    unchecked_detection,
+)
 from .propagation import CandidateSet
 from .similarity import cosine_sims
 # bench/tracer.py patches ``rescore`` in this module by name and fails a
@@ -41,6 +49,7 @@ __all__ = [
 
 METHODS = ("swbf", "wbf", "nms", "snms", "nmw")
 MATCH_MODES = ("first", "best")
+_INF = math.inf
 
 
 @dataclass
@@ -86,28 +95,6 @@ def _sorted_indices(dets: list[Detection]) -> list[int]:
     return sorted(range(len(dets)), key=lambda i: _order_key(dets[i], i))
 
 
-def _refuse(members: list[Detection]) -> tuple[BBox, float]:
-    """Mean score and score-weighted mean corners of a cluster.
-
-    An all-zero-score cluster falls back to the unweighted mean position; its
-    zero score gets it dropped by any post threshold anyway.
-    """
-    total = sum(m.score for m in members)
-    mean_score = total / len(members)
-    if total > 0.0:
-        x1 = sum(m.score * m.bbox.x1 for m in members) / total
-        y1 = sum(m.score * m.bbox.y1 for m in members) / total
-        x2 = sum(m.score * m.bbox.x2 for m in members) / total
-        y2 = sum(m.score * m.bbox.y2 for m in members) / total
-    else:
-        n = len(members)
-        x1 = sum(m.bbox.x1 for m in members) / n
-        y1 = sum(m.bbox.y1 for m in members) / n
-        x2 = sum(m.bbox.x2 for m in members) / n
-        y2 = sum(m.bbox.y2 for m in members) / n
-    return BBox(x1, y1, x2, y2), mean_score
-
-
 def cluster_class(dets: list[Detection], cfg: FusionConfig) -> list[Cluster]:
     """Greedy clustering of one class's boxes against the running fused list.
 
@@ -115,19 +102,26 @@ def cluster_class(dets: list[Detection], cfg: FusionConfig) -> list[Cluster]:
     input position). Each box joins the first fused box it overlaps more than
     the IoU threshold ("best" match mode picks the highest overlap instead,
     the first of equal ones), and the cluster's fused box/score are
-    recomputed after every insertion.
+    recomputed after every insertion: the mean score and the score-weighted
+    mean corners, or the plain mean corners when every member scores 0.
 
     The overlap is ``geometry.iou`` written out against one flat
     (x1, y1, x2, y2, area) row per fused box, with the same operations in
     the same order, so it gives the same bits without a call per pair.
+    Each cluster keeps running totals of its members' score, score times
+    each corner, and each corner, added in join order from 0.0: at every
+    join they are the ``ordered_sum`` of its members.
     """
     clusters: list[Cluster] = []
     rows: list[tuple[float, float, float, float, float]] = []
+    # per cluster: the totals of (s, s*x1, s*y1, s*x2, s*y2, x1, y1, x2, y2)
+    totals: list[tuple[float, ...]] = []
     thr = cfg.iou_threshold
     best_match = cfg.match == "best"
     for i in _sorted_indices(dets):
         det = dets[i]
         box = det.bbox
+        s = det.score
         x1, y1, x2, y2 = box.x1, box.y1, box.x2, box.y2
         area = (x2 - x1) * (y2 - y1)
         target: Optional[int] = None
@@ -148,14 +142,33 @@ def cluster_class(dets: list[Detection], cfg: FusionConfig) -> list[Cluster]:
                     break
                 best = overlap
         if target is None:
-            clusters.append(Cluster(det.class_id, [det], fused_bbox=box, fused_score=det.score))
+            clusters.append(Cluster(det.class_id, [det], fused_bbox=box, fused_score=s))
             rows.append((x1, y1, x2, y2, area))
+            # each total starts from 0.0, as ``ordered_sum`` does
+            totals.append((
+                0.0 + s, 0.0 + s * x1, 0.0 + s * y1, 0.0 + s * x2, 0.0 + s * y2,
+                0.0 + x1, 0.0 + y1, 0.0 + x2, 0.0 + y2,
+            ))
+            continue
+        cl = clusters[target]
+        cl.members.append(det)
+        n = len(cl.members)
+        ts, tx1, ty1, tx2, ty2, px1, py1, px2, py2 = totals[target]
+        ts, tx1, ty1, tx2, ty2 = ts + s, tx1 + s * x1, ty1 + s * y1, tx2 + s * x2, ty2 + s * y2
+        px1, py1, px2, py2 = px1 + x1, py1 + y1, px2 + x2, py2 + y2
+        totals[target] = (ts, tx1, ty1, tx2, ty2, px1, py1, px2, py2)
+        if ts > 0.0:
+            mx1, my1, mx2, my2 = tx1 / ts, ty1 / ts, tx2 / ts, ty2 / ts
         else:
-            cl = clusters[target]
-            cl.members.append(det)
-            fused, cl.fused_score = _refuse(cl.members)
-            cl.fused_bbox = fused
-            rows[target] = (fused.x1, fused.y1, fused.x2, fused.y2, fused.area)
+            mx1, my1, mx2, my2 = px1 / n, py1 / n, px2 / n, py2 / n
+        # what ``BBox`` checks: finite and not degenerate; a mean of boxes
+        # less than an ulp wide can still collapse, and BBox then raises
+        if -_INF < mx1 < mx2 < _INF and -_INF < my1 < my2 < _INF:
+            cl.fused_bbox = unchecked_bbox(mx1, my1, mx2, my2)
+        else:
+            cl.fused_bbox = BBox(mx1, my1, mx2, my2)
+        cl.fused_score = ts / n
+        rows[target] = (mx1, my1, mx2, my2, (mx2 - mx1) * (my2 - my1))
     return clusters
 
 
@@ -242,12 +255,12 @@ def nmw(dets: list[Detection], cfg: FusionConfig) -> list[Detection]:
             else:
                 rest.append(d)
         pool = rest
-        total = sum(wt for _, wt in members)
+        total = ordered_sum(wt for _, wt in members)
         if total > 0.0:
-            x1 = sum(wt * d.bbox.x1 for d, wt in members) / total
-            y1 = sum(wt * d.bbox.y1 for d, wt in members) / total
-            x2 = sum(wt * d.bbox.x2 for d, wt in members) / total
-            y2 = sum(wt * d.bbox.y2 for d, wt in members) / total
+            x1 = ordered_sum(wt * d.bbox.x1 for d, wt in members) / total
+            y1 = ordered_sum(wt * d.bbox.y1 for d, wt in members) / total
+            x2 = ordered_sum(wt * d.bbox.x2 for d, wt in members) / total
+            y2 = ordered_sum(wt * d.bbox.y2 for d, wt in members) / total
             box = BBox(x1, y1, x2, y2)
         else:
             box = top.bbox

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
+from typing import Iterable
 
 from .errors import ValidationError
 
@@ -21,6 +24,7 @@ __all__ = [
     "clip_to_frame",
     "unchecked_bbox",
     "unchecked_detection",
+    "ordered_sum",
 ]
 
 
@@ -140,6 +144,16 @@ def unchecked_detection(
     _set(det, "score", score)
     _set(det, "source_offset", source_offset)
     return det
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """The float sum of ``values`` added left to right, starting from 0.0.
+
+    This is the order builtin ``sum()`` uses up to Python 3.11; from 3.12
+    ``sum()`` of floats is compensated, so the package sums its floats here
+    and gives the same bits on every interpreter.
+    """
+    return reduce(add, values, 0.0)
 
 
 def iou(a: BBox, b: BBox) -> float:

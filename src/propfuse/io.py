@@ -22,13 +22,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import Detection, FrameSize, unchecked_bbox, unchecked_detection
+from .geometry import Detection, FrameSize, LabelSet, unchecked_bbox, unchecked_detection
 from .motion import Frame
 
 __all__ = [
     "DetectionRecord",
     "CandidateMeta",
     "detection_line",
+    "quote_names",
     "write_detections",
     "read_detections",
     "record_detection",
@@ -117,11 +118,39 @@ def detection_line(rec: DetectionRecord) -> str:
     return "{" + ", ".join(parts) + "}"
 
 
+# detection_line's text for a record with no source_offset or source_bbox:
+# %d is int() and %.6f is f"{float(x):.6f}", and the class comes pre-quoted
+_LABEL_LINE = '{"frame": %d, "class": %s, "bbox": [%.6f, %.6f, %.6f, %.6f], "score": %.6f}\n'
+
+
+def quote_names(names) -> list[str]:
+    """Class names as the JSON strings a label line holds, each quoted once."""
+    return [json.dumps(name) for name in names]
+
+
 def write_detections(
     records,
     path: str | Path,
     meta: CandidateMeta | None = None,
+    quoted_names: list[str] | None = None,
 ) -> None:
+    """Write a detection or candidate JSONL file.
+
+    ``records`` is a list of ``DetectionRecord``s, each line written by
+    ``detection_line``, with ``meta`` as the header line of a candidate
+    file. Or it is a ``LabelSet`` of final labels whose class ids index
+    ``quoted_names`` (from ``quote_names``): each line is then formatted
+    straight from its detection, with the text ``detection_line`` gives.
+    """
+    if isinstance(records, LabelSet):
+        frame = records.frame_index
+        lines = []
+        for d in records.detections:
+            b = d.bbox
+            name = quoted_names[d.class_id]
+            lines.append(_LABEL_LINE % (frame, name, b.x1, b.y1, b.x2, b.y2, d.score))
+        write_atomic(path, "".join(lines), "ascii")
+        return
     lines = []
     if meta is not None:
         lines.append(

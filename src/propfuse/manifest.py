@@ -134,7 +134,11 @@ def load_manifest(path: str | Path) -> SequenceManifest:
     classes = obj.get("classes")
     if not isinstance(classes, list) or not classes:
         raise ValidationError(f"{path}: classes must be a non-empty list")
-    classes = [str(c) for c in classes]
+    for name in classes:
+        if type(name) is not str:
+            raise ValidationError(
+                f"{path}: class names must be JSON strings, got {type(name).__name__} {name!r}"
+            )
     if len(set(classes)) != len(classes):
         raise ValidationError(f"{path}: duplicate class names in vocabulary")
 

@@ -399,9 +399,13 @@ class FlowStore:
             self.add(pair[0], pair[1], value)
 
     def add(self, from_frame: int, to_frame: int, value: MotionField | str | Path) -> None:
+        if type(from_frame) is not int or type(to_frame) is not int:
+            raise ValidationError(
+                f"frame numbers must be integers, got {from_frame!r} -> {to_frame!r}"
+            )
         if not isinstance(value, MotionField):
             value = Path(value)
-        self._entries[int(from_frame), int(to_frame)] = value
+        self._entries[from_frame, to_frame] = value
 
     def has(self, from_frame: int, to_frame: int) -> bool:
         return (from_frame, to_frame) in self._entries

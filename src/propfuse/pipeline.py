@@ -25,7 +25,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -34,10 +33,17 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence, get_args, get_type_hints
 
 from .errors import CliUsageError, PropfuseError, ValidationError
-from .evaluation import DEFAULT_SMALL_HEIGHT
+from .evaluation import DEFAULT_SMALL_HEIGHT, check_small_height_threshold
 from .fusion import MATCH_MODES, METHODS, FusionConfig, FusionResult, fuse_candidates
 from .geometry import LabelSet
-from .io import CandidateMeta, DetectionRecord, read_text, write_atomic, write_detections
+from .io import (
+    CandidateMeta,
+    DetectionRecord,
+    quote_names,
+    read_text,
+    write_atomic,
+    write_detections,
+)
 from .manifest import SequenceManifest
 from .motion import COMPOSITION_MODES, DEFAULT_MIN_COVERAGE
 from .propagation import (
@@ -67,7 +73,6 @@ __all__ = [
     "gather_candidates",
     "fuse_frame",
     "candidate_records",
-    "label_records",
 ]
 
 log = logging.getLogger("propfuse.pipeline")
@@ -114,9 +119,7 @@ class PipelineConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1], got {v}")
-        small = self.small_height_threshold
-        if not 0.0 <= small < math.inf:
-            raise ValidationError(f"small_height_threshold must be finite and >= 0, got {small}")
+        check_small_height_threshold(self.small_height_threshold)
         # FusionConfig checks the fusion fields; num_sources is set per frame
         self._fusion = FusionConfig(
             method=self.method,
@@ -316,19 +319,6 @@ def candidate_records(
     return records, meta
 
 
-def label_records(labels: LabelSet, class_name) -> list[DetectionRecord]:
-    """A frame's final labels as serializable records."""
-    return [
-        DetectionRecord(
-            frame=labels.frame_index,
-            class_name=class_name(d.class_id),
-            bbox=d.bbox.as_tuple(),
-            score=d.score,
-        )
-        for d in labels.detections
-    ]
-
-
 @dataclass
 class PipelineRun:
     """In-memory results plus the JSON-ready run report."""
@@ -380,6 +370,7 @@ def run_pipeline(
         labels_dir = out_dir / "labels"
         labels_dir.mkdir(parents=True, exist_ok=True)
     window = RunWindow(targets, config.k, provider)
+    quoted_names = quote_names(manifest.classes)
 
     def process(t: int) -> tuple[LabelSet, dict]:
         t0 = time.perf_counter()
@@ -388,8 +379,8 @@ def run_pipeline(
         result, num_sources = fuse_frame(candidates, config, config.k, provider)
         t2 = time.perf_counter()
         if labels_dir is not None:
-            records = label_records(result.labels, manifest.class_name)
-            write_detections(records, labels_dir / f"fused_{t:06d}.jsonl")
+            path = labels_dir / f"fused_{t:06d}.jsonl"
+            write_detections(result.labels, path, quoted_names=quoted_names)
         t3 = time.perf_counter()
         stats = {
             "frame": t,

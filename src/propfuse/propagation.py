@@ -9,13 +9,13 @@ frame or motion chain is unavailable are simply omitted; the number of
 offsets that did participate is reported as ``effective_sources``.
 
 Boxes move as ``motion`` moves them: all corners of a source frame's kept
-boxes go through ``carry`` as one array and ``land_boxes`` lands them. But
-``build_candidates`` does not compose each offset's chain afresh. Every
-source frame's kept boxes are swept once forward and once backward, hop by
-hop, and offset +-j reads the position after hop j. That is exact: the
-floor comes only at the end of a chain and additive sums run in chain order,
-so hop j's position is bit for bit the one the j-hop chain gives. The
-sweeps, with the labels and fields they read, live in the run's
+boxes go through ``carry`` as one array, and one ``land_boxes`` call lands
+all of a target's carried boxes. But ``build_candidates`` does not compose
+each offset's chain afresh. Every source frame's kept boxes are swept once
+forward and once backward, hop by hop, and offset +-j reads the position
+after hop j. That is exact: the floor comes only at the end of a chain and
+additive sums run in chain order, so hop j's position is bit for bit the
+one the j-hop chain gives. The sweeps, with the labels and fields they read, live in the run's
 ``RunWindow`` while the next target to run reads them.
 """
 
@@ -297,11 +297,21 @@ def build_candidates(
     chains = [(offset, pairs) for offset, pairs in reach if all(flows.has(*p) for p in pairs)]
     # offset 0, the teacher on the target itself, always counts
     cand.effective_sources = 1 + len(chains)
+    if not chains:
+        return cand
+    carried = []
     for offset, pairs in chains:
         kept, corners = window.carried(
             target - offset, pairs, get_labels, flows, teacher_threshold, mode
         )
-        for src, box in zip(kept, land_boxes(corners, size, min_coverage)):
+        carried.append((offset, kept, corners))
+    # one landing for all offsets: land_boxes works box by box, so each
+    # offset's boxes land as they would alone, in the same order
+    all_corners = np.concatenate([corners for _, _, corners in carried])
+    landed = iter(land_boxes(all_corners, size, min_coverage))
+    for offset, kept, _ in carried:
+        # zip takes from ``kept`` first, so it stops at this offset's last box
+        for src, box in zip(kept, landed):
             if box is not None:
                 # the source was checked, and land_boxes checked the landed box
                 det = unchecked_detection(src.class_id, box, src.score, offset)

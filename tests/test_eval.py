@@ -24,6 +24,7 @@ from propfuse.motion import (
     constant_field,
     transfer_box,
 )
+from propfuse.pipeline import PipelineConfig
 from propfuse.synth import write_bundle
 
 import _bundles
@@ -161,7 +162,7 @@ class TestAveragePrecision:
         for thr in IOU_THRESHOLDS:
             curve = average_precision(boxed_dets, boxed_gts, thr)
             assert list(curve.precisions) == oracle_pr(dets, gts, thr)
-            # the mean is sum() in both, but the oracle adds up in another order
+            # the oracle adds the 101 precisions up in another order
             assert math.isclose(curve.ap, oracle_ap(dets, gts, thr), abs_tol=1e-12)
 
 
@@ -413,6 +414,16 @@ class TestSelfConsistency:
         report2 = self_consistency(labels2, flows2, k_hops=1, size=SIZE)
         assert report2.per_class_mean[0] == 1.0
         assert report2.per_class_mean[1] == 1.0
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_small_height_threshold_checked_as_the_config_checks_it(self, value):
+        flows = two_way_store(1, 2.0, 0.0)
+        labels = LabelSet(0, [det(1.0, (10, 10, 50, 40))])
+        with pytest.raises(ValidationError) as err:
+            self_consistency(labels, flows, 1, SIZE, small_height_threshold=value)
+        with pytest.raises(ValidationError) as config_err:
+            PipelineConfig(small_height_threshold=value)
+        assert str(err.value) == str(config_err.value)
 
     def test_requires_at_least_one_hop(self):
         with pytest.raises(ValidationError):

@@ -8,7 +8,6 @@ from propfuse.errors import ValidationError
 from propfuse.fusion import (
     MATCH_MODES,
     FusionConfig,
-    _refuse,
     cluster_class,
     fuse_candidates,
     fuse_class,
@@ -411,6 +410,31 @@ class TestMatchModes:
             cfg(iou_threshold=1.0)
 
 
+def left_to_right(values):
+    """A float sum in the order it is written: from 0.0, one term at a time."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def member_order_fuse(members):
+    """A cluster's mean score and fused box, each sum re-added over every member in order.
+
+    The score-weighted mean corners, or the plain mean corners when every
+    member scores 0, as a checked ``BBox``.
+    """
+    n = len(members)
+    total = left_to_right(m.score for m in members)
+    if total > 0.0:
+        weighted = [[m.score * v for v in m.bbox.as_tuple()] for m in members]
+        corners = [left_to_right(column) / total for column in zip(*weighted)]
+    else:
+        plain = [m.bbox.as_tuple() for m in members]
+        corners = [left_to_right(column) / n for column in zip(*plain)]
+    return BBox(*corners), total / n
+
+
 def iou_loop_clusters(dets, c):
     """The greedy clustering with one ``geometry.iou`` call per (box, fused box) pair.
 
@@ -436,7 +460,7 @@ def iou_loop_clusters(dets, c):
             cl = clusters[target]
             cl[0].append(i)
             cl[1].append(d)
-            cl[2], cl[3] = _refuse(cl[1])
+            cl[2], cl[3] = member_order_fuse(cl[1])
     return [(pos, fused, score) for pos, _, fused, score in clusters]
 
 
@@ -496,6 +520,46 @@ class TestClusterClassAgainstIouLoop:
         assert _clusters([a, b, c], cfg(iou_threshold=0.3, match="best")) == iou_loop_clusters(
             [a, b, c], cfg(iou_threshold=0.3, match="best")
         )
+
+
+def _bits(box, score):
+    return [v.hex() for v in (*box.as_tuple(), score)]
+
+
+# fractional and negative corners, and scores of 0 so that all-zero clusters occur
+_float_row = st.tuples(
+    st.floats(-40.0, 40.0),
+    st.floats(-40.0, 40.0),
+    st.floats(1.0, 30.0),
+    st.floats(1.0, 30.0),
+    st.one_of(st.sampled_from([0.0, 0.0, 0.5, 0.9]), st.floats(0.0, 1.0)),
+)
+
+
+class TestClusterRunningTotals:
+    @pytest.mark.parametrize("match", MATCH_MODES)
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.lists(_float_row, min_size=1, max_size=60),
+        st.lists(st.integers(0, 59), max_size=12),
+        st.sampled_from([0.2, 0.5]),
+    )
+    def test_fused_bits_equal_a_member_order_left_to_right_sum(self, match, rows, copies, thr):
+        dets = [det(s, (x, y, x + w, y + h)) for x, y, w, h, s in rows]
+        for i in copies:
+            d = dets[i % len(rows)]
+            dets.append(det(d.score, d.bbox.as_tuple()))
+        for cl in cluster_class(dets, cfg(iou_threshold=thr, match=match)):
+            if len(cl.members) == 1:
+                continue  # a lone member keeps its own box, not s * x / s
+            assert _bits(cl.fused_bbox, cl.fused_score) == _bits(*member_order_fuse(cl.members))
+
+    def test_a_cluster_whose_mean_collapses_below_an_ulp_raises(self):
+        x1 = math.nextafter(1.0, 2.0)
+        x2 = math.nextafter(x1, 2.0)
+        dets = [det(0.7, (x1, 0.0, x2, 10.0)), det(0.6, (x1, 0.0, x2, 10.0))]
+        with pytest.raises(ValidationError, match="degenerate box"):
+            cluster_class(dets, cfg())
 
 
 class TestBatchedRescoring:

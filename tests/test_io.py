@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from propfuse.errors import ValidationError
-from propfuse.geometry import FrameSize
+from propfuse.geometry import BBox, Detection, FrameSize, LabelSet
 from propfuse.io import (
     CandidateMeta,
     DetectionRecord,
     detection_line,
+    quote_names,
     read_detections,
     read_frame,
     write_atomic,
@@ -42,6 +43,36 @@ class TestDetectionLine:
     def test_source_bbox_serialized_when_present(self):
         line = detection_line(rec(source_offset=1, source_bbox=(0.0, 0.0, 1.0, 1.0)))
         assert '"source_bbox": [0.000000, 0.000000, 1.000000, 1.000000]' in line
+
+
+class TestLabelFile:
+    # class names that JSON escapes: a quote, a backslash, non-ASCII text
+    NAMES = ["car", 'say "hi"', "back\\slash", "caf\u00e9", "\u81ea\u8f6a"]
+
+    @pytest.mark.parametrize(
+        "box, score",
+        [
+            ((0.0, 0.0, 1e6, 1e6), 0.0),
+            ((0.0, 2.5e-7, 5e-7, 1.0), 1.0),
+            ((1.5e-6, 2.5e-6, 3.5e-7 + 1.0, 1e6 - 5e-7), 5e-7),
+            ((-3.0000005, -0.0, 12.0000025, 7.25), 2.5e-7),
+            ((0.1, 0.2, 0.30000000000000004, 999999.9999995), 0.9999995),
+        ],
+    )
+    def test_lines_are_the_bytes_detection_line_gives(self, tmp_path, box, score):
+        labels = LabelSet(7, [Detection(c, BBox(*box), score) for c in range(len(self.NAMES))])
+        path = tmp_path / "fused.jsonl"
+        write_detections(labels, path, quoted_names=quote_names(self.NAMES))
+        want = "".join(
+            detection_line(DetectionRecord(7, self.NAMES[d.class_id], box, score)) + "\n"
+            for d in labels.detections
+        )
+        assert path.read_bytes() == want.encode("ascii")
+
+    def test_empty_label_set_writes_an_empty_file(self, tmp_path):
+        path = tmp_path / "fused.jsonl"
+        write_detections(LabelSet(0, []), path, quoted_names=[])
+        assert path.read_bytes() == b""
 
 
 class TestDetectionsFile:

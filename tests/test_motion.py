@@ -473,6 +473,14 @@ class TestFlowStore:
         assert got.data.tobytes() == again.data.tobytes() == f.data.tobytes()
         assert (got.from_frame, got.to_frame) == (again.from_frame, again.to_frame) == (2, 3)
 
+    @pytest.mark.parametrize("pair", [(0.9, 1.7), (0, 1.0), (True, 1), (np.int64(0), 1)])
+    def test_frame_numbers_must_be_ints(self, pair):
+        # int() would floor (0.9, 1.7) to the pair (0, 1)
+        store = FlowStore()
+        with pytest.raises(ValidationError, match="frame numbers must be integers"):
+            store.add(*pair, constant_field(FrameSize(4, 4), 1.0, 0.0))
+        assert store.pairs() == []
+
     def test_in_memory_entry_is_returned_as_it_is(self):
         mine = constant_field(FrameSize(3, 2), 1.0, 0.0)
         store = FlowStore({(3, 2): mine})

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import random
 import shutil
@@ -12,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import propfuse
+import propfuse.evaluation
+import propfuse.fusion
 import propfuse.io
 import propfuse.manifest
 import propfuse.pipeline
@@ -47,6 +50,35 @@ def thresholded_lines(det_path, threshold):
 
 def read_labels_tree(out_dir):
     return {p.name: p.read_bytes() for p in sorted((out_dir / "labels").glob("*.jsonl"))}
+
+
+def compensated_sum(values, start=0):
+    """Builtin ``sum()`` as Python 3.12 and later compute it.
+
+    Integers add exactly until the first float. From there the floats add
+    by Neumaier's compensated summation, and the compensation is added at
+    the end if it is finite and nonzero, as in CPython's float path.
+    """
+    total = start
+    it = iter(values)
+    for x in it:
+        if type(x) is float:
+            total = total + x
+            break
+        total = total + x
+    else:
+        return total
+    comp = 0.0
+    for x in it:
+        t = total + x
+        if abs(total) >= abs(x):
+            comp += (total - t) + x
+        else:
+            comp += (x - t) + total
+        total = t
+    if comp and math.isfinite(comp):
+        total += comp
+    return total
 
 
 def report_bytes(out_dir):
@@ -519,6 +551,27 @@ class TestRunPipeline:
         with pytest.raises(ValidationError):
             run_pipeline(manifest, PipelineConfig(k=1, method="wbf"))
         assert seen == [manifest.frame_indices()[0]]
+
+    def test_labels_and_eval_do_not_depend_on_the_interpreter_sum(self, tmp_path, monkeypatch):
+        # from Python 3.12 builtin sum() of floats is compensated; on the crowd
+        # bundle (wbf k=1) that moves label scores and mAP digits wherever
+        # fusion or evaluation adds floats with sum()
+        assert compensated_sum([1.0, 1e100, 1.0, -1e100]) == 2.0
+        manifest_path = write_bundle(_bundles.crowd_bundle(), tmp_path / "in")
+        gt = manifest_path.parent / "gt.jsonl"
+
+        def outputs(name):
+            out = tmp_path / name
+            config = PipelineConfig(k=1, method="wbf")
+            run_pipeline(load_manifest(manifest_path), config, out_dir=out)
+            argv = ["eval", "--dets", str(out / "labels"), "--gt", str(gt)]
+            assert main(argv + ["--out", str(out / "eval.json")]) == 0
+            return read_labels_tree(out), (out / "eval.json").read_bytes()
+
+        plain = outputs("plain")
+        for module in (propfuse.fusion, propfuse.evaluation):
+            monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+        assert outputs("compensated") == plain
 
     def test_every_crowd_label_equals_the_oracle(self, tmp_path):
         # wbf k=1 over many overlapping boxes: each fused box is the

@@ -254,3 +254,21 @@ def test_manifest_numbers_must_be_json_integers(originals, capsys, where, value,
     assert main(["selfcheck", "--manifest", str(path), "--frame", "0", "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {err.value}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("classes", [[0, None], ["car", 1.5], ["car", ["x"]]])
+def test_manifest_class_names_must_be_json_strings(originals, capsys, classes):
+    # str() would load [0, null] as ['0', 'None'] and fail later on a label file
+    root, valid = originals
+    manifest = json.loads(valid["manifest"])
+    manifest["classes"] = classes
+    path = root / "class-not-a-string.json"
+    path.write_text(json.dumps(manifest))
+    bad = next(c for c in classes if type(c) is not str)
+    with pytest.raises(ValidationError) as err:
+        load_manifest(path)
+    shown = f"{type(bad).__name__} {bad!r}"
+    assert str(err.value) == f"{path}: class names must be JSON strings, got {shown}"
+    out = root / "class-not-a-string-check.json"
+    assert main(["selfcheck", "--manifest", str(path), "--frame", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {err.value}\n"
