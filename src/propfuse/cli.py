@@ -39,6 +39,7 @@ from .pipeline import (
     PipelineConfig,
     build_provider,
     candidate_records,
+    carrying_config,
     fuse_frame,
     gather_candidates,
     load_config,
@@ -128,9 +129,10 @@ def cmd_propagate(args) -> int:
     manifest = load_manifest(args.manifest)
     if not manifest.has_frame(args.frame):
         raise ValidationError(f"frame {args.frame} is not in the manifest")
-    validate_flow_coverage(manifest, config.k, [args.frame])
-    window = RunWindow([args.frame], config.k)
-    candidates = gather_candidates(manifest, config, args.frame, window)
+    carrying = carrying_config(manifest, config)
+    validate_flow_coverage(manifest, carrying.k, [args.frame])
+    window = RunWindow([args.frame], carrying.k)
+    candidates = gather_candidates(manifest, carrying, args.frame, window)
     records, meta = candidate_records(candidates, manifest.class_name, config.k)
     write_detections(records, args.out, meta=meta)
     print(args.out)

@@ -340,10 +340,10 @@ def self_consistency(
         raise ValidationError(f"k_hops must be >= 1, got {k_hops}")
     check_small_height_threshold(small_height_threshold)
     t = labels.frame_index
-    forward_pairs = [(t + j, t + j + 1) for j in range(k_hops)]
-    backward_pairs = [(t + k_hops - j, t + k_hops - j - 1) for j in range(k_hops)]
-    forward = ComposedMotion([flows.get(a, b) for a, b in forward_pairs], mode=mode)
-    backward = ComposedMotion([flows.get(a, b) for a, b in backward_pairs], mode=mode)
+    # fields are fetched hop by hop, with no list of pairs made first, so a
+    # reach past the sequence ends at its first missing field
+    forward = ComposedMotion([flows.get(t + j, t + j + 1) for j in range(k_hops)], mode=mode)
+    backward = ComposedMotion([flows.get(a, a - 1) for a in range(t + k_hops, t, -1)], mode=mode)
 
     ious: list[float] = []
     per_class: dict[int, list[float]] = {}

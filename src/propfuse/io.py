@@ -33,6 +33,7 @@ __all__ = [
     "write_detections",
     "read_detections",
     "record_detection",
+    "json_integer",
     "read_text",
     "write_atomic",
     "write_frame",
@@ -180,10 +181,13 @@ def _shown(value) -> str:
     return f"{type(value).__name__} {value!r}"
 
 
-def _integer(value, key, path, lineno) -> int:
-    # a JSON integer only: not 0.7, which int() would floor, and not true
+def json_integer(value, key: str) -> int:
+    """``value`` if it is a JSON integer, else a TypeError naming ``key``.
+
+    Not 0.7, which int() would floor, and not true, which int() reads as 1.
+    """
     if type(value) is not int:
-        raise ValidationError(f"{path}:{lineno}: {key} must be an integer, got {_shown(value)}")
+        raise TypeError(f"{key} must be an integer, got {_shown(value)}")
     return value
 
 
@@ -243,20 +247,22 @@ def read_detections(
         is_meta = obj.get("type") == "candidate_meta"
         try:
             if is_meta:
-                meta = CandidateMeta(
-                    *(_integer(obj[key], key, path, lineno) for key in _META_KEYS)
-                )
+                meta = CandidateMeta(*(json_integer(obj[key], key) for key in _META_KEYS))
                 continue
-            rec_frame = _integer(obj["frame"], "frame", path, lineno)
+            rec_frame = json_integer(obj["frame"], "frame")
             class_name = obj["class"]
             bbox = _parse_box(obj["bbox"], path, lineno, "bbox")
             score = _parse_score(obj["score"], path, lineno)
+            if type(class_name) is not str:
+                raise ValidationError(
+                    f"{path}:{lineno}: class must be a string, got {_shown(class_name)}"
+                )
+            source_offset = json_integer(obj.get("source_offset", 0), "source_offset")
         except KeyError:
             missing = [k for k in (_META_KEYS if is_meta else _RECORD_KEYS) if k not in obj]
             raise ValidationError(f"{path}:{lineno}: missing keys {missing}") from None
-        if type(class_name) is not str:
-            raise ValidationError(f"{path}:{lineno}: class must be a string, got {_shown(class_name)}")
-        source_offset = _integer(obj.get("source_offset", 0), "source_offset", path, lineno)
+        except TypeError as exc:  # from json_integer
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
         source_bbox = obj.get("source_bbox")
         if source_bbox is not None:
             source_bbox = _parse_box(source_bbox, path, lineno, "source_bbox")

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .errors import ValidationError, VocabularyError
 from .geometry import FrameSize, LabelSet
-from .io import read_detections, read_frame, read_text, record_detection
+from .io import json_integer, read_detections, read_frame, read_text, record_detection
 from .motion import FlowStore, Frame
 
 __all__ = ["FrameEntry", "SequenceManifest", "load_manifest"]
@@ -110,12 +110,6 @@ class SequenceManifest:
         return by_frame
 
 
-def _integer(value, key: str) -> int:
-    if type(value) is not int:  # int() would floor 1.7 and read true as 1
-        raise TypeError(f"{key} must be an integer, got {type(value).__name__} {value!r}")
-    return value
-
-
 def load_manifest(path: str | Path) -> SequenceManifest:
     """Parse and validate a manifest file; all referenced files must exist."""
     path = Path(path)
@@ -128,7 +122,9 @@ def load_manifest(path: str | Path) -> SequenceManifest:
     root = path.parent
 
     try:
-        size = FrameSize(_integer(obj["size"][0], "width"), _integer(obj["size"][1], "height"))
+        size = FrameSize(
+            json_integer(obj["size"][0], "width"), json_integer(obj["size"][1], "height")
+        )
     except (KeyError, TypeError, IndexError, ValidationError) as exc:
         raise ValidationError(f"{path}: bad or missing size: {exc}") from exc
     classes = obj.get("classes")
@@ -153,7 +149,7 @@ def load_manifest(path: str | Path) -> SequenceManifest:
     frames: dict[int, FrameEntry] = {}
     for entry in obj.get("frames", []):
         try:
-            idx = _integer(entry["index"], "index")
+            idx = json_integer(entry["index"], "index")
             frame_path = _resolve(entry["frame"])
             det_path = _resolve(entry["detections"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -167,8 +163,8 @@ def load_manifest(path: str | Path) -> SequenceManifest:
     flows = FlowStore(size=size)
     for entry in obj.get("flows", []):
         try:
-            a = _integer(entry["from"], "from")
-            b = _integer(entry["to"], "to")
+            a = json_integer(entry["from"], "from")
+            b = json_integer(entry["to"], "to")
             flow_path = _resolve(entry["path"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"{path}: malformed flow entry {entry}: {exc}") from exc

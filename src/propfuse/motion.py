@@ -281,25 +281,23 @@ def carry(
     fields: Sequence[MotionField],
     mode: str,
     acc: np.ndarray | None = None,
-) -> list[np.ndarray]:
-    """Carry (n, 2) continuous positions hop by hop along a chain of fields.
+) -> np.ndarray:
+    """Carry (n, 2) continuous positions along a chain of fields.
 
-    Returns the chain's running value after each hop, one (n, 2) array per
-    field: the position reached so far in ``trajectory`` mode, or in
-    ``additive`` mode the displacements sampled at ``start`` summed in
-    chain order (see ``carried_position``). ``acc`` resumes the chain from
-    the running value an earlier call returned for a prefix of it, so a
-    chain carried in pieces gives the same bits as one carried whole.
+    Returns the chain's running value after its last field: the position
+    reached in ``trajectory`` mode, or in ``additive`` mode the
+    displacements sampled at ``start`` summed in chain order (see
+    ``carried_position``). ``acc`` resumes the chain from the running value
+    an earlier call returned for a prefix of it, so a chain carried in
+    pieces gives the same bits as one carried whole.
     """
     trajectory = mode == "trajectory"
     if acc is None:
         acc = start if trajectory else np.zeros_like(start)
-    out = []
     for f in fields:
         at = acc if trajectory else start
         acc = acc + sample_bilinear(f.data, at[:, 0], at[:, 1])
-        out.append(acc)
-    return out
+    return acc
 
 
 def carried_position(start: np.ndarray, acc: np.ndarray, mode: str) -> np.ndarray:
@@ -362,7 +360,7 @@ def carry_boxes(
     carried alone.
     """
     start = box_corners(boxes)
-    acc = carry(start, motion.fields, motion.mode)[-1]
+    acc = carry(start, motion.fields, motion.mode)
     return land_boxes(carried_position(start, acc, motion.mode), size, min_coverage)
 
 

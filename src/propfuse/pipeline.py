@@ -10,9 +10,9 @@ pipeline degenerates to the plain thresholded teacher labels; fusion is
 bypassed entirely in that case. The targets run one at a time in frame
 order, each listed frame once, whatever order they are given in. A target
 reads only what lies within k frames of it, so they share one
-``propagation.RunWindow``: the teacher labels, motion fields, carried boxes
-and provider frames of the run, each held only while the next target
-reads it. Everything in it is a cache of deterministic values, so the
+``propagation.RunWindow``: the teacher labels, motion fields and provider
+frames of the run, each held only while the next target reads it.
+Everything in it follows deterministically from the run's inputs, so the
 results do not depend on what it holds. The per-frame label files are
 written under <out>/labels/ named by frame index. With ``keep_going`` a
 frame that fails on its input or on I/O is recorded in the report and the
@@ -68,6 +68,7 @@ __all__ = [
     "parse_config_file",
     "run_pipeline",
     "validate_flow_coverage",
+    "carrying_config",
     "select_targets",
     "build_provider",
     "gather_candidates",
@@ -208,6 +209,17 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
             raise CliUsageError(f"unknown config key {key!r}")
         values[key] = val
     return PipelineConfig(**values)
+
+
+def carrying_config(manifest: SequenceManifest, config: PipelineConfig) -> PipelineConfig:
+    """``config`` with k cut to the manifest's frame span, to gather candidates with.
+
+    No source lies farther off, so the cut k gathers the same candidates
+    without trying an offset past the sequence. Fusion and the report keep
+    k as given: the literal source count is 2k+1 of it.
+    """
+    frames = manifest.frame_indices()
+    return config.replace(k=min(config.k, frames[-1] - frames[0]))
 
 
 def validate_flow_coverage(
@@ -360,7 +372,8 @@ def run_pipeline(
         targets = manifest.frame_indices()
     else:
         targets = select_targets(manifest, [range(t, t + 1) for t in targets])
-    validate_flow_coverage(manifest, config.k, targets)
+    carrying = carrying_config(manifest, config)
+    validate_flow_coverage(manifest, carrying.k, targets)
 
     provider = build_provider(manifest, config) if config.rescores(config.k) else None
 
@@ -369,12 +382,12 @@ def run_pipeline(
         out_dir = Path(out_dir)
         labels_dir = out_dir / "labels"
         labels_dir.mkdir(parents=True, exist_ok=True)
-    window = RunWindow(targets, config.k, provider)
+    window = RunWindow(targets, carrying.k, provider)
     quoted_names = quote_names(manifest.classes)
 
     def process(t: int) -> tuple[LabelSet, dict]:
         t0 = time.perf_counter()
-        candidates = gather_candidates(manifest, config, t, window)
+        candidates = gather_candidates(manifest, carrying, t, window)
         t1 = time.perf_counter()
         result, num_sources = fuse_frame(candidates, config, config.k, provider)
         t2 = time.perf_counter()

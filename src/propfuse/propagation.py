@@ -8,14 +8,17 @@ backward fields from future frames (T+|i| -> ... -> T). Offsets whose source
 frame or motion chain is unavailable are simply omitted; the number of
 offsets that did participate is reported as ``effective_sources``.
 
-Boxes move as ``motion`` moves them: all corners of a source frame's kept
-boxes go through ``carry`` as one array, and one ``land_boxes`` call lands
-all of a target's carried boxes. But ``build_candidates`` does not compose
-each offset's chain afresh. Every source frame's kept boxes are swept once
-forward and once backward, hop by hop, and offset +-j reads the position
-after hop j. That is exact: the floor comes only at the end of a chain and
-additive sums run in chain order, so hop j's position is bit for bit the
-one the j-hop chain gives. The sweeps, with the labels and fields they read, live in the run's
+Boxes move as ``motion`` moves them, as continuous corner positions that
+``carry`` samples field by field and one ``land_boxes`` call floors and
+lands for all of a target's offsets. Each direction walks one chain, that
+of its farthest offset, which ends with the chain of every nearer one.
+The farthest source's corners start a frontier at its own frame, each
+nearer source's corners join it at theirs, and every field of the chain
+is sampled once for all the corners that cross it: 2k samplings per
+target rather than one per offset and hop. That is exact: each corner
+meets the same fields in the same order as along its own chain, the
+floor comes only at the end, and the sampling and the additive sums work
+corner by corner. The labels and fields a target reads live in the run's
 ``RunWindow`` while the next target to run reads them.
 """
 
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -123,25 +126,14 @@ class CandidateSet:
         return dict(sorted(counts.items()))
 
 
-class _Sweep(NamedTuple):
-    """One source frame's kept boxes carried some hops in one direction."""
-
-    kept: tuple[Detection, ...]
-    corners: np.ndarray  # (4n, 2) corner positions on the source frame
-    hops: tuple[np.ndarray, ...]  # the running value of ``carry`` after each hop
-
-
 class RunWindow:
     """Everything one run loads, held while the next target to run reads it.
 
     A run reads teacher labels, motion fields and, through the feature
-    provider, frames; and it carries each source frame's kept boxes hop by
-    hop along the fields, one sweep per source and direction. Target t
-    reads what lies within its reach k:
+    provider, frames. Target t reads what lies within its reach k:
 
     * frame f and its labels are read by targets f-k..f+k;
-    * the field (a, b), b = a+d with d = +1 forward or -1 backward, and the
-      sweep of source a in direction d (keyed by that same pair) are read
+    * the field (a, b), b = a+d with d = +1 forward or -1 backward, is read
       by targets a+d, a+2d, ..., a+kd.
 
     ``finish(t)`` marks t done and keeps only what the smallest unfinished
@@ -163,18 +155,12 @@ class RunWindow:
         self.provider = provider
         self._labels: dict[int, Optional[LabelSet]] = {}
         self._fields: dict[tuple[int, int], MotionField] = {}
-        self._sweeps: dict[tuple[int, int], _Sweep] = {}
-        self.stats = {kind: Counter() for kind in ("labels", "fields", "sweeps", "frames")}
+        self.stats = {kind: Counter() for kind in ("labels", "fields", "frames")}
 
     def held(self) -> dict[str, int]:
-        """How many label sets, fields, sweeps and provider frames are held now."""
+        """How many label sets, fields and provider frames are held now."""
         frames = self.provider.held_frames() if self.provider is not None else ()
-        return {
-            "labels": len(self._labels),
-            "fields": len(self._fields),
-            "sweeps": len(self._sweeps),
-            "frames": len(frames),
-        }
+        return {"labels": len(self._labels), "fields": len(self._fields), "frames": len(frames)}
 
     def labels(
         self, frame: int, get_labels: Callable[[int], Optional[LabelSet]]
@@ -182,7 +168,7 @@ class RunWindow:
         """The frame's teacher labels, or None where it has none."""
         return self._hold("labels", self._labels, frame, get_labels)
 
-    def _field(self, a: int, b: int, flows: FlowStore) -> MotionField:
+    def field(self, a: int, b: int, flows: FlowStore) -> MotionField:
         """The motion field (a, b) of ``flows``, held until the window drops it."""
         return self._hold("fields", self._fields, (a, b), lambda pair: flows.get(*pair))
 
@@ -194,39 +180,6 @@ class RunWindow:
         value = held[key] = load(key)
         self.stats[kind]["loads"] += 1
         return value
-
-    def carried(
-        self,
-        source: int,
-        pairs: list[tuple[int, int]],
-        get_labels: Callable[[int], Optional[LabelSet]],
-        flows: FlowStore,
-        teacher_threshold: float,
-        mode: str,
-    ) -> tuple[tuple[Detection, ...], np.ndarray]:
-        """The source's kept boxes and their corner positions at the end of ``pairs``.
-
-        A sweep is extended only as far as the chain asking for it, so no
-        flow outside a requested target's chains is read. One window serves
-        one run: the same labels, flows, teacher threshold and mode.
-        """
-        key = pairs[0]
-        sweep = self._sweeps.get(key)
-        if sweep is None:
-            labels = self.labels(source, get_labels)
-            kept = tuple(threshold_labels(labels, teacher_threshold))
-            sweep = _Sweep(kept, box_corners(d.bbox for d in kept), ())
-            self.stats["sweeps"]["loads"] += 1
-        else:
-            self.stats["sweeps"]["hits"] += 1
-        have = len(sweep.hops)
-        if have < len(pairs):
-            fields = [self._field(a, b, flows) for a, b in pairs[have:]]
-            acc = sweep.hops[-1] if have else None
-            hops = sweep.hops + tuple(carry(sweep.corners, fields, mode, acc))
-            sweep = self._sweeps[key] = sweep._replace(hops=hops)
-        acc = sweep.hops[len(pairs) - 1]
-        return sweep.kept, carried_position(sweep.corners, acc, mode)
 
     def finish(self, target: int) -> None:
         """Mark target done, fused or failed; keep what the next target reads."""
@@ -252,7 +205,6 @@ class RunWindow:
 
         self._evict("labels", list(self._labels), frame_read, self._labels.pop)
         self._evict("fields", list(self._fields), pair_read, self._fields.pop)
-        self._evict("sweeps", list(self._sweeps), pair_read, self._sweeps.pop)
         if self.provider is not None:
             self._evict("frames", self.provider.held_frames(), frame_read, self.provider.release)
 
@@ -278,9 +230,9 @@ def build_candidates(
 
     The teacher threshold is applied to the target frame and to every source
     frame before its boxes are carried over. With k=0 the result is exactly
-    the thresholded teacher labels. ``window`` holds what the run's targets
-    read, the carried positions included, until it drops them; without one
-    the call loads and carries everything itself.
+    the thresholded teacher labels. ``window`` holds the labels and fields
+    the run's targets read until it drops them; without one the call loads
+    everything itself.
     """
     if window is None:
         window = RunWindow([target], k)
@@ -299,19 +251,36 @@ def build_candidates(
     cand.effective_sources = 1 + len(chains)
     if not chains:
         return cand
-    carried = []
-    for offset, pairs in chains:
-        kept, corners = window.carried(
-            target - offset, pairs, get_labels, flows, teacher_threshold, mode
-        )
-        carried.append((offset, kept, corners))
+    kept = {
+        offset: threshold_labels(window.labels(target - offset, get_labels), teacher_threshold)
+        for offset, _ in chains
+    }
+    corners = {offset: box_corners(d.bbox for d in kept[offset]) for offset in kept}
+    at_target = {}
+    for sign in (1, -1):
+        # the farthest offset's chain ends with every nearer one's: its corners
+        # start a frontier, each nearer source's join it at their own frame,
+        # and each field is sampled once for the corners that have joined
+        side = [(offset, pairs) for offset, pairs in reversed(chains) if offset * sign > 0]
+        if not side:
+            continue
+        start = np.concatenate([corners[offset] for offset, _ in side])
+        acc = start.copy() if mode == "trajectory" else np.zeros_like(start)
+        n = 0
+        for a, b in side[0][1]:
+            n += len(corners.get(target - a, ()))  # offset target-a's source is frame a
+            acc[:n] = carry(start[:n], [window.field(a, b, flows)], mode, acc[:n])
+        rest = carried_position(start, acc, mode)
+        for offset, _ in side:
+            rows = len(corners[offset])
+            at_target[offset], rest = rest[:rows], rest[rows:]
     # one landing for all offsets: land_boxes works box by box, so each
     # offset's boxes land as they would alone, in the same order
-    all_corners = np.concatenate([corners for _, _, corners in carried])
+    all_corners = np.concatenate([at_target[offset] for offset, _ in chains])
     landed = iter(land_boxes(all_corners, size, min_coverage))
-    for offset, kept, _ in carried:
+    for offset, _ in chains:
         # zip takes from ``kept`` first, so it stops at this offset's last box
-        for src, box in zip(kept, landed):
+        for src, box in zip(kept[offset], landed):
             if box is not None:
                 # the source was checked, and land_boxes checked the landed box
                 det = unchecked_detection(src.class_id, box, src.score, offset)

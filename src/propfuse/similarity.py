@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import BBox, Detection, unchecked_detection
-from .io import read_text
+from .io import json_integer, read_text
 from .motion import Frame, sample_bilinear
 
 __all__ = [
@@ -271,7 +271,7 @@ class PrecomputedEmbeddings:
             except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
                 raise ValidationError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             try:
-                frame = int(obj["frame"])
+                frame = json_integer(obj["frame"], "frame")
                 box = BBox.from_sequence(obj["box"])
                 vec = FeatureVector(np.asarray(obj["vec"], dtype=np.float64))
             except (KeyError, TypeError, ValueError, OverflowError) as exc:

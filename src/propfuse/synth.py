@@ -24,9 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import SceneValidationError, ValidationError
+from .errors import EmptyCropError, SceneValidationError, ValidationError
 from .geometry import BBox, Detection, FrameSize, LabelSet, clip_to_frame
-from .io import DetectionRecord, read_text, write_atomic, write_detections, write_frame
+from .io import DetectionRecord, json_integer, read_text, write_atomic, write_detections, write_frame
 from .motion import DEFAULT_MIN_COVERAGE, FlowStore, Frame, MotionField, write_flow
 from .similarity import DEFAULT_PATCH_SIZE, PatchDescriptor, embedding_key
 
@@ -203,6 +203,13 @@ class SceneSpec:
                 )
             if not obj.waypoints:
                 raise SceneValidationError(f"object {idx}: trajectory needs >= 1 waypoint")
+            # position() walks the waypoints in order and would never reach
+            # one listed after a later frame
+            frames = [p[0] for p in obj.waypoints]
+            if any(b < a for a, b in zip(frames, frames[1:])):
+                raise SceneValidationError(
+                    f"object {idx}: waypoint frames must not decrease, got {frames}"
+                )
             w, h = obj.size
             if w <= 0 or h <= 0:
                 raise SceneValidationError(f"object {idx}: size must be positive, got {obj.size}")
@@ -252,8 +259,9 @@ class SceneSpec:
     @classmethod
     def _parse(cls, obj: dict) -> "SceneSpec":
         try:
-            size = FrameSize(int(obj["size"][0]), int(obj["size"][1]))
-            length = int(obj["length"])
+            width, height = obj["size"][0], obj["size"][1]
+            size = FrameSize(json_integer(width, "width"), json_integer(height, "height"))
+            length = json_integer(obj["length"], "length")
             classes = [str(c) for c in obj["classes"]]
         except (KeyError, TypeError, IndexError, OverflowError, ValueError) as exc:
             raise SceneValidationError(f"scene spec needs size, length, classes: {exc}") from exc
@@ -264,7 +272,7 @@ class SceneSpec:
                 if name not in classes:
                     raise SceneValidationError(f"{where}: unknown class {name!r}")
                 return classes.index(name)
-            cid = int(entry.get("class_id", 0))
+            cid = json_integer(entry.get("class_id", 0), "class_id")
             if not 0 <= cid < len(classes):
                 raise SceneValidationError(f"{where}: class_id {cid} out of range")
             return cid
@@ -275,9 +283,9 @@ class SceneSpec:
                 class_id=class_id_of(o, f"object {i}"),
                 size=(float(o["size"][0]), float(o["size"][1])),
                 color=(
-                    _numbers(o["color"])
+                    tuple(json_integer(c, "color") for c in o["color"])
                     if isinstance(o.get("color"), list)
-                    else int(o.get("color", 200))
+                    else json_integer(o.get("color", 200), "color")
                 ),
                 occlusion=[_numbers(iv, 2) for iv in o.get("occlusion", [])],
                 absent=[_numbers(iv, 2) for iv in o.get("absent", [])],
@@ -309,7 +317,7 @@ class SceneSpec:
         )
         injected = [
             InjectedFalsePositive(
-                frame=int(f["frame"]),
+                frame=json_integer(f["frame"], "frame"),
                 class_id=class_id_of(f, f"injected_false_positives[{j}]"),
                 bbox=BBox.from_sequence(f["bbox"]),
                 score=float(f["score"]),
@@ -324,11 +332,11 @@ class SceneSpec:
             objects=objects,
             noise=noise,
             injected=injected,
-            seed=int(obj.get("seed", 0)),
+            seed=json_integer(obj.get("seed", 0), "seed"),
             min_coverage=float(obj.get("min_coverage", DEFAULT_MIN_COVERAGE)),
-            channels=int(obj.get("channels", 1)),
+            channels=json_integer(obj.get("channels", 1), "channels"),
             background_mode=str(bg.get("mode", "noise")),
-            background_level=int(bg.get("level", 96)),
+            background_level=json_integer(bg.get("level", 96), "level"),
             background_motion=_numbers(bg.get("motion", (0, 0)), 2),
         )
 
@@ -557,10 +565,12 @@ def _bundle_embeddings(bundle: SequenceBundle, patch_size: int = DEFAULT_PATCH_S
     descriptor = PatchDescriptor(lambda t: bundle.frames[t], patch_size=patch_size)
     table: dict = {}
     for labels in list(bundle.ground_truth) + list(bundle.detections):
-        for det in labels.detections:
-            key = embedding_key(labels.frame_index, det.bbox)
-            if key not in table:
-                table[key] = descriptor.embed(labels.frame_index, det.bbox)
+        t = labels.frame_index
+        boxes = [det.bbox for det in labels.detections]
+        for box, vec in zip(boxes, descriptor.embed_many(t, boxes)):
+            if vec is None:
+                raise EmptyCropError(f"box {box.as_tuple()} lies outside frame {t}")
+            table.setdefault(embedding_key(t, box), vec)
     return table
 
 

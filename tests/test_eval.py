@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -434,6 +435,20 @@ class TestSelfConsistency:
         flows.add(0, 1, constant_field(SIZE, 1.0, 0.0))
         with pytest.raises(MissingFlowError):
             self_consistency(LabelSet(0, [det(1.0, (0, 0, 10, 10))]), flows, 1, SIZE)
+
+    def test_far_reach_fails_at_its_first_missing_field(self):
+        # 100,000 hops from a two-frame sequence: the field after the last
+        # frame ends the call before any pair of the hops beyond it is listed
+        flows = two_way_store(1, 1.0, 0.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MissingFlowError) as err:
+                self_consistency(LabelSet(0, []), flows, 100_000, SIZE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (err.value.from_frame, err.value.to_frame) == (1, 2)
+        assert peak < 1_000_000
 
     def test_empty_label_set(self):
         flows = two_way_store(1, 1.0, 0.0)

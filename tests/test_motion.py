@@ -289,8 +289,9 @@ class TestTransferPoint:
     def test_floor_applied_once_at_chain_end(self):
         # two hops of +0.6: trajectory tracks 1.2 and floors to 1, not 0
         fields = [constant_field(self.SIZE, 0.6, 0.0)] * 2
-        hops = carry(np.zeros((1, 2)), fields, "trajectory")
-        assert hops[0][0, 0] < 1.0 <= hops[1][0, 0]
+        first = carry(np.zeros((1, 2)), fields[:1], "trajectory")
+        both = carry(np.zeros((1, 2)), fields[1:], "trajectory", first)
+        assert first[0, 0] < 1.0 <= both[0, 0]
         assert self._corner(0.0, 0.0, fields) == (1, 0)
 
 
@@ -524,7 +525,7 @@ class TestComposedMotion:
         start = np.array([[3.0, 1.0]])
         for mode, want in (("trajectory", [13.0, 1.0]), ("additive", [7.0, 1.0])):
             motion = ComposedMotion([hop1, hop2], mode=mode)
-            acc = carry(start, motion.fields, motion.mode)[-1]
+            acc = carry(start, motion.fields, motion.mode)
             assert carried_position(start, acc, mode).tolist() == [want]
 
 

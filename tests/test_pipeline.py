@@ -18,6 +18,7 @@ import propfuse.fusion
 import propfuse.io
 import propfuse.manifest
 import propfuse.pipeline
+import propfuse.propagation
 from propfuse.cli import _config_from_args, _parse_frames, build_parser, main
 from propfuse.errors import CliUsageError, FlowFormatError, ValidationError
 from propfuse.fusion import FusionConfig
@@ -391,6 +392,37 @@ class TestRunPipeline:
         assert run.report["errors"] == []
         # every in-range offset participated, nothing off the end did
         assert run.report["frames"][0]["effective_sources"] == 8
+
+    def test_reach_is_bounded_by_the_sequence(self, tmp_path, clean_dir, monkeypatch):
+        # k far past the 8-frame sequence tries no offset beyond its span of
+        # 7 frames, in the pipeline and in propagate, and writes what k=7
+        # writes; the report and the candidate header keep the k given
+        tried = []
+        real = propfuse.propagation.offset_order
+        monkeypatch.setattr(
+            propfuse.propagation, "offset_order", lambda k: tried.append(k) or real(k)
+        )
+        manifest = load_manifest(clean_dir)
+        out = {}
+        for k in (7, 10_000):
+            out[k] = tmp_path / str(k)
+            config = PipelineConfig(k=k, method="wbf")
+            report = run_pipeline(manifest, config, out_dir=out[k]).report
+            assert report["config"]["k"] == k
+            propagate = ["propagate", "--manifest", str(clean_dir), "--frame", "3"]
+            assert main(propagate + ["--k", str(k), "--out", str(out[k] / "cand.jsonl")]) == 0
+        assert set(tried) == {7}
+        labels = sorted((out[7] / "labels").iterdir())
+        assert [p.read_bytes() for p in labels] == [
+            (out[10_000] / "labels" / p.name).read_bytes() for p in labels
+        ]
+        near, far = (json.loads(out[k].joinpath("run_report.json").read_text()) for k in out)
+        for frame in near["frames"] + far["frames"]:
+            del frame["seconds"]
+        assert near["frames"] == far["frames"]
+        near, far = (out[k].joinpath("cand.jsonl").read_text().splitlines() for k in out)
+        assert near[1:] == far[1:] and len(near) > 1
+        assert {**json.loads(far[0]), "k": 7} == json.loads(near[0])
 
     def test_missing_flow_is_an_error(self, tmp_path):
         write_bundle(generate(_bundles_simple_spec()), tmp_path)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import propfuse.motion
 import propfuse.propagation
 from propfuse.errors import ValidationError
 from propfuse.geometry import BBox, Detection, FrameSize, LabelSet
@@ -18,7 +19,7 @@ from propfuse.propagation import (
 from _oracles import ref_candidates
 
 SIZE = FrameSize(100, 100)
-NOTHING_HELD = {"labels": 0, "fields": 0, "sweeps": 0, "frames": 0}
+NOTHING_HELD = {"labels": 0, "fields": 0, "frames": 0}
 
 
 def labels(frame, *dets):
@@ -251,6 +252,25 @@ class TestBuildCandidates:
         assert [d.source_offset for d in cand.detections] == [0, 1, -1, 2, -2]
         assert cand.effective_sources == 5
 
+    def test_interior_target_samples_each_field_of_its_reach_once(self, monkeypatch):
+        # k=3 around frame 5 of 11: three fields each way, each sampled once
+        # for all the corners that cross it, whatever the number of offsets
+        points = []
+        real = propfuse.motion.sample_bilinear
+
+        def counted(data, xs, ys):
+            points.append(len(xs))
+            return real(data, xs, ys)
+
+        monkeypatch.setattr(propfuse.motion, "sample_bilinear", counted)
+        boxes = det(0.9, (40, 40, 50, 50)), det(0.8, (60, 40, 70, 50))
+        table = {t: labels(t, *boxes) for t in range(11)}
+        cand = build_candidates(5, 3, table.get, full_store(11, du=1.0), SIZE)
+        assert cand.count_by_offset() == {o: 2 for o in (-3, -2, -1, 0, 1, 2, 3)}
+        # each way, the farthest source's 8 corners cross the first field,
+        # and each nearer source's 8 join them at its own frame
+        assert points == [8, 16, 24, 8, 16, 24]
+
     @given(
         st.integers(0, 90),
         st.integers(0, 90),
@@ -302,7 +322,7 @@ def sequences(draw):
     return FrameSize(w, h), fields, labels
 
 
-class TestSweep:
+class TestAgainstPerCornerChains:
     @settings(max_examples=80, deadline=None)
     @given(
         sequences(),
@@ -334,9 +354,9 @@ class TestSweep:
         # everything is dropped once the last target that reads it is done
         assert window.held() == NOTHING_HELD
 
-    def test_sweep_extended_by_another_target_midway(self):
-        # target 3 extends source 5's backward sweep while target 2 is still
-        # reading the fields for it
+    def test_target_built_while_another_loads_a_shared_field(self):
+        # target 3 is built, reading field 4 -> 3 through the window, while
+        # target 2 is still loading that same field for its backward chain
         n, size, k = 7, FrameSize(24, 24), 3
         rng = np.random.default_rng(11)
         fields = {}

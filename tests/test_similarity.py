@@ -397,6 +397,16 @@ class TestPrecomputed:
         assert str(err.value).startswith(f"{path}:2: ")
         assert needle in str(err.value)
 
+    @pytest.mark.parametrize("frame, shown", [("1.7", "float 1.7"), ("true", "bool True")])
+    def test_frame_must_be_a_json_integer(self, tmp_path, frame, shown):
+        path = tmp_path / "emb.jsonl"
+        path.write_text(f'{{"frame": {frame}, "box": [1, 2, 3, 4], "vec": [0.5]}}\n')
+        with pytest.raises(ValidationError) as err:
+            PrecomputedEmbeddings.load(path)
+        assert str(err.value) == (
+            f"{path}:1: malformed embedding record: frame must be an integer, got {shown}"
+        )
+
     def test_undecodable_file_names_path_and_line(self, tmp_path):
         path = tmp_path / "emb.jsonl"
         path.write_bytes(b'{"frame": 0, "box": [5, 6, 7, 8], "vec": [0.5]}\n{"frame": \xff}\n')

@@ -13,7 +13,7 @@ from propfuse.errors import SceneValidationError, ValidationError
 from propfuse.geometry import BBox, FrameSize
 from propfuse.manifest import load_manifest
 from propfuse.motion import sample_bilinear
-from propfuse.similarity import PrecomputedEmbeddings
+from propfuse.similarity import PatchDescriptor, PrecomputedEmbeddings, embedding_key
 from propfuse.synth import (
     MAX_SCENE_LENGTH,
     MAX_SCENE_PIXEL_FRAMES,
@@ -305,6 +305,56 @@ class TestLoadSpec:
         assert capsys.readouterr().err == f"error: {err.value}\n"
         assert not (tmp_path / "bundle").exists()
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda s: s.update(length=3.9), "length must be an integer, got float 3.9"),
+            (lambda s: s.update(length=True), "length must be an integer, got bool True"),
+            (lambda s: s.update(seed=1.5), "seed must be an integer, got float 1.5"),
+            (lambda s: s.update(size=[32.9, 48]), "width must be an integer, got float 32.9"),
+            (
+                lambda s: s["objects"][0].update({"class_id": 0.9}) or s["objects"][0].pop("class"),
+                "class_id must be an integer, got float 0.9",
+            ),
+            (
+                lambda s: s["injected_false_positives"][0].update(frame=1.7),
+                "frame must be an integer, got float 1.7",
+            ),
+            (
+                lambda s: s["objects"][0].update(color=200.7),
+                "color must be an integer, got float 200.7",
+            ),
+            (lambda s: s["objects"][0].update(color=[9.5]), "color must be an integer, got float 9.5"),
+        ],
+        ids=[
+            "length 3.9",
+            "length true",
+            "seed 1.5",
+            "width 32.9",
+            "class_id 0.9",
+            "fp frame 1.7",
+            "color 200.7",
+            "color [9.5]",
+        ],
+    )
+    def test_numbers_int_would_floor_are_rejected(self, tmp_path, edit, message):
+        path = tmp_path / "scene.json"
+        path.write_text(_edited(edit))
+        with pytest.raises(SceneValidationError) as err:
+            load_spec(path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert str(err.value).endswith(message)
+
+    def test_decreasing_waypoint_frames_rejected(self):
+        # frames 0, 10, 5: position() would stop at x=50 at frame 5 and
+        # never reach (10, 100)
+        obj = ObjectSpec(0, (8.0, 8.0), [(0.0, 0.0, 0.0), (10.0, 100.0, 0.0), (5.0, 50.0, 0.0)])
+        spec = simple_spec(size=FrameSize(160, 72), length=12, objects=[obj])
+        with pytest.raises(SceneValidationError, match="waypoint frames must not decrease"):
+            spec.validate()
+        obj.waypoints[1:] = [(5.0, 50.0, 0.0), (5.0, 60.0, 0.0), (10.0, 100.0, 0.0)]
+        spec.validate()
+
     def test_scenes_at_the_caps_are_admitted(self):
         SceneSpec(size=FrameSize(1, 1), length=MAX_SCENE_LENGTH, classes=["car"]).validate()
         SceneSpec(size=FrameSize(10**4, 10**4), length=1, classes=["car"]).validate()
@@ -349,6 +399,21 @@ class TestWriteBundle:
         assert m.embeddings_path is not None
         table = PrecomputedEmbeddings.load(m.embeddings_path)
         assert len(table) > 0
+
+    def test_embeddings_computed_in_one_batch_per_label_set(self, monkeypatch):
+        batches = []
+        real = PatchDescriptor.embed_many
+
+        def embed_many(self, frame_index, boxes):
+            batches.append((frame_index, len(boxes)))
+            return real(self, frame_index, boxes)
+
+        monkeypatch.setattr(PatchDescriptor, "embed_many", embed_many)
+        bundle = generate(simple_spec(), include_embeddings=True)
+        label_sets = bundle.ground_truth + bundle.detections
+        assert batches == [(ls.frame_index, len(ls.detections)) for ls in label_sets]
+        keys = {embedding_key(ls.frame_index, d.bbox) for ls in label_sets for d in ls.detections}
+        assert set(bundle.embeddings) == keys
 
     @pytest.mark.parametrize(
         "victim",

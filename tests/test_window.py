@@ -22,7 +22,7 @@ from propfuse.pipeline import PipelineConfig, run_pipeline
 from propfuse.propagation import RunWindow, build_candidates
 from propfuse.similarity import PatchDescriptor
 
-NOTHING_HELD = {"labels": 0, "fields": 0, "sweeps": 0, "frames": 0}
+NOTHING_HELD = {"labels": 0, "fields": 0, "frames": 0}
 
 
 def most_held(n, k, shuffled):
