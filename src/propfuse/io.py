@@ -1,11 +1,14 @@
-"""Detection JSONL records and PGM/PPM frame files.
+"""Detection JSONL records, the one JSON-lines reader, and PGM/PPM frame files.
 
 One detection per line: {"frame": int, "class": str, "bbox": [x1, y1, x2, y2],
 "score": float} plus optional "source_offset" (omitted when 0) and, for
 candidate files, the originating "source_bbox" on the source frame. Floats
 are always written with 6 decimal places so identical runs produce identical
-bytes. A candidate file may start with one {"type": "candidate_meta", ...}
-line carrying the target frame, the number of available sources, and k.
+bytes; every line starts from one template, ``_LINE_HEAD``. A candidate file
+may start with one {"type": "candidate_meta", ...} line carrying the target
+frame, the number of available sources, and k. ``json_lines`` reads every
+JSON-lines file, embeddings too; ``json_integer`` and ``json_number`` are the
+number rules of every JSON reader.
 
 Every file is written through ``write_atomic``: a reader, or a run that is
 killed, sees a file's old contents or its whole new contents, never a part.
@@ -16,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +36,9 @@ __all__ = [
     "write_detections",
     "read_detections",
     "record_detection",
+    "json_lines",
     "json_integer",
+    "json_number",
     "read_text",
     "write_atomic",
     "write_frame",
@@ -97,31 +102,19 @@ def write_atomic(path: str | Path, data: str | bytes, encoding: str | None = Non
         raise
 
 
-def _fmt(value: float) -> str:
-    return f"{float(value):.6f}"
-
-
-def _fmt_box(box) -> str:
-    return "[" + ", ".join(_fmt(c) for c in box) + "]"
+# a detection line up to its optional keys: %d is int() and %.6f is
+# f"{float(x):.6f}", and the class comes pre-quoted
+_LINE_HEAD = '{"frame": %d, "class": %s, "bbox": [%.6f, %.6f, %.6f, %.6f], "score": %.6f'
+_LABEL_LINE = _LINE_HEAD + "}\n"
 
 
 def detection_line(rec: DetectionRecord) -> str:
-    parts = [
-        f'"frame": {int(rec.frame)}',
-        f'"class": {json.dumps(rec.class_name)}',
-        f'"bbox": {_fmt_box(rec.bbox)}',
-        f'"score": {_fmt(rec.score)}',
-    ]
+    line = _LINE_HEAD % (rec.frame, json.dumps(rec.class_name), *rec.bbox, rec.score)
     if rec.source_offset:
-        parts.append(f'"source_offset": {int(rec.source_offset)}')
+        line += ', "source_offset": %d' % rec.source_offset
     if rec.source_bbox is not None:
-        parts.append(f'"source_bbox": {_fmt_box(rec.source_bbox)}')
-    return "{" + ", ".join(parts) + "}"
-
-
-# detection_line's text for a record with no source_offset or source_bbox:
-# %d is int() and %.6f is f"{float(x):.6f}", and the class comes pre-quoted
-_LABEL_LINE = '{"frame": %d, "class": %s, "bbox": [%.6f, %.6f, %.6f, %.6f], "score": %.6f}\n'
+        line += ', "source_bbox": [%.6f, %.6f, %.6f, %.6f]' % tuple(rec.source_bbox)
+    return line + "}"
 
 
 def quote_names(names) -> list[str]:
@@ -152,20 +145,9 @@ def write_detections(
             lines.append(_LABEL_LINE % (frame, name, b.x1, b.y1, b.x2, b.y2, d.score))
         write_atomic(path, "".join(lines), "ascii")
         return
-    lines = []
+    lines = [detection_line(r) for r in records]
     if meta is not None:
-        lines.append(
-            json.dumps(
-                {
-                    "type": "candidate_meta",
-                    "frame": meta.frame,
-                    "effective_sources": meta.effective_sources,
-                    "k": meta.k,
-                },
-                sort_keys=True,
-            )
-        )
-    lines.extend(detection_line(r) for r in records)
+        lines.insert(0, json.dumps({"type": "candidate_meta", **asdict(meta)}, sort_keys=True))
     write_atomic(path, "".join(line + "\n" for line in lines), "ascii")
 
 
@@ -191,6 +173,32 @@ def json_integer(value, key: str) -> int:
     return value
 
 
+def json_number(value, key: str) -> int | float:
+    """``value`` if it is a JSON number, else a TypeError naming ``key``.
+
+    Not "0.5", which float() would parse, and not true, which float() reads as 1.0.
+    """
+    if type(value) is not float and type(value) is not int:
+        raise TypeError(f"{key} must be a number, got {_shown(value)}")
+    return value
+
+
+def json_lines(path: str | Path):
+    """Each non-blank line of an ASCII JSON-lines file as (line number, value).
+
+    A line that is not JSON is a ValidationError naming the file and line.
+    """
+    for lineno, line in enumerate(read_text(path, "ascii").splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            value = json.loads(line)
+        except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+            raise ValidationError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        yield lineno, value
+
+
 def _parse_box(value, path, lineno, key) -> tuple[float, float, float, float]:
     """Four finite numbers with x1 < x2 and y1 < y2, as floats: what ``BBox`` checks."""
     if type(value) is not list or len(value) != 4:
@@ -213,8 +221,7 @@ def _parse_box(value, path, lineno, key) -> tuple[float, float, float, float]:
 
 def _parse_score(value, path, lineno) -> float:
     """A number in [0, 1], as a float: what ``Detection`` checks."""
-    if type(value) is not float and type(value) is not int:
-        raise ValidationError(f"{path}:{lineno}: score must be a number, got {_shown(value)}")
+    json_number(value, "score")
     if not 0.0 <= value <= 1.0:
         if type(value) is float and not math.isfinite(value):
             raise ValidationError(f"{path}:{lineno}: non-finite score: {value}")
@@ -233,15 +240,7 @@ def read_detections(
     """
     records: list[DetectionRecord] = []
     meta: CandidateMeta | None = None
-    text = read_text(path, "ascii")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-            raise ValidationError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+    for lineno, obj in json_lines(path):
         if type(obj) is not dict:
             raise ValidationError(f"{path}:{lineno}: expected a JSON object")
         is_meta = obj.get("type") == "candidate_meta"
@@ -261,7 +260,7 @@ def read_detections(
         except KeyError:
             missing = [k for k in (_META_KEYS if is_meta else _RECORD_KEYS) if k not in obj]
             raise ValidationError(f"{path}:{lineno}: missing keys {missing}") from None
-        except TypeError as exc:  # from json_integer
+        except TypeError as exc:  # from json_integer or json_number
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
         source_bbox = obj.get("source_bbox")
         if source_bbox is not None:

@@ -6,6 +6,7 @@ files keyed by ordered (from, to) frame pair, and optional ground-truth and
 embedding files. Paths are relative to the manifest's directory and must
 exist at load time. Each listed file is read on every request, so a manifest
 keeps nothing it reads; a run holds what it reads in its ``RunWindow``.
+``write_manifest`` writes the file that ``load_manifest`` reads.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from typing import Optional
 
 from .errors import ValidationError, VocabularyError
 from .geometry import FrameSize, LabelSet
-from .io import json_integer, read_detections, read_frame, read_text, record_detection
+from .io import json_integer, read_detections, read_frame, read_text, record_detection, write_atomic
 from .motion import FlowStore, Frame
 
-__all__ = ["FrameEntry", "SequenceManifest", "load_manifest"]
+__all__ = ["FrameEntry", "SequenceManifest", "load_manifest", "write_manifest"]
 
 
 @dataclass
@@ -146,8 +147,16 @@ def load_manifest(path: str | Path) -> SequenceManifest:
             missing.append(rel)
         return p
 
+    def _get(key: str, want: type, default):
+        """``obj[key]``, or ``default`` if absent; a value of another type is an error."""
+        value = obj.get(key, default)
+        if value is not default and type(value) is not want:
+            got = f"{type(value).__name__} {value!r}"
+            raise ValidationError(f"{path}: {key} must be a {want.__name__}, got {got}")
+        return value
+
     frames: dict[int, FrameEntry] = {}
-    for entry in obj.get("frames", []):
+    for entry in _get("frames", list, []):
         try:
             idx = json_integer(entry["index"], "index")
             frame_path = _resolve(entry["frame"])
@@ -161,7 +170,7 @@ def load_manifest(path: str | Path) -> SequenceManifest:
         raise ValidationError(f"{path}: manifest lists no frames")
 
     flows = FlowStore(size=size)
-    for entry in obj.get("flows", []):
+    for entry in _get("flows", list, []):
         try:
             a = json_integer(entry["from"], "from")
             b = json_integer(entry["to"], "to")
@@ -172,8 +181,9 @@ def load_manifest(path: str | Path) -> SequenceManifest:
             raise ValidationError(f"{path}: duplicate flow pair ({a}, {b})")
         flows.add(a, b, flow_path)
 
-    gt_path = _resolve(obj["gt"]) if obj.get("gt") else None
-    embeddings_path = _resolve(obj["embeddings"]) if obj.get("embeddings") else None
+    gt_rel, embeddings_rel = _get("gt", str, None), _get("embeddings", str, None)
+    gt_path = _resolve(gt_rel) if gt_rel else None
+    embeddings_path = _resolve(embeddings_rel) if embeddings_rel else None
 
     if missing:
         raise ValidationError(
@@ -188,3 +198,17 @@ def load_manifest(path: str | Path) -> SequenceManifest:
         gt_path=gt_path,
         embeddings_path=embeddings_path,
     )
+
+
+def write_manifest(
+    path: str | Path, size: FrameSize, classes: list[str], frames, flows, gt=None, embeddings=None
+) -> None:
+    """Write the manifest that ``load_manifest`` reads.
+
+    ``frames`` holds (index, frame file, detections file) and ``flows``
+    (from, to, field file), in the order written; paths are relative to it.
+    """
+    obj = {"size": [size.width, size.height], "classes": classes, "gt": gt, "embeddings": embeddings}
+    obj["frames"] = [{"index": t, "frame": f, "detections": d} for t, f, d in frames]
+    obj["flows"] = [{"from": a, "to": b, "path": rel} for a, b, rel in flows]
+    write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n", "ascii")

@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import BBox, Detection, unchecked_detection
-from .io import json_integer, read_text
+from .io import json_integer, json_lines, write_atomic
 from .motion import Frame, sample_bilinear
 
 __all__ = [
@@ -245,6 +245,7 @@ class PrecomputedEmbeddings:
 
     Each line reads {"frame": int, "box": [x1, y1, x2, y2], "vec": [...]};
     vector components must lie in [0, 1] and at least one must be non-zero.
+    ``write`` writes that file, ``load`` reads it.
     """
 
     def __init__(self, table: Mapping[tuple, FeatureVector]):
@@ -258,18 +259,8 @@ class PrecomputedEmbeddings:
 
     @classmethod
     def load(cls, path: str | Path) -> "PrecomputedEmbeddings":
-        import json
-
         table: dict[tuple, FeatureVector] = {}
-        text = read_text(path, "ascii")
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-                raise ValidationError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        for lineno, obj in json_lines(path):
             try:
                 frame = json_integer(obj["frame"], "frame")
                 box = BBox.from_sequence(obj["box"])
@@ -280,6 +271,15 @@ class PrecomputedEmbeddings:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from exc
             table[embedding_key(frame, box)] = vec
         return cls(table)
+
+    def write(self, path: str | Path) -> None:
+        """Write the table as ``load`` reads it: one line per key, keys in order, 6 decimals."""
+        lines = []
+        for key in sorted(self._table):
+            box = ", ".join(f"{c:.6f}" for c in key[1:])
+            vals = ", ".join(f"{v:.6f}" for v in self._table[key].values)
+            lines.append(f'{{"frame": {key[0]}, "box": [{box}], "vec": [{vals}]}}\n')
+        write_atomic(path, "".join(lines), "ascii")
 
     def embed(self, frame_index: int, bbox: BBox) -> FeatureVector:
         key = embedding_key(frame_index, bbox)

@@ -26,9 +26,18 @@ import numpy as np
 
 from .errors import EmptyCropError, SceneValidationError, ValidationError
 from .geometry import BBox, Detection, FrameSize, LabelSet, clip_to_frame
-from .io import DetectionRecord, json_integer, read_text, write_atomic, write_detections, write_frame
+from .io import (
+    DetectionRecord,
+    json_integer,
+    json_number,
+    quote_names,
+    read_text,
+    write_detections,
+    write_frame,
+)
+from .manifest import write_manifest
 from .motion import DEFAULT_MIN_COVERAGE, FlowStore, Frame, MotionField, write_flow
-from .similarity import DEFAULT_PATCH_SIZE, PatchDescriptor, embedding_key
+from .similarity import DEFAULT_PATCH_SIZE, PatchDescriptor, PrecomputedEmbeddings, embedding_key
 
 __all__ = [
     "ObjectSpec",
@@ -56,12 +65,17 @@ def _quant(value: float) -> float:
     return float(f"{value:.6f}")
 
 
-def _numbers(value, n: Optional[int] = None) -> tuple:
-    """A spec's list of numbers (``n`` of them if given), as given; else a ValueError."""
+def _number(value, key: str) -> float:
+    """A spec's JSON number as a float; a string or a bool is a TypeError naming ``key``."""
+    return float(json_number(value, key))
+
+
+def _numbers(value, n: int, key: str, check=_number) -> tuple:
+    """A spec's list of ``n`` values, each through ``check``; else a TypeError or ValueError."""
     values = tuple(value)
-    if (n is not None and len(values) != n) or not all(isinstance(v, (int, float)) for v in values):
-        raise ValueError(f"expected {n or 'some'} numbers, got {value!r}")
-    return values
+    if len(values) != n:
+        raise ValueError(f"{key} needs {n} values, got {value!r}")
+    return tuple(check(v, key) for v in values)
 
 
 def _in_intervals(t: int, intervals) -> bool:
@@ -262,14 +276,16 @@ class SceneSpec:
             width, height = obj["size"][0], obj["size"][1]
             size = FrameSize(json_integer(width, "width"), json_integer(height, "height"))
             length = json_integer(obj["length"], "length")
-            classes = [str(c) for c in obj["classes"]]
+            classes = obj["classes"]
+            if type(classes) is not list or not all(type(c) is str for c in classes):
+                raise TypeError(f"classes must be a list of JSON strings, got {classes!r}")
         except (KeyError, TypeError, IndexError, OverflowError, ValueError) as exc:
             raise SceneValidationError(f"scene spec needs size, length, classes: {exc}") from exc
 
         def class_id_of(entry: dict, where: str) -> int:
             if "class" in entry:
-                name = str(entry["class"])
-                if name not in classes:
+                name = entry["class"]
+                if type(name) is not str or name not in classes:
                     raise SceneValidationError(f"{where}: unknown class {name!r}")
                 return classes.index(name)
             cid = json_integer(entry.get("class_id", 0), "class_id")
@@ -281,24 +297,24 @@ class SceneSpec:
         for i, o in enumerate(obj.get("objects", [])):
             kw = dict(
                 class_id=class_id_of(o, f"object {i}"),
-                size=(float(o["size"][0]), float(o["size"][1])),
+                size=_numbers(o["size"], 2, "size"),
                 color=(
                     tuple(json_integer(c, "color") for c in o["color"])
                     if isinstance(o.get("color"), list)
                     else json_integer(o.get("color", 200), "color")
                 ),
-                occlusion=[_numbers(iv, 2) for iv in o.get("occlusion", [])],
-                absent=[_numbers(iv, 2) for iv in o.get("absent", [])],
+                occlusion=[_numbers(v, 2, "occlusion", json_integer) for v in o.get("occlusion", [])],
+                absent=[_numbers(v, 2, "absent", json_integer) for v in o.get("absent", [])],
             )
             if "waypoints" in o:
                 spec = ObjectSpec(
-                    waypoints=[(float(p[0]), float(p[1]), float(p[2])) for p in o["waypoints"]],
+                    waypoints=[_numbers(p, 3, "waypoints") for p in o["waypoints"]],
                     **kw,
                 )
             elif "start" in o and "velocity" in o:
                 spec = ObjectSpec.linear(
-                    start=(float(o["start"][0]), float(o["start"][1])),
-                    velocity=(float(o["velocity"][0]), float(o["velocity"][1])),
+                    start=_numbers(o["start"], 2, "start"),
+                    velocity=_numbers(o["velocity"], 2, "velocity"),
                     length=length,
                     **kw,
                 )
@@ -306,21 +322,17 @@ class SceneSpec:
                 raise SceneValidationError(f"object {i}: needs waypoints or start+velocity")
             objects.append(spec)
         noise_obj = obj.get("noise", {})
-        noise = DetectorNoise(
-            miss_prob=float(noise_obj.get("miss_prob", 0.0)),
-            jitter_sigma=float(noise_obj.get("jitter_sigma", 0.0)),
-            fp_rate=float(noise_obj.get("fp_rate", 0.0)),
-            fp_score_range=_numbers(noise_obj.get("fp_score_range", (0.5, 0.9)), 2),
-            true_score_range=_numbers(noise_obj.get("true_score_range", (1.0, 1.0)), 2),
-            fp_width_range=_numbers(noise_obj.get("fp_width_range", (8.0, 24.0)), 2),
-            fp_height_range=_numbers(noise_obj.get("fp_height_range", (8.0, 24.0)), 2),
-        )
+        knobs = {}
+        for name, default in vars(DetectorNoise()).items():  # each knob with its default
+            value = noise_obj.get(name, default)
+            knobs[name] = _numbers(value, 2, name) if type(default) is tuple else _number(value, name)
+        noise = DetectorNoise(**knobs)
         injected = [
             InjectedFalsePositive(
                 frame=json_integer(f["frame"], "frame"),
                 class_id=class_id_of(f, f"injected_false_positives[{j}]"),
                 bbox=BBox.from_sequence(f["bbox"]),
-                score=float(f["score"]),
+                score=_number(f["score"], "score"),
             )
             for j, f in enumerate(obj.get("injected_false_positives", []))
         ]
@@ -333,11 +345,11 @@ class SceneSpec:
             noise=noise,
             injected=injected,
             seed=json_integer(obj.get("seed", 0), "seed"),
-            min_coverage=float(obj.get("min_coverage", DEFAULT_MIN_COVERAGE)),
+            min_coverage=_number(obj.get("min_coverage", DEFAULT_MIN_COVERAGE), "min_coverage"),
             channels=json_integer(obj.get("channels", 1), "channels"),
-            background_mode=str(bg.get("mode", "noise")),
+            background_mode=bg.get("mode", "noise"),
             background_level=json_integer(bg.get("level", 96), "level"),
-            background_motion=_numbers(bg.get("motion", (0, 0)), 2),
+            background_motion=_numbers(bg.get("motion", (0, 0)), 2, "motion"),
         )
 
 
@@ -575,35 +587,33 @@ def _bundle_embeddings(bundle: SequenceBundle, patch_size: int = DEFAULT_PATCH_S
 
 
 def write_bundle(bundle: SequenceBundle, out_dir: str | Path) -> Path:
-    """Lay the bundle out on disk and return the manifest path."""
+    """Lay the bundle out on disk and return the manifest path.
+
+    Each file is written by the writer beside its reader: ``io`` for frames
+    and labels, ``motion`` for fields, ``PrecomputedEmbeddings.write`` and
+    ``manifest.write_manifest``.
+    """
     root = Path(out_dir)
-    (root / "frames").mkdir(parents=True, exist_ok=True)
-    (root / "flows").mkdir(exist_ok=True)
-    (root / "dets").mkdir(exist_ok=True)
+    for sub in ("frames", "flows", "dets"):
+        (root / sub).mkdir(parents=True, exist_ok=True)
 
     ext = "pgm" if bundle.spec.channels == 1 else "ppm"
     classes = bundle.classes
+    quoted_names = quote_names(classes)
     frame_entries = []
     for t, frame in enumerate(bundle.frames):
         frame_rel = f"frames/frame_{t:04d}.{ext}"
         det_rel = f"dets/det_{t:04d}.jsonl"
         write_frame(frame, root / frame_rel)
-        records = [
-            DetectionRecord(t, classes[d.class_id], d.bbox.as_tuple(), d.score)
-            for d in bundle.detections[t].detections
-        ]
-        write_detections(records, root / det_rel)
-        frame_entries.append({"index": t, "frame": frame_rel, "detections": det_rel})
+        write_detections(bundle.detections[t], root / det_rel, quoted_names=quoted_names)
+        frame_entries.append((t, frame_rel, det_rel))
 
     flow_entries = []
-    for (a, b), mf in sorted(bundle.forward_flows.items()):
-        rel = f"flows/fw_{a:04d}_{b:04d}.flo"
-        write_flow(mf, root / rel)
-        flow_entries.append({"from": a, "to": b, "path": rel})
-    for (a, b), mf in sorted(bundle.backward_flows.items()):
-        rel = f"flows/bw_{a:04d}_{b:04d}.flo"
-        write_flow(mf, root / rel)
-        flow_entries.append({"from": a, "to": b, "path": rel})
+    for prefix, flows in (("fw", bundle.forward_flows), ("bw", bundle.backward_flows)):
+        for (a, b), mf in sorted(flows.items()):
+            rel = f"flows/{prefix}_{a:04d}_{b:04d}.flo"
+            write_flow(mf, root / rel)
+            flow_entries.append((a, b, rel))
 
     gt_records = []
     for t, labels in enumerate(bundle.ground_truth):
@@ -611,26 +621,10 @@ def write_bundle(bundle: SequenceBundle, out_dir: str | Path) -> Path:
             gt_records.append(DetectionRecord(t, classes[d.class_id], d.bbox.as_tuple(), d.score))
     write_detections(gt_records, root / "gt.jsonl")
 
-    embeddings_rel = None
-    if bundle.embeddings is not None:
-        embeddings_rel = "embeddings.jsonl"
-        lines = []
-        for key in sorted(bundle.embeddings):
-            vec = bundle.embeddings[key]
-            frame_idx = key[0]
-            box = ", ".join(f"{c:.6f}" for c in key[1:])
-            vals = ", ".join(f"{v:.6f}" for v in vec.values)
-            lines.append(f'{{"frame": {frame_idx}, "box": [{box}], "vec": [{vals}]}}')
-        write_atomic(root / embeddings_rel, "".join(s + "\n" for s in lines), "ascii")
+    embeddings_rel = None if bundle.embeddings is None else "embeddings.jsonl"
+    if embeddings_rel:
+        PrecomputedEmbeddings(bundle.embeddings).write(root / embeddings_rel)
 
-    manifest = {
-        "size": [bundle.size.width, bundle.size.height],
-        "classes": classes,
-        "frames": frame_entries,
-        "flows": flow_entries,
-        "gt": "gt.jsonl",
-        "embeddings": embeddings_rel,
-    }
     path = root / "manifest.json"
-    write_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n", "ascii")
+    write_manifest(path, bundle.size, classes, frame_entries, flow_entries, "gt.jsonl", embeddings_rel)
     return path

@@ -45,6 +45,81 @@ class TestDetectionLine:
         assert '"source_bbox": [0.000000, 0.000000, 1.000000, 1.000000]' in line
 
 
+def per_value_line(rec: DetectionRecord) -> str:
+    """A detection line built one value at a time with f"{float(v):.6f}", as the
+    format was first written; ``detection_line``'s template must give these bytes."""
+
+    def fmt(value):
+        return f"{float(value):.6f}"
+
+    def fmt_box(box):
+        return "[" + ", ".join(fmt(c) for c in box) + "]"
+
+    parts = [
+        f'"frame": {int(rec.frame)}',
+        f'"class": {json.dumps(rec.class_name)}',
+        f'"bbox": {fmt_box(rec.bbox)}',
+        f'"score": {fmt(rec.score)}',
+    ]
+    if rec.source_offset:
+        parts.append(f'"source_offset": {int(rec.source_offset)}')
+    if rec.source_bbox is not None:
+        parts.append(f'"source_bbox": {fmt_box(rec.source_bbox)}')
+    return "{" + ", ".join(parts) + "}"
+
+
+class TestDetectionLineEdgeValues:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(bbox=(-0.0, -0.0, 1e6, 1e6), score=0.0),
+            dict(bbox=(5e-7, 2.5e-7, 1.0, 1e6 - 5e-7), score=1.0),
+            dict(bbox=(2.5e-7, -2.5e-7, 3.5e-7, 7.5e-7), score=5e-7),
+            dict(bbox=(-3.0000005, 0.1, 0.30000000000000004, 999999.9999995), score=2.5e-7),
+            dict(source_offset=-2),
+            dict(source_offset=3, source_bbox=(-0.0, 5e-7, 1e6, 2.5e-7 + 1.0)),
+            dict(class_name="caf\u00e9 \u81ea\u8f6a", source_offset=-1, source_bbox=(0, 0, 2, 2)),
+            dict(class_name='say "hi"\\'),
+            dict(frame=0, bbox=(0, 0, 1, 1), score=1),
+        ],
+        ids=[
+            "-0 and 1e6, score 0",
+            "5e-7 and 2.5e-7, score 1",
+            "below the sixth decimal",
+            "past the sixth decimal",
+            "offset -2",
+            "offset and source box",
+            "non-ASCII class",
+            "escaped class",
+            "integers",
+        ],
+    )
+    def test_bytes_match_the_per_value_format(self, tmp_path, fields):
+        record = rec(**fields)
+        line = detection_line(record)
+        assert line == per_value_line(record)
+        line.encode("ascii")
+        path = tmp_path / "d.jsonl"
+        write_detections([record], path)
+        assert path.read_bytes() == (line + "\n").encode("ascii")
+
+    def test_spelled_out(self):
+        line = detection_line(
+            rec(
+                class_name="caf\u00e9",
+                bbox=(-0.0, 2.5e-7, 1e6, 5e-7),
+                score=1.0,
+                source_offset=-2,
+                source_bbox=(0.0, 0.0, 1.0, 1.0),
+            )
+        )
+        assert line == (
+            '{"frame": 3, "class": "caf\\u00e9", "bbox": [-0.000000, 0.000000, 1000000.000000, '
+            '0.000000], "score": 1.000000, "source_offset": -2, '
+            '"source_bbox": [0.000000, 0.000000, 1.000000, 1.000000]}'
+        )
+
+
 class TestLabelFile:
     # class names that JSON escapes: a quote, a backslash, non-ASCII text
     NAMES = ["car", 'say "hi"', "back\\slash", "caf\u00e9", "\u81ea\u8f6a"]

@@ -272,3 +272,47 @@ def test_manifest_class_names_must_be_json_strings(originals, capsys, classes):
     out = root / "class-not-a-string-check.json"
     assert main(["selfcheck", "--manifest", str(path), "--frame", "0", "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {err.value}\n"
+
+
+@pytest.mark.parametrize(
+    "key, value, want",
+    [
+        ("frames", None, "list"),
+        ("frames", 5, "list"),
+        ("flows", None, "list"),
+        ("flows", 7, "list"),
+        ("gt", 5, "str"),
+        ("gt", True, "str"),
+        ("embeddings", ["x"], "str"),
+    ],
+    ids=["frames null", "frames 5", "flows null", "flows 7", "gt 5", "gt true", "embeddings list"],
+)
+def test_manifest_shapes_end_in_typed_errors(originals, tmp_path, capsys, key, value, want):
+    # each of these used to end in a TypeError traceback from iterating or
+    # joining the value onto the manifest's directory
+    root, valid = originals
+    manifest = json.loads(valid["manifest"])
+    manifest[key] = value
+    path = root / "bad-shape.json"
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValidationError) as err:
+        load_manifest(path)
+    shown = f"{type(value).__name__} {value!r}"
+    assert str(err.value) == f"{path}: {key} must be a {want}, got {shown}"
+    assert main(["pipeline", "--manifest", str(path), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key", ["gt", "embeddings"])
+@pytest.mark.parametrize("value", [None, "absent"])
+def test_manifest_optional_files_may_be_absent_or_null(originals, key, value):
+    root, valid = originals
+    manifest = json.loads(valid["manifest"])
+    manifest[key] = value
+    if value == "absent":
+        del manifest[key]
+    path = root / "no-optional.json"
+    path.write_text(json.dumps(manifest))
+    m = load_manifest(path)
+    assert (m.gt_path if key == "gt" else m.embeddings_path) is None

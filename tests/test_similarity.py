@@ -332,6 +332,27 @@ class TestPrecomputed:
         got = pre.embed(0, BBox(1.0, 2.0, 3.0, 4.0))
         assert np.array_equal(got.values, [0.25, 0.5])
 
+    def test_written_file_loads_and_writes_back_to_the_same_bytes(self, tmp_path):
+        table = _bundles.clean_bundle().embeddings
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        PrecomputedEmbeddings(table).write(first)
+        loaded = PrecomputedEmbeddings.load(first)
+        loaded.write(second)
+        assert second.read_bytes() == first.read_bytes()
+        assert len(loaded) == len(table)
+        # one line per key, keys in order, each vector within 6 decimals of its own
+        lines = first.read_text(encoding="ascii").splitlines()
+        assert len(lines) == len(table)
+        for line, key in zip(lines, sorted(table)):
+            assert line.startswith('{"frame": %d, "box": [%.6f, ' % key[:2])
+            got = loaded.embed(key[0], BBox(*key[1:]))
+            assert np.allclose(got.values, table[key].values, rtol=0, atol=5e-7)
+
+    def test_empty_table_writes_an_empty_file(self, tmp_path):
+        PrecomputedEmbeddings({}).write(tmp_path / "emb.jsonl")
+        assert (tmp_path / "emb.jsonl").read_bytes() == b""
+        assert len(PrecomputedEmbeddings.load(tmp_path / "emb.jsonl")) == 0
+
     def test_mixed_dimensions_rejected(self, tmp_path):
         path = tmp_path / "emb.jsonl"
         path.write_text(

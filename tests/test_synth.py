@@ -10,7 +10,7 @@ import pytest
 
 import propfuse.io
 from propfuse.errors import SceneValidationError, ValidationError
-from propfuse.geometry import BBox, FrameSize
+from propfuse.geometry import BBox, FrameSize, LabelSet
 from propfuse.manifest import load_manifest
 from propfuse.motion import sample_bilinear
 from propfuse.similarity import PatchDescriptor, PrecomputedEmbeddings, embedding_key
@@ -21,6 +21,7 @@ from propfuse.synth import (
     InjectedFalsePositive,
     ObjectSpec,
     SceneSpec,
+    SequenceBundle,
     generate,
     load_spec,
     write_bundle,
@@ -345,6 +346,80 @@ class TestLoadSpec:
         assert str(err.value).startswith(f"{path}: ")
         assert str(err.value).endswith(message)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda s: s.update(classes=[0, None]),
+                "scene spec needs size, length, classes: "
+                "classes must be a list of JSON strings, got [0, None]",
+            ),
+            (
+                lambda s: s.update(classes=["0", "person"]) or s["objects"][0].update({"class": 0}),
+                "object 0: unknown class 0",
+            ),
+            (
+                lambda s: s["objects"][0].update(occlusion=[[0.5, 1.5]]),
+                "occlusion must be an integer, got float 0.5",
+            ),
+            (
+                lambda s: s["objects"][0].update(absent=[[1, True]]),
+                "absent must be an integer, got bool True",
+            ),
+            (
+                lambda s: s["injected_false_positives"][0].update(score="0.5"),
+                "score must be a number, got str '0.5'",
+            ),
+            (lambda s: s.update(min_coverage="0.3"), "min_coverage must be a number, got str '0.3'"),
+            (
+                lambda s: s["objects"][0].update(waypoints=[["0", "10", "10"], [3, 16, 10]]),
+                "waypoints must be a number, got str '0'",
+            ),
+            (
+                lambda s: s["objects"][0].update(start=[10, "10"]),
+                "start must be a number, got str '10'",
+            ),
+            (lambda s: s["objects"][0].update(size=["2", True]), "size must be a number, got str '2'"),
+            (lambda s: s["objects"][0].update(size=[2, True]), "size must be a number, got bool True"),
+            (
+                lambda s: s["noise"].update(fp_score_range=["0.4", 0.8]),
+                "fp_score_range must be a number, got str '0.4'",
+            ),
+            (lambda s: s["noise"].update(miss_prob=False), "miss_prob must be a number, got bool False"),
+            (
+                lambda s: s["background"].update(motion=[True, 0]),
+                "motion must be a number, got bool True",
+            ),
+        ],
+        ids=[
+            "classes [0, null]",
+            "class 0",
+            "occlusion 0.5",
+            "absent true",
+            "score string",
+            "min_coverage string",
+            "waypoint strings",
+            "start string",
+            "size string",
+            "size true",
+            "fp_score_range string",
+            "miss_prob false",
+            "motion true",
+        ],
+    )
+    def test_values_are_taken_as_json_gives_them(self, tmp_path, capsys, edit, message):
+        # str() and float() used to turn each of these into a class or a number
+        path = tmp_path / "scene.json"
+        path.write_text(_edited(edit))
+        with pytest.raises(SceneValidationError) as err:
+            load_spec(path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert str(err.value).endswith(message)
+        rc = main(["synth", "--spec", str(path), "--out", str(tmp_path / "bundle")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {err.value}\n"
+        assert not (tmp_path / "bundle").exists()
+
     def test_decreasing_waypoint_frames_rejected(self):
         # frames 0, 10, 5: position() would stop at x=50 at frame 5 and
         # never reach (10, 100)
@@ -399,6 +474,38 @@ class TestWriteBundle:
         assert m.embeddings_path is not None
         table = PrecomputedEmbeddings.load(m.embeddings_path)
         assert len(table) > 0
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_tree_read_back_writes_the_same_bytes(self, tmp_path, channels):
+        spec = simple_spec(channels=channels, noise=DetectorNoise(jitter_sigma=0.7, fp_rate=0.6))
+        first = write_bundle(generate(spec, include_embeddings=True), tmp_path / "a")
+
+        # everything below comes from the files, through their readers
+        m = load_manifest(first)
+        indices = m.frame_indices()
+        gt = m.ground_truth()
+        ground_truth = [gt.get(t, LabelSet(frame_index=t)) for t in indices]
+        detections = [m.teacher_labels(t) for t in indices]
+        stored = PrecomputedEmbeddings.load(m.embeddings_path)
+        embeddings = {
+            embedding_key(ls.frame_index, d.bbox): stored.embed(ls.frame_index, d.bbox)
+            for ls in ground_truth + detections
+            for d in ls.detections
+        }
+        frames = [m.frame_image(t) for t in indices]
+        read_back = SequenceBundle(
+            spec=SceneSpec(m.size, len(indices), m.classes, channels=frames[0].channels),
+            frames=frames,
+            forward_flows={(a, b): m.flows.get(a, b) for a, b in m.flows.pairs() if a < b},
+            backward_flows={(a, b): m.flows.get(a, b) for a, b in m.flows.pairs() if a > b},
+            ground_truth=ground_truth,
+            detections=detections,
+            embeddings=embeddings,
+        )
+        assert len(embeddings) == len(stored)
+        second = write_bundle(read_back, tmp_path / "b")
+        assert second == tmp_path / "b" / "manifest.json"
+        assert_same_tree(tmp_path / "a", tmp_path / "b")
 
     def test_embeddings_computed_in_one_batch_per_label_set(self, monkeypatch):
         batches = []
