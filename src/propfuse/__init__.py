@@ -8,6 +8,8 @@ baselines). A synthetic-sequence generator and an AP/mAP evaluator make the
 whole loop testable without any real data.
 """
 
+from importlib import import_module
+
 from .errors import (
     CliUsageError,
     EmbeddingLookupError,
@@ -20,7 +22,6 @@ from .errors import (
     ValidationError,
     VocabularyError,
 )
-from .evaluation import ConsistencyReport, EvalReport, average_precision, evaluate, self_consistency
 from .fusion import FusionConfig, FusionResult, fuse, fuse_candidates, nms, nmw, soft_nms
 from .geometry import BBox, Detection, FrameSize, LabelSet, clip_to_frame, iou
 from .io import DetectionRecord, read_detections, read_frame, write_detections, write_frame
@@ -45,9 +46,34 @@ from .similarity import (
     cosine_sim,
     rescore,
 )
-from .synth import DetectorNoise, ObjectSpec, SceneSpec, SequenceBundle, generate, write_bundle
 
 __version__ = "0.1.0"
+
+# The names of ``synth`` and ``evaluation``, which a pipeline run never uses,
+# resolve on first access (PEP 562), so that importing the package does not
+# compile those modules. Each access reads the module's current binding, so
+# nothing is stored here that could go stale.
+_ON_DEMAND = {
+    "DetectorNoise": "synth",
+    "ObjectSpec": "synth",
+    "SceneSpec": "synth",
+    "SequenceBundle": "synth",
+    "generate": "synth",
+    "write_bundle": "synth",
+    "ConsistencyReport": "evaluation",
+    "EvalReport": "evaluation",
+    "average_precision": "evaluation",
+    "evaluate": "evaluation",
+    "self_consistency": "evaluation",
+}
+
+
+def __getattr__(name: str):
+    module = _ON_DEMAND.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
 
 __all__ = [
     "BBox",

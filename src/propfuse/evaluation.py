@@ -5,18 +5,40 @@ matched greedily (within their own frame) against the unmatched ground-truth
 box of highest overlap at or above the IoU threshold, and precision is
 max-interpolated over the recall grid 0.00, 0.01, ..., 1.00. The summary
 metric averages AP over IoU thresholds 0.50 to 0.95 in steps of 0.05.
+
+A class is scored by one array core. Its boxes go straight from the
+detections to (n, 6) arrays. Ranks come from a stable argsort of -score,
+ground truth is sorted by frame, and the same-frame (detection, ground
+truth) pairs are built for a block of ranks at a time, at most
+``BLOCK_PAIRS`` pairs to a block, with ``geometry.iou``'s arithmetic on
+arrays. Only the pairs that can match at the lowest threshold are kept. At
+each threshold a pair whose detection and ground truth have no other pair
+matches outright, and the greedy loop runs in Python only over the
+contended pairs. Precision, recall and the interpolation are running sums
+and maxima over the ranks.
 """
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left
+from array import array
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import groupby
+from operator import itemgetter
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
+import numpy as np
+
 from .errors import ValidationError, VocabularyError
-from .geometry import BBox, Detection, FrameSize, LabelSet, iou, ordered_sum
+from .geometry import (
+    DEFAULT_SMALL_HEIGHT,
+    BBox,
+    Detection,
+    FrameSize,
+    LabelSet,
+    check_small_height_threshold,
+    iou,
+    ordered_sum,
+)
 from .motion import DEFAULT_MIN_COVERAGE, ComposedMotion, FlowStore, carry_boxes
 # bench/tracer.py patches ``transfer_box`` here by name and fails a traced
 # run without the binding, so it stays bound although nothing here calls it
@@ -36,16 +58,14 @@ __all__ = [
 IOU_THRESHOLDS = tuple(round(0.50 + 0.05 * j, 2) for j in range(10))
 RECALL_GRID_POINTS = 101
 RECALL_GRID = tuple(j / 100.0 for j in range(RECALL_GRID_POINTS))
+_RECALL_GRID = np.array(RECALL_GRID)
+
+# same-frame pairs built at once, whose arrays take a few hundred kB; a
+# class of the benchmark's crowd scene has some 95,000
+BLOCK_PAIRS = 4096
 
 PMF_BIN_WIDTH = 0.05
 PMF_BINS = 20
-DEFAULT_SMALL_HEIGHT = 45.0
-
-
-def check_small_height_threshold(value: float) -> None:
-    """The one rule for ``small_height_threshold``: finite and >= 0."""
-    if not 0.0 <= value < math.inf:
-        raise ValidationError(f"small_height_threshold must be finite and >= 0, got {value}")
 
 
 @dataclass
@@ -68,102 +88,138 @@ def average_precision(
     (frame key, box) pairs. Returns None when there is no ground truth, in
     which case the class is undefined rather than zero.
     """
-    curves = _pr_curves(dets, gts, (iou_threshold,))
+    codes: dict[Any, int] = {}
+    det_rows = array("d")
+    for fk, box, score in dets:
+        det_rows.extend((codes.setdefault(fk, len(codes)), box.x1, box.y1, box.x2, box.y2, score))
+    gt_rows = array("d")
+    for fk, box in gts:
+        gt_rows.extend((codes.setdefault(fk, len(codes)), box.x1, box.y1, box.x2, box.y2, 0.0))
+    curves = _pr_curves(_table(det_rows), _table(gt_rows), (iou_threshold,))
     return None if curves is None else curves[0]
 
 
-def _pr_curves(
-    dets: Sequence[tuple[Any, BBox, float]],
-    gts: Sequence[tuple[Any, BBox]],
-    thresholds: Sequence[float],
-) -> Optional[list[PRCurve]]:
-    """One class's curve at each IoU threshold, from one overlap table.
+def _table(rows: array) -> np.ndarray:
+    """Flat box rows as an (n, 6) view: frame code, x1, y1, x2, y2, score."""
+    return np.frombuffer(rows, dtype=np.float64).reshape(-1, 6)
 
-    Row r of ``_overlap_table`` holds the overlaps of the r-th detection in
-    rank order that pass the match test at the lowest threshold; no other
-    overlap can match at any threshold. Recalls never decrease, so the
-    detections that reach grid recall r are a suffix, found by
-    ``bisect_left``, and its best precision is a reverse running maximum.
+
+def _pr_curves(
+    dets: np.ndarray, gts: np.ndarray, thresholds: Sequence[float]
+) -> Optional[list[PRCurve]]:
+    """One class's curve at each IoU threshold, from one set of candidate pairs.
+
+    ``dets`` and ``gts`` are ``_table`` arrays (the score column of ``gts``
+    is unused). Recalls never decrease, so the detections that reach grid
+    recall r are a suffix, found by ``searchsorted``, and its best precision
+    is a reverse running maximum.
     """
     n_gt = len(gts)
     if n_gt == 0:
         return None
-    rows = _overlap_table(dets, gts, min(thresholds))
+    n = len(dets)
+    ranks, truths, overlaps = _candidate_pairs(dets, gts, min(thresholds))
 
     curves = []
     for iou_threshold in thresholds:
-        matched: set[int] = set()
-        precisions: list[float] = []
-        recalls: list[float] = []
-        tp = 0
-        fp = 0
-        for row in rows:
-            best_iou = 0.0
-            best_gt: Optional[int] = None
-            for gi, overlap in row:
-                if gi in matched:
-                    continue
-                # ties on overlap resolve to the earliest ground-truth index
-                if overlap >= iou_threshold and overlap > best_iou:
-                    best_iou = overlap
-                    best_gt = gi
-            if best_gt is not None:
-                matched.add(best_gt)
-                tp += 1
-            else:
-                fp += 1
-            precisions.append(tp / (tp + fp))
-            recalls.append(tp / n_gt)
-
+        passed = overlaps >= iou_threshold
+        hits = _true_positives(ranks[passed], truths[passed], overlaps[passed], n, n_gt)
+        tp = np.cumsum(hits)
+        precisions = tp / np.arange(1, n + 1)
+        recalls = tp / n_gt
         # best[i] is the highest precision at rank i or later; 0.0 past the end
-        best = list(accumulate(reversed(precisions), max))[::-1] + [0.0]
-        interpolated = tuple(best[bisect_left(recalls, r)] for r in RECALL_GRID)
+        best = np.append(np.maximum.accumulate(precisions[::-1])[::-1], 0.0)
+        interpolated = tuple(best[np.searchsorted(recalls, _RECALL_GRID)].tolist())
         ap = ordered_sum(interpolated) / RECALL_GRID_POINTS
         curves.append(PRCurve(recalls=RECALL_GRID, precisions=interpolated, ap=ap))
     return curves
 
 
-def _overlap_table(
-    dets: Sequence[tuple[Any, BBox, float]],
-    gts: Sequence[tuple[Any, BBox]],
-    lowest: float,
-) -> list[tuple[tuple[int, float], ...]]:
-    """Per detection in rank order, its (gt index, IoU) pairs that can match.
+def _candidate_pairs(
+    dets: np.ndarray, gts: np.ndarray, lowest: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every same-frame (rank, ground-truth row) pair that can match, and its IoU.
 
-    Detections rank by descending score, then input position. A row holds,
-    in gt-index order, the same-frame ground truths whose IoU passes the
-    match test at threshold ``lowest``. Each same-frame IoU is computed
-    once, as ``geometry.iou(detection box, gt box)`` written out against one
-    flat (gi, x1, y1, x2, y2, area) row per ground-truth box, with the same
-    operations in the same order, so it gives the same bits without a call
-    per pair.
+    Detections rank by descending score, then row, by a stable argsort.
+    Ground truth is sorted by frame, stably, so the pairs come out by rank,
+    then ground-truth row. A pair is kept when its IoU passes the match test
+    at threshold ``lowest``; no other pair can match at any threshold. The
+    IoU is ``geometry.iou(detection box, gt box)`` on arrays, with the same
+    operations in the same order: numpy's minimum and maximum differ from
+    the builtins only in which signed zero they return, and a zero width or
+    height is dropped either way, so the bits are the same. The pairs of a
+    block of ranks are built at once, at most ``BLOCK_PAIRS`` of them unless
+    one detection alone has more.
     """
-    gt_by_frame: dict[Any, list[tuple[int, float, float, float, float, float]]] = {}
-    for gi, (fk, box) in enumerate(gts):
-        gx1, gy1, gx2, gy2 = box.x1, box.y1, box.x2, box.y2
-        gt_by_frame.setdefault(fk, []).append((gi, gx1, gy1, gx2, gy2, (gx2 - gx1) * (gy2 - gy1)))
+    order = np.argsort(-dets[:, 5], kind="stable")
+    dframe, dx1, dy1, dx2, dy2 = (dets[order, k] for k in range(5))
+    by_frame = np.argsort(gts[:, 0], kind="stable")
+    gframe, gx1, gy1, gx2, gy2 = (gts[by_frame, k] for k in range(5))
+    darea = (dx2 - dx1) * (dy2 - dy1)
+    garea = (gx2 - gx1) * (gy2 - gy1)
+    first = np.searchsorted(gframe, dframe, "left")
+    count = np.searchsorted(gframe, dframe, "right") - first
+    ends = np.cumsum(count)  # one past each rank's last pair
+    parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
+    start = 0
+    while start < len(dets):
+        base = ends[start] - count[start]
+        stop = max(int(np.searchsorted(ends, base + BLOCK_PAIRS, "right")), start + 1)
+        counts = count[start:stop]
+        r = np.repeat(np.arange(start, stop), counts)
+        # the pair at block position p of rank i pairs it with sorted row
+        # first[i] + p - (block position of rank i's first pair)
+        shift = first[start:stop] - (ends[start:stop] - counts - base)
+        g = np.arange(len(r)) + np.repeat(shift, counts)
+        iw = np.minimum(dx2[r], gx2[g]) - np.maximum(dx1[r], gx1[g])
+        keep = iw > 0
+        r, g, iw = r[keep], g[keep], iw[keep]
+        ih = np.minimum(dy2[r], gy2[g]) - np.maximum(dy1[r], gy1[g])
+        keep = ih > 0
+        r, g, iw, ih = r[keep], g[keep], iw[keep], ih[keep]
+        inter = iw * ih
+        overlap = inter / (darea[r] + garea[g] - inter)
+        # what fails the match test at the lowest threshold fails it at every one
+        keep = (overlap >= lowest) & (overlap > 0.0)
+        parts.append((r[keep], by_frame[g[keep]], overlap[keep]))
+        start = stop
+    ranks, truths, overlaps = zip(*parts)
+    return np.concatenate(ranks), np.concatenate(truths), np.concatenate(overlaps)
 
-    rows: list[tuple[tuple[int, float], ...]] = []
-    for i in sorted(range(len(dets)), key=lambda i: (-dets[i][2], i)):
-        fk, box, _score = dets[i]
-        x1, y1, x2, y2 = box.x1, box.y1, box.x2, box.y2
-        area = (x2 - x1) * (y2 - y1)
-        row = []
-        for gi, gx1, gy1, gx2, gy2, garea in gt_by_frame.get(fk, ()):
-            # min(a, b) is a if a <= b else b, max(a, b) a if a >= b else b
-            iw = (x2 if x2 <= gx2 else gx2) - (x1 if x1 >= gx1 else gx1)
-            if iw <= 0:
-                continue
-            ih = (y2 if y2 <= gy2 else gy2) - (y1 if y1 >= gy1 else gy1)
-            if ih <= 0:
-                continue
-            inter = iw * ih
-            overlap = inter / (area + garea - inter)
-            # what fails the match test at the lowest threshold fails it at every one
-            if overlap >= lowest and overlap > 0.0:
-                row.append((gi, overlap))
-        rows.append(tuple(row))
-    return rows
+
+def _true_positives(
+    ranks: np.ndarray, truths: np.ndarray, overlaps: np.ndarray, n: int, n_gt: int
+) -> np.ndarray:
+    """Which of ``n`` ranks match, given the pairs that pass the threshold.
+
+    A detection takes the untaken ground truth of highest overlap among its
+    pairs, the earliest row on a tie, in rank order. A pair whose detection
+    and ground truth are in no other pair matches whatever the order, so
+    the greedy loop runs in Python only over the contended rest: a
+    detection there meets only ground truths that no lone pair holds.
+    """
+    hits = np.zeros(n, dtype=bool)
+    lone = (np.bincount(ranks, minlength=n)[ranks] == 1) & (
+        np.bincount(truths, minlength=n_gt)[truths] == 1
+    )
+    hits[ranks[lone]] = True
+    contended = ~lone
+    taken: set[int] = set()
+    matched: list[int] = []
+    pairs = zip(ranks[contended].tolist(), truths[contended].tolist(), overlaps[contended].tolist())
+    for rank, group in groupby(pairs, key=itemgetter(0)):
+        best_overlap = 0.0
+        best: Optional[int] = None
+        for _, truth, overlap in group:
+            # every pair passed the threshold; ties resolve to the earliest row
+            if overlap > best_overlap and truth not in taken:
+                best_overlap = overlap
+                best = truth
+        if best is not None:
+            taken.add(best)
+            matched.append(rank)
+    hits[matched] = True
+    return hits
 
 
 @dataclass
@@ -223,27 +279,15 @@ def evaluate(
     the offenders. Classes without ground truth anywhere are excluded from
     the means, and their per-class entry is None.
     """
-    det_classes = {d.class_id for dets in dets_by_frame.values() for d in dets}
-    gt_classes = {g.class_id for gts in gts_by_frame.values() for g in gts}
-    allowed = set(classes) if classes is not None else set(gt_classes)
-    unknown = det_classes - allowed
+    codes: dict[Any, int] = {}
+    det_rows = _class_rows(dets_by_frame, codes)
+    gt_rows = _class_rows(gts_by_frame, codes)
+    allowed = set(classes) if classes is not None else set(gt_rows)
+    unknown = set(det_rows) - allowed
     if unknown:
         raise VocabularyError([_safe_name(c, class_names) for c in unknown])
-
-    per_class_dets: dict[int, list[tuple[int, BBox, float]]] = {c: [] for c in sorted(allowed)}
-    per_class_gts: dict[int, list[tuple[int, BBox]]] = {c: [] for c in sorted(allowed)}
-    n_dets = 0
-    n_gts = 0
-    for frame, dets in dets_by_frame.items():
-        for d in dets:
-            per_class_dets[d.class_id].append((frame, d.bbox, d.score))
-            n_dets += 1
-    for frame, gts in gts_by_frame.items():
-        for g in gts:
-            if g.class_id not in allowed:
-                continue
-            per_class_gts[g.class_id].append((frame, g.bbox))
-            n_gts += 1
+    n_dets = sum(map(len, det_rows.values())) // 6
+    n_gts = sum(len(rows) for c, rows in gt_rows.items() if c in allowed) // 6
 
     per_class_ap50: dict[Any, Optional[float]] = {}
     class_means: list[float] = []
@@ -251,10 +295,12 @@ def evaluate(
     ap75s: list[float] = []
     for c in sorted(allowed):
         key = _class_key(c, class_names)
-        if not per_class_gts[c]:
+        if c not in gt_rows:
             per_class_ap50[key] = None
             continue
-        curves = _pr_curves(per_class_dets[c], per_class_gts[c], IOU_THRESHOLDS)
+        # each class's rows are dropped once it is scored
+        dets = _table(det_rows.pop(c, array("d")))
+        curves = _pr_curves(dets, _table(gt_rows.pop(c)), IOU_THRESHOLDS)
         aps = [curve.ap for curve in curves]
         per_class_ap50[key] = aps[0]
         ap50s.append(aps[0])
@@ -273,6 +319,26 @@ def evaluate(
         n_ground_truth=n_gts,
         classes=[_class_key(c, class_names) for c in sorted(allowed)],
     )
+
+
+def _class_rows(
+    by_frame: Mapping[Any, Iterable[Detection]], codes: dict[Any, int]
+) -> dict[Any, array]:
+    """Each class's boxes as one flat array of ``_table`` rows, in input order.
+
+    A frame's code is its position in ``codes``, which is extended with
+    frames seen for the first time.
+    """
+    rows: dict[Any, array] = {}
+    for frame, items in by_frame.items():
+        code = codes.setdefault(frame, len(codes))
+        for d in items:
+            b = d.bbox
+            flat = rows.get(d.class_id)
+            if flat is None:
+                flat = rows[d.class_id] = array("d")
+            flat.extend((code, b.x1, b.y1, b.x2, b.y2, d.score))
+    return rows
 
 
 def _safe_name(class_id: int, names) -> Any:

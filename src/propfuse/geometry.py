@@ -25,7 +25,18 @@ __all__ = [
     "unchecked_bbox",
     "unchecked_detection",
     "ordered_sum",
+    "DEFAULT_SMALL_HEIGHT",
+    "check_small_height_threshold",
 ]
+
+# boxes at most this tall count as small in the self-consistency report
+DEFAULT_SMALL_HEIGHT = 45.0
+
+
+def check_small_height_threshold(value: float) -> None:
+    """The one rule for ``small_height_threshold``: finite and >= 0."""
+    if not 0.0 <= value < math.inf:
+        raise ValidationError(f"small_height_threshold must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)

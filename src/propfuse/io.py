@@ -183,19 +183,46 @@ def json_number(value, key: str) -> int | float:
     return value
 
 
+# the C scanner ``json.loads`` runs under ``raw_decode``: one value at an index
+_scan_once = json.JSONDecoder().scan_once
+# characters split into lines at once: a whole file's lines are never held
+_LINE_CHUNK = 1 << 16
+
+
+def _lines(text: str):
+    """``text.splitlines()``, made a chunk at a time.
+
+    A chunk ends just after a newline, which ends a line whichever way the
+    text is split, so the lines are the same.
+    """
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + _LINE_CHUNK) + 1 or len(text)
+        yield from text[start:stop].splitlines()
+        start = stop
+
+
 def json_lines(path: str | Path):
     """Each non-blank line of an ASCII JSON-lines file as (line number, value).
 
-    A line that is not JSON is a ValidationError naming the file and line.
+    The text is split into lines a chunk at a time, and a stripped line is
+    parsed by one ``scan_once`` call, which must end at the end of the line.
+    A line that is not one JSON value is parsed again by ``json.loads``, only
+    for its error: a ValidationError naming the file and line.
     """
-    for lineno, line in enumerate(read_text(path, "ascii").splitlines(), start=1):
+    for lineno, line in enumerate(_lines(read_text(path, "ascii")), start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            value = json.loads(line)
-        except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-            raise ValidationError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            value, end = _scan_once(line, 0)
+        except (StopIteration, ValueError):  # no value at the start, or a malformed one
+            end = -1
+        if end != len(line):
+            try:
+                value = json.loads(line)  # the line is not one JSON value: this raises
+            except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+                raise ValidationError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         yield lineno, value
 
 

@@ -33,9 +33,8 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence, get_args, get_type_hints
 
 from .errors import CliUsageError, PropfuseError, ValidationError
-from .evaluation import DEFAULT_SMALL_HEIGHT, check_small_height_threshold
 from .fusion import MATCH_MODES, METHODS, FusionConfig, FusionResult, fuse_candidates
-from .geometry import LabelSet
+from .geometry import DEFAULT_SMALL_HEIGHT, LabelSet, check_small_height_threshold
 from .io import (
     CandidateMeta,
     DetectionRecord,

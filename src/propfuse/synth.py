@@ -58,6 +58,10 @@ __all__ = [
 # twice the 24-frame 1920x1080 one (5.0e7) and near 1.7 GB of frames and fields.
 MAX_SCENE_LENGTH = 10_000
 MAX_SCENE_PIXEL_FRAMES = 10**8
+# ``generate`` draws and holds every false alarm, so the expected count over
+# a scene, length x fp_rate, is capped too: 10^5 is about 170 times the
+# benchmark crowd scene's 200 x 3
+MAX_SCENE_FALSE_ALARMS = 10**5
 
 
 def _quant(value: float) -> float:
@@ -159,6 +163,12 @@ class DetectorNoise:
             lo, hi = getattr(self, name)
             if not (0.0 <= lo <= hi <= 1.0):
                 raise ValidationError(f"{name} must satisfy 0 <= lo <= hi <= 1, got ({lo}, {hi})")
+        for name in ("fp_width_range", "fp_height_range"):
+            lo, hi = getattr(self, name)
+            if not (0.0 < lo <= hi < math.inf):
+                raise ValidationError(
+                    f"{name} must be finite and satisfy 0 < lo <= hi, got ({lo}, {hi})"
+                )
 
 
 @dataclass
@@ -200,6 +210,13 @@ class SceneSpec:
             raise SceneValidationError(
                 f"length x width x height must be at most {MAX_SCENE_PIXEL_FRAMES}, got "
                 f"{self.length} x {self.size.width} x {self.size.height} = {pixel_frames}"
+            )
+        false_alarms = self.length * self.noise.fp_rate
+        # written so that a NaN rate fails it too
+        if not false_alarms <= MAX_SCENE_FALSE_ALARMS:
+            raise SceneValidationError(
+                f"length x fp_rate must be at most {MAX_SCENE_FALSE_ALARMS}, got "
+                f"{self.length} x {self.noise.fp_rate} = {false_alarms}"
             )
         if not self.classes:
             raise SceneValidationError("the class vocabulary must not be empty")

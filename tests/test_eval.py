@@ -3,16 +3,21 @@ import json
 import math
 import random
 import tracemalloc
+from array import array
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import propfuse.evaluation
 from propfuse.cli import main
 from propfuse.errors import MissingFlowError, ValidationError, VocabularyError
 from propfuse.evaluation import (
+    BLOCK_PAIRS,
     IOU_THRESHOLDS,
-    _overlap_table,
+    _candidate_pairs,
+    _table,
     average_precision,
     evaluate,
     self_consistency,
@@ -270,6 +275,18 @@ def hex_table(rows):
     return [[(gi, overlap.hex()) for gi, overlap in row] for row in rows]
 
 
+def pair_table(dets, gts, lowest):
+    """``_candidate_pairs`` as one row of (gt index, IoU) pairs per detection in rank order."""
+    codes = {}
+    d = array("d", [v for f, b, s in dets for v in (codes.setdefault(f, len(codes)), *b.as_tuple(), s)])
+    g = array("d", [v for f, b in gts for v in (codes.setdefault(f, len(codes)), *b.as_tuple(), 0.0)])
+    rows = [[] for _ in dets]
+    ranks, truths, overlaps = _candidate_pairs(_table(d), _table(g), lowest)
+    for rank, truth, overlap in zip(ranks.tolist(), truths.tolist(), overlaps.tolist()):
+        rows[rank].append((truth, overlap))
+    return rows
+
+
 # crowd density: many same-frame pairs; on integer corners touching edges
 # and exact duplicates are common
 crowd_boxes = st.one_of(
@@ -293,7 +310,7 @@ crowd_boxes = st.one_of(
 
 
 class TestOverlapTable:
-    """``_overlap_table`` writes ``geometry.iou`` out; it must give the same bits."""
+    """``_candidate_pairs`` writes ``geometry.iou`` out on arrays; it must give the same bits."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
@@ -314,13 +331,78 @@ class TestOverlapTable:
         for lowest in (min(IOU_THRESHOLDS), 0.75, 0.0):
             # at 0.0 a row lists every overlapping same-frame pair, each once
             want = iou_loop_table(boxed_dets, boxed_gts, lowest)
-            assert hex_table(_overlap_table(boxed_dets, boxed_gts, lowest)) == want
+            # blocks of one pair, of a few, and of the package's size
+            for block in (1, 7, BLOCK_PAIRS):
+                with mock.patch.object(propfuse.evaluation, "BLOCK_PAIRS", block):
+                    assert hex_table(pair_table(boxed_dets, boxed_gts, lowest)) == want
 
     def test_exact_thresholds_and_touching_edges(self):
         gts = [(0, BBox(*POOL[0]))]
         dets = [(0, BBox(*POOL[1]), 0.9), (0, BBox(*POOL[2]), 0.5), (0, BBox(10.0, 0.0, 20.0, 10.0), 0.25)]
-        assert _overlap_table(dets, gts, 0.5) == [((0, 0.5),), ((0, 0.75),), ()]
-        assert _overlap_table(dets, gts, 0.75) == [(), ((0, 0.75),), ()]
+        assert pair_table(dets, gts, 0.5) == [[(0, 0.5)], [(0, 0.75)], []]
+        assert pair_table(dets, gts, 0.75) == [[], [(0, 0.75)], []]
+
+
+# 10x10 and 11x11 boxes at nearby corners: on few frames, ground truths
+# pass the match test with several detections and detections with several
+# ground truths, at every threshold
+contended_boxes = st.builds(
+    lambda x, y, grow: (x, y, x + 10 + grow, y + 10 + grow),
+    st.sampled_from([0.0, 0.5, 1.0, 3.0, 4.0, 4.5, 5.0, 7.0]),
+    st.sampled_from([0.0, 0.5, 2.5, 8.0, 8.5, 10.5]),
+    st.sampled_from([0.0, 1.0]),
+)
+
+
+class TestContendedMatching:
+    """The greedy loop over contended pairs gives the oracle's curve exactly."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 2), contended_boxes, st.sampled_from([0.3, 0.6, 0.9])), max_size=30
+        ),
+        st.lists(st.tuples(st.integers(0, 1), contended_boxes), min_size=1, max_size=12),
+        st.sampled_from([1, 5, BLOCK_PAIRS]),
+    )
+    # the first detection ties at IoU 95/105 with both ground truths and
+    # takes the earlier; from 0.85 up the second is then a false positive
+    # and the third takes the later one
+    @example(
+        [(0, (0.5, 0, 10.5, 10), 0.9), (0, (0, 0, 10, 10), 0.6), (0, (1, 0, 11, 10), 0.3)],
+        [(0, (0, 0, 10, 10)), (0, (1, 0, 11, 10))],
+        1,
+    )
+    def test_precisions_equal_oracle_at_every_threshold(self, dets, gts, block):
+        boxed_dets = [(f, BBox(*b), s) for f, b, s in dets]
+        boxed_gts = [(f, BBox(*b)) for f, b in gts]
+        with mock.patch.object(propfuse.evaluation, "BLOCK_PAIRS", block):
+            for thr in IOU_THRESHOLDS:
+                curve = average_precision(boxed_dets, boxed_gts, thr)
+                assert list(curve.precisions) == oracle_pr(dets, gts, thr)
+
+    def test_a_frame_split_across_blocks(self):
+        # 60 ground truths and 80 detections on frame 0 make 4,800 pairs,
+        # more than one block holds, so frame 0's ranks span two blocks
+        rng = random.Random(11)
+        corners = [(12.0 * (i % 10), 12.0 * (i // 10)) for i in range(60)]
+        gts = [(0, (x, y, x + 10.0, y + 10.0)) for x, y in corners]
+        dets = []
+        for _ in range(80):
+            _, (x1, y1, x2, y2) = gts[rng.randrange(60)]
+            shift = rng.choice([0.0, 0.5, 1.5, 3.0])
+            dets.append((0, (x1 + shift, y1, x2 + shift, y2), rng.choice([0.2, 0.5, 0.7, 0.95])))
+        dets += [(1, (0.0, 0.0, 10.0, 10.0), 0.8)]
+        assert 80 * 60 > BLOCK_PAIRS > 60
+        boxed_dets = [(f, BBox(*b), s) for f, b, s in dets]
+        boxed_gts = [(f, BBox(*b)) for f, b in gts]
+        want = iou_loop_table(boxed_dets, boxed_gts, 0.5)
+        assert hex_table(pair_table(boxed_dets, boxed_gts, 0.5)) == want
+        # some ground truths pass the match test with two detections
+        assert max(Counter(gi for row in want for gi, _ in row).values()) > 1
+        for thr in IOU_THRESHOLDS:
+            curve = average_precision(boxed_dets, boxed_gts, thr)
+            assert list(curve.precisions) == oracle_pr(dets, gts, thr)
 
 
 BUNDLES = [

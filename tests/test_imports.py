@@ -8,6 +8,9 @@ one of them, the test reports it like any other.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,3 +74,19 @@ def test_an_unused_import_is_found():
     source = "from __future__ import annotations\nimport os, sys\nfrom json import dumps as d\n"
     source += "__all__ = ['d']\nprint(sys.argv)\n"
     assert unused_imports(source) == ["os"]
+
+
+def test_a_pipeline_run_compiles_no_eval_synth_or_cli_module():
+    # set-up imports these two; with no bytecode written, every module they
+    # load is compiled again in each new process
+    code = (
+        "import sys\n"
+        "from propfuse import PipelineConfig, load_manifest\n"
+        "import propfuse.pipeline\n"
+        "names = ('propfuse.synth', 'propfuse.evaluation', 'propfuse.cli')\n"
+        "print(sorted(name for name in names if name in sys.modules))\n"
+    )
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

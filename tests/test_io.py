@@ -1,16 +1,20 @@
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import propfuse.io
 from propfuse.errors import ValidationError
 from propfuse.geometry import BBox, Detection, FrameSize, LabelSet
 from propfuse.io import (
     CandidateMeta,
     DetectionRecord,
+    _lines,
     detection_line,
+    json_lines,
     quote_names,
     read_detections,
     read_frame,
@@ -396,6 +400,71 @@ class TestDetectionsFile:
             write_detections(records, path)
             back, _ = read_detections(path)
         assert back == records
+
+
+class TestJsonLines:
+    """Each line is parsed by one scan; what fails is reported as ``json.loads`` reports it."""
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"a": 1} x',
+            '{"a": 1}{"b": 2}',
+            "[1,",
+            "[" + "9" * 5000 + "]",
+            "NaN",
+            '{"a": [1,',
+            "nul",
+            '"\\x"',
+            '{"a": 1}',
+            '\t [1, {"b": -0.0, "c": "\\u00e9"}, true, null, 1e400] \x0c',
+        ],
+        ids=[
+            "trailing text",
+            "two objects",
+            "unclosed array",
+            "integer too long",
+            "NaN",
+            "first of two lines",
+            "bad literal",
+            "bad escape",
+            "object",
+            "padded array",
+        ],
+    )
+    def test_values_and_errors_equal_json_loads(self, tmp_path, line):
+        path = tmp_path / "v.jsonl"
+        path.write_text(line + "\n", encoding="ascii")
+        try:
+            want = json.loads(line.strip())
+        except ValueError as exc:
+            with pytest.raises(ValidationError) as err:
+                list(json_lines(path))
+            assert str(err.value) == f"{path}:1: invalid JSON: {exc}"
+        else:
+            # repr, so that NaN equals NaN
+            assert repr(list(json_lines(path))) == repr([(1, want)])
+
+    @given(st.text(alphabet="ab {}\n\r\t\x0b\x0c\x1c\x1d\x1e\x1f", max_size=40))
+    def test_lines_made_a_chunk_at_a_time_equal_splitlines(self, text):
+        for chunk in (1, 2, 3, 7, 1 << 16):
+            with mock.patch.object(propfuse.io, "_LINE_CHUNK", chunk):
+                assert list(_lines(text)) == text.splitlines()
+
+    def test_whitespace_only_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "w.jsonl"
+        path.write_text('{"a": 1}\n \t \n\n[2]\n', encoding="ascii")
+        assert list(json_lines(path)) == [(1, {"a": 1}), (4, [2])]
+
+    def test_a_value_split_over_two_lines_fails_at_its_first(self, tmp_path):
+        # joined, the lines would form one valid value
+        path = tmp_path / "s.jsonl"
+        path.write_text('{"frame": 0, "x": [{"a": 1}\n{"b": 2}]}\n', encoding="ascii")
+        with pytest.raises(ValidationError) as err:
+            list(json_lines(path))
+        with pytest.raises(ValueError) as want:
+            json.loads('{"frame": 0, "x": [{"a": 1}')
+        assert str(err.value) == f"{path}:1: invalid JSON: {want.value}"
 
 
 class TestAtomicWrite:

@@ -2,6 +2,7 @@ import copy
 import filecmp
 import importlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from propfuse.manifest import load_manifest
 from propfuse.motion import sample_bilinear
 from propfuse.similarity import PatchDescriptor, PrecomputedEmbeddings, embedding_key
 from propfuse.synth import (
+    MAX_SCENE_FALSE_ALARMS,
     MAX_SCENE_LENGTH,
     MAX_SCENE_PIXEL_FRAMES,
     DetectorNoise,
@@ -307,6 +309,59 @@ class TestLoadSpec:
         assert not (tmp_path / "bundle").exists()
 
     @pytest.mark.parametrize(
+        "noise, message",
+        [
+            (
+                {"fp_rate": 200000},
+                f"length x fp_rate must be at most {MAX_SCENE_FALSE_ALARMS}, got 4 x 200000.0 = 800000.0",
+            ),
+            (
+                {"fp_rate": math.inf},
+                f"length x fp_rate must be at most {MAX_SCENE_FALSE_ALARMS}, got 4 x inf = inf",
+            ),
+            (
+                {"fp_rate": math.nan},
+                f"length x fp_rate must be at most {MAX_SCENE_FALSE_ALARMS}, got 4 x nan = nan",
+            ),
+            (
+                {"fp_width_range": [-20, -10]},
+                "fp_width_range must be finite and satisfy 0 < lo <= hi, got (-20.0, -10.0)",
+            ),
+            (
+                {"fp_width_range": [0, 5]},
+                "fp_width_range must be finite and satisfy 0 < lo <= hi, got (0.0, 5.0)",
+            ),
+            (
+                {"fp_height_range": [10, 5]},
+                "fp_height_range must be finite and satisfy 0 < lo <= hi, got (10.0, 5.0)",
+            ),
+            (
+                {"fp_height_range": [5, math.inf]},
+                "fp_height_range must be finite and satisfy 0 < lo <= hi, got (5.0, inf)",
+            ),
+        ],
+        ids=[
+            "fp_rate 2e5",
+            "fp_rate inf",
+            "fp_rate nan",
+            "widths negative",
+            "width 0",
+            "heights reversed",
+            "height inf",
+        ],
+    )
+    def test_false_alarm_knobs_checked_before_anything_is_drawn(self, tmp_path, capsys, noise, message):
+        path = tmp_path / "scene.json"
+        path.write_text(_edited(lambda s: s["noise"].update(noise)))
+        with pytest.raises(SceneValidationError) as err:
+            load_spec(path)
+        assert str(err.value) == f"{path}: {message}"
+        rc = main(["synth", "--spec", str(path), "--out", str(tmp_path / "bundle")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {err.value}\n"
+        assert not (tmp_path / "bundle").exists()
+
+    @pytest.mark.parametrize(
         "edit, message",
         [
             (lambda s: s.update(length=3.9), "length must be an integer, got float 3.9"),
@@ -434,6 +489,10 @@ class TestLoadSpec:
         SceneSpec(size=FrameSize(1, 1), length=MAX_SCENE_LENGTH, classes=["car"]).validate()
         SceneSpec(size=FrameSize(10**4, 10**4), length=1, classes=["car"]).validate()
         SceneSpec(size=FrameSize(100, 100), length=MAX_SCENE_LENGTH, classes=["car"]).validate()
+
+    def test_false_alarms_at_the_cap_are_admitted(self):
+        at_cap = DetectorNoise(fp_rate=MAX_SCENE_FALSE_ALARMS / 4)
+        SceneSpec(size=FrameSize(8, 8), length=4, classes=["car"], noise=at_cap).validate()
 
     def test_caps_admit_every_benchmark_scene(self):
         bench = Path(__file__).resolve().parent.parent / "bench"
