@@ -12,7 +12,6 @@ from importlib import import_module
 
 from .errors import (
     CliUsageError,
-    EmbeddingLookupError,
     EmptyCropError,
     FlowFormatError,
     FlowLengthError,
@@ -22,7 +21,7 @@ from .errors import (
     ValidationError,
     VocabularyError,
 )
-from .fusion import FusionConfig, FusionResult, fuse, fuse_candidates, nms, nmw, soft_nms
+from .fusion import FusionConfig, FusionResult, fuse_candidates, nms, nmw, soft_nms
 from .geometry import BBox, Detection, FrameSize, LabelSet, clip_to_frame, iou
 from .io import DetectionRecord, read_detections, read_frame, write_detections, write_frame
 from .manifest import SequenceManifest, load_manifest
@@ -43,7 +42,6 @@ from .similarity import (
     FeatureVector,
     PatchDescriptor,
     PrecomputedEmbeddings,
-    cosine_sim,
     rescore,
 )
 
@@ -84,7 +82,6 @@ __all__ = [
     "Detection",
     "DetectionRecord",
     "DetectorNoise",
-    "EmbeddingLookupError",
     "EmptyCropError",
     "EvalReport",
     "FallbackProvider",
@@ -115,9 +112,7 @@ __all__ = [
     "build_candidates",
     "clip_to_frame",
     "constant_field",
-    "cosine_sim",
     "evaluate",
-    "fuse",
     "fuse_candidates",
     "generate",
     "iou",

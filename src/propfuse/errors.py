@@ -44,7 +44,3 @@ class MissingFlowError(PropfuseError):
 
 class EmptyCropError(PropfuseError):
     """A requested feature crop lies entirely outside the frame."""
-
-
-class EmbeddingLookupError(PropfuseError):
-    """No precomputed embedding exists for the requested (frame, box) key."""

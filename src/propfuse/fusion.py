@@ -5,8 +5,9 @@ running list of fused boxes, keeps every cluster's score-weighted mean
 position and mean score, and then scales each cluster's score by
 min(cluster size, num_sources) / num_sources: a box corroborated by fewer
 sources than were available ends up with proportionally less confidence.
-The classic suppression baselines (nms, soft-nms, nmw) are provided on the
-same candidate interface for comparison runs.
+swbf first rescores the carried boxes (``similarity.rescore_many``). The
+classic suppression baselines (nms, soft-nms, nmw) are provided on the same
+candidate interface for comparison runs.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
-
-import numpy as np
 
 from .errors import ValidationError
 from .geometry import (
@@ -28,10 +27,10 @@ from .geometry import (
     unchecked_detection,
 )
 from .propagation import CandidateSet
-from .similarity import cosine_sims
+from .similarity import rescore_many
 # bench/tracer.py patches ``rescore`` in this module by name and fails a
 # traced run where the binding is missing, so it stays bound here although
-# _apply_rescoring no longer calls it
+# _apply_rescoring does not call it
 from .similarity import rescore  # noqa: F401
 
 __all__ = [
@@ -39,8 +38,6 @@ __all__ = [
     "FusionConfig",
     "Cluster",
     "FusionResult",
-    "fuse_class",
-    "fuse",
     "fuse_candidates",
     "nms",
     "soft_nms",
@@ -182,18 +179,6 @@ def _rescaled(clusters: list[Cluster], cfg: FusionConfig) -> list[Detection]:
     return out
 
 
-def fuse_class(dets: list[Detection], cfg: FusionConfig) -> list[Detection]:
-    """Cluster, rescale by source count, and drop low-confidence fusions.
-
-    The rescale factor is min(cluster size, num_sources) / num_sources, so a
-    cluster backed by every available source keeps its mean score unchanged
-    while a box corroborated by a single source loses most of its confidence.
-    Fused boxes with score <= post_threshold are dropped.
-    """
-    rescaled = _rescaled(cluster_class(dets, cfg), cfg)
-    return [d for d in rescaled if d.score > cfg.post_threshold]
-
-
 def nms(dets: list[Detection], cfg: FusionConfig) -> list[Detection]:
     """Classic greedy suppression: keep the top box, drop overlapping ones."""
     pool = [dets[i] for i in _sorted_indices(dets)]
@@ -277,55 +262,26 @@ class FusionResult:
 
 
 def _apply_rescoring(candidates: CandidateSet, provider) -> tuple[list[Detection], int]:
-    """Rescore every carried candidate, in one batch per target.
+    """The candidates with each carried one rescored, and how many were dropped.
 
-    The provider is asked once per frame (the target, and each source) for
-    all the crops of this candidate set. Each carried score is multiplied by
-    the cosine of its two crops, as ``rescore`` does one pair at a time; the
-    cosines of all the pairs come from one ``cosine_sims`` per descriptor
-    dimension, with the bits ``cosine_sim`` gives.
+    The target's own boxes pass through; the carried ones go through one
+    ``rescore_many`` batch, which drops those whose crops cannot be embedded.
     """
     if provider is None:
         raise ValidationError("the swbf method needs a feature provider for rescoring")
     target = candidates.frame_index
-    crops: dict[int, list[BBox]] = {}
+    carried: list[Detection] = []
+    sources: list[tuple[int, BBox]] = []
     for det, src_box in zip(candidates.detections, candidates.source_boxes):
-        if det.source_offset == 0:
-            continue
-        if src_box is None:
-            raise ValidationError(f"carried candidate on frame {target} has no source box")
-        crops.setdefault(target, []).append(det.bbox)
-        crops.setdefault(target - det.source_offset, []).append(src_box)
-    # each frame's descriptors, in the order its crops were listed above
-    vecs = {frame: iter(provider.embed_many(frame, boxes)) for frame, boxes in crops.items()}
-
-    kept: list[Detection] = []
-    dropped = 0
-    # descriptor dimension -> (positions in kept, target rows, source rows)
-    pairs: dict[int, tuple[list[int], list[np.ndarray], list[np.ndarray]]] = {}
-    for det in candidates.detections:
-        if det.source_offset == 0:
-            kept.append(det)
-            continue
-        target_feat = next(vecs[target])
-        source_feat = next(vecs[target - det.source_offset])
-        if target_feat is None or source_feat is None:
-            # a crop outside its frame, or a lookup miss without a fallback
-            dropped += 1
-            continue
-        if target_feat.dim != source_feat.dim:
-            raise ValidationError(f"feature dimensions differ: {target_feat.dim} vs {source_feat.dim}")
-        slots, rows_t, rows_s = pairs.setdefault(target_feat.dim, ([], [], []))
-        slots.append(len(kept))
-        rows_t.append(target_feat.values)
-        rows_s.append(source_feat.values)
-        kept.append(det)
-    for slots, rows_t, rows_s in pairs.values():
-        for i, sim in zip(slots, cosine_sims(np.stack(rows_t), np.stack(rows_s)).tolist()):
-            det = kept[i]
-            # a score and a cosine both in [0, 1] give a product in [0, 1]
-            kept[i] = unchecked_detection(det.class_id, det.bbox, det.score * sim, det.source_offset)
-    return kept, dropped
+        if det.source_offset != 0:
+            if src_box is None:
+                raise ValidationError(f"carried candidate on frame {target} has no source box")
+            carried.append(det)
+            sources.append((target - det.source_offset, src_box))
+    rescored = iter(rescore_many(provider, target, carried, sources))
+    dets = [det if det.source_offset == 0 else next(rescored) for det in candidates.detections]
+    kept = [det for det in dets if det is not None]
+    return kept, len(dets) - len(kept)
 
 
 def fuse_candidates(
@@ -372,8 +328,3 @@ def fuse_candidates(
         dropped_rescore=dropped_rescore,
         dropped_post=pre_filter - len(labels.detections),
     )
-
-
-def fuse(candidates: CandidateSet, cfg: FusionConfig, provider=None) -> LabelSet:
-    """Fused label set for one frame, sorted by descending score."""
-    return fuse_candidates(candidates, cfg, provider).labels

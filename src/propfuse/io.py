@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class DetectionRecord:
     """A detection as it appears on disk; classes are names, not ids."""
 

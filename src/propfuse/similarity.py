@@ -6,45 +6,40 @@ still looks like the content it was detected on: the score is multiplied by
 the cosine similarity of the two crop descriptors. Descriptor values live in
 [0, 1], so a carried box can never gain confidence.
 
-Every provider answers ``embed(frame, box)`` for one crop and
-``embed_many(frame, boxes)`` for many crops of one frame; the latter gives
-None where ``embed`` would raise. ``PatchDescriptor`` computes a frame's new
-crops in one batch and keeps each descriptor, and the plane it samples (a
-grey frame's own uint8 pixels, an RGB frame's luminance), until
-``release(frame)``; ``held_frames()`` names the frames a provider keeps.
+Every provider answers ``embed_many(frame, boxes)`` for many crops of one
+frame, with None where a crop cannot be embedded. ``PatchDescriptor``
+computes a frame's new crops in one batch and keeps each descriptor, and the
+plane it samples (a grey frame's own uint8 pixels, an RGB frame's
+luminance), until ``release(frame)``; ``held_frames()`` names the frames a
+provider keeps.
 
-``cosine_sim`` compares one pair of descriptors; ``cosine_sims`` compares
-the rows of two stacked arrays pair by pair with the same bits, which is how
-fusion rescores all the carried boxes of a target at once.
+``rescore_many`` is the one rescoring rule, for all the carried boxes of a
+target at once, through one ``cosine_sims`` over stacked descriptor rows;
+``rescore`` is its one-pair case.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmbeddingLookupError,
-    EmptyCropError,
-    ValidationError,
-)
+from .errors import EmptyCropError, ValidationError
 from .geometry import BBox, Detection, unchecked_detection
 from .io import json_integer, json_lines, write_atomic
 from .motion import Frame, sample_bilinear
 
 __all__ = [
     "FeatureVector",
-    "cosine_sim",
     "cosine_sims",
     "PatchDescriptor",
     "PrecomputedEmbeddings",
     "FallbackProvider",
     "embedding_key",
     "rescore",
+    "rescore_many",
 ]
 
 DEFAULT_PATCH_SIZE = 16
@@ -103,31 +98,16 @@ def _check_components(values: np.ndarray) -> None:
 _UNDERFLOW = "feature vectors too small to compare: the product of their squared norms underflows"
 
 
-def cosine_sim(a: FeatureVector, b: FeatureVector) -> float:
-    """Cosine similarity of two descriptors, guaranteed to lie in [0, 1].
-
-    Computed through the squared ratio dot(a,b)^2 / (dot(a,a)*dot(b,b)) so
-    that comparing a vector with itself yields exactly 1.0.
-    """
-    va, vb = a.values, b.values
-    if va.size != vb.size:
-        raise ValidationError(f"feature dimensions differ: {va.size} vs {vb.size}")
-    num = float(va @ vb)
-    den = float(va @ va) * float(vb @ vb)
-    if den == 0.0:
-        raise ValidationError(_UNDERFLOW)
-    ratio = (num * num) / den
-    return math.sqrt(min(ratio, 1.0))
-
-
 def cosine_sims(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``cosine_sim`` of each row of ``a`` with the same row of ``b``, both (m, d).
+    """Cosine similarity of each row of ``a`` with the same row of ``b``, both (m, d).
 
-    Each row's three dot products are stacked (1, d) @ (d, 1) products, which
-    sum a row pair as the one-pair ``@`` does, so every cosine has the bits
-    ``cosine_sim`` gives it; the rest is the same float64 arithmetic element
-    by element.
+    Computed through dot(a,b)^2 / (dot(a,a)*dot(b,b)), so a row compared with
+    itself gives exactly 1.0. Each dot product is a stacked (1, d) @ (d, 1)
+    product, which sums a row pair as the one-pair ``@`` does, so a cosine
+    has the same bits whichever rows share its batch.
     """
+    if a.shape[1] != b.shape[1]:
+        raise ValidationError(f"feature dimensions differ: {a.shape[1]} vs {b.shape[1]}")
     num = (a[:, None, :] @ b[:, :, None])[:, 0, 0]
     den = (a[:, None, :] @ a[:, :, None])[:, 0, 0] * (b[:, None, :] @ b[:, :, None])[:, 0, 0]
     if not den.all():
@@ -281,13 +261,6 @@ class PrecomputedEmbeddings:
             lines.append(f'{{"frame": {key[0]}, "box": [{box}], "vec": [{vals}]}}\n')
         write_atomic(path, "".join(lines), "ascii")
 
-    def embed(self, frame_index: int, bbox: BBox) -> FeatureVector:
-        key = embedding_key(frame_index, bbox)
-        vec = self._table.get(key)
-        if vec is None:
-            raise EmbeddingLookupError(f"no embedding for frame {frame_index}, box {key[1:]}")
-        return vec
-
     def embed_many(self, frame_index: int, boxes: Sequence[BBox]) -> list[Optional[FeatureVector]]:
         return [self._table.get(embedding_key(frame_index, b)) for b in boxes]
 
@@ -306,12 +279,6 @@ class FallbackProvider:
         self.primary = primary
         self.fallback = fallback
 
-    def embed(self, frame_index: int, bbox: BBox) -> FeatureVector:
-        try:
-            return self.primary.embed(frame_index, bbox)
-        except EmbeddingLookupError:
-            return self.fallback.embed(frame_index, bbox)
-
     def embed_many(self, frame_index: int, boxes: Sequence[BBox]) -> list[Optional[FeatureVector]]:
         """The primary's descriptors, with only its misses asked of the fallback."""
         vecs = self.primary.embed_many(frame_index, boxes)
@@ -327,6 +294,48 @@ class FallbackProvider:
         self.fallback.release(frame_index)
 
 
+def rescore_many(
+    provider,
+    target_frame: int,
+    candidates: Sequence[Detection],
+    sources: Sequence[tuple[int, BBox]],
+) -> list[Optional[Detection]]:
+    """Each candidate's score scaled by crop similarity, or None where a crop cannot be embedded.
+
+    ``sources[i]`` is the (frame, box) crop candidate i was carried from.
+    The provider is asked once per frame, the target first, for all that
+    frame's crops; pairs of one descriptor length share one ``cosine_sims``.
+    """
+    if not candidates:
+        return []
+    crops: dict[int, list[BBox]] = {target_frame: [det.bbox for det in candidates]}
+    for frame, box in sources:
+        crops.setdefault(frame, []).append(box)
+    # each frame's descriptors in listing order: on the target frame its crops, then any source's
+    vecs = {frame: iter(provider.embed_many(frame, boxes)) for frame, boxes in crops.items()}
+    target_feats = [next(vecs[target_frame]) for _ in candidates]
+
+    out: list[Optional[Detection]] = [None] * len(candidates)
+    # descriptor length -> (candidate positions, target rows, source rows)
+    pairs: dict[int, tuple[list[int], list[np.ndarray], list[np.ndarray]]] = {}
+    for i, (target_feat, (frame, _)) in enumerate(zip(target_feats, sources)):
+        source_feat = next(vecs[frame])
+        if target_feat is None or source_feat is None:
+            continue  # a crop outside its frame, or a lookup miss without a fallback
+        if target_feat.dim != source_feat.dim:
+            raise ValidationError(f"feature dimensions differ: {target_feat.dim} vs {source_feat.dim}")
+        slots, rows_t, rows_s = pairs.setdefault(target_feat.dim, ([], [], []))
+        slots.append(i)
+        rows_t.append(target_feat.values)
+        rows_s.append(source_feat.values)
+    for slots, rows_t, rows_s in pairs.values():
+        for i, sim in zip(slots, cosine_sims(np.stack(rows_t), np.stack(rows_s)).tolist()):
+            det = candidates[i]
+            # a score and a cosine both in [0, 1] give a product in [0, 1]
+            out[i] = unchecked_detection(det.class_id, det.bbox, det.score * sim, det.source_offset)
+    return out
+
+
 def rescore(
     candidate: Detection,
     source_bbox: BBox,
@@ -334,17 +343,6 @@ def rescore(
     target_frame: int,
     source_frame: int,
 ) -> Detection | None:
-    """Scale a carried candidate's score by crop similarity.
-
-    Returns None (candidate dropped) when either crop cannot be embedded:
-    the crop lies outside its frame, or a precomputed lookup misses without
-    a fallback.
-    """
-    try:
-        target_feat = provider.embed(target_frame, candidate.bbox)
-        source_feat = provider.embed(source_frame, source_bbox)
-    except (EmptyCropError, EmbeddingLookupError):
-        return None
-    # a score and a cosine both in [0, 1] give a product in [0, 1]
-    score = candidate.score * cosine_sim(target_feat, source_feat)
-    return unchecked_detection(candidate.class_id, candidate.bbox, score, candidate.source_offset)
+    """``rescore_many`` of one candidate carried from ``source_bbox`` on ``source_frame``."""
+    (out,) = rescore_many(provider, target_frame, [candidate], [(source_frame, source_bbox)])
+    return out

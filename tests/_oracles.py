@@ -50,18 +50,24 @@ def ref_cosine(x: np.ndarray, y: np.ndarray) -> float:
     return math.sqrt(min((p * p) / q, 1.0))
 
 
+def _in_order(values) -> float:
+    """Floats added left to right from 0.0, whatever the interpreter's builtin sum does."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _weighted_fuse(members):
     """members: list of (score, box) in insertion order."""
-    total = 0.0
-    for s, _ in members:
-        total += s
+    total = _in_order(s for s, _ in members)
     mean = total / len(members)
     if total > 0.0:
         box = tuple(
-            sum(s * b[c] for s, b in members) / total for c in range(4)
+            _in_order(s * b[c] for s, b in members) / total for c in range(4)
         )
     else:
-        box = tuple(sum(b[c] for _, b in members) / len(members) for c in range(4))
+        box = tuple(_in_order(b[c] for _, b in members) / len(members) for c in range(4))
     return box, mean
 
 
@@ -137,10 +143,10 @@ def oracle_nmw(dets, iou_thr):
         ts, tb = dets[top]
         member_ids = [top] + [i for i in remaining if ref_iou(dets[i][1], tb) > iou_thr]
         weights = [dets[i][0] * ref_iou(dets[i][1], tb) for i in member_ids]
-        total = sum(weights)
+        total = _in_order(weights)
         if total > 0.0:
             box = tuple(
-                sum(w * dets[i][1][c] for w, i in zip(weights, member_ids)) / total
+                _in_order(w * dets[i][1][c] for w, i in zip(weights, member_ids)) / total
                 for c in range(4)
             )
         else:
@@ -231,10 +237,10 @@ def oracle_map(dets_by_class, gts_by_class, thresholds):
         if not gts:
             continue
         aps = [oracle_ap(dets_by_class.get(c, []), gts, t) for t in thresholds]
-        per_class.append(sum(aps) / len(aps))
+        per_class.append(_in_order(aps) / len(aps))
     if not per_class:
         return None
-    return sum(per_class) / len(per_class)
+    return _in_order(per_class) / len(per_class)
 
 
 def ref_bilinear(field, x, y):

@@ -10,7 +10,6 @@ from propfuse.fusion import (
     FusionConfig,
     cluster_class,
     fuse_candidates,
-    fuse_class,
     nms,
     nmw,
     soft_nms,
@@ -27,7 +26,7 @@ from propfuse.similarity import (
     rescore,
 )
 
-from _oracles import oracle_nms, oracle_nmw, oracle_soft_nms, oracle_wbf
+from _oracles import oracle_nms, oracle_nmw, oracle_soft_nms, oracle_wbf, ref_cosine
 
 
 def det(score, box, class_id=0, offset=0):
@@ -40,12 +39,18 @@ def cfg(**kw):
     return FusionConfig(**base)
 
 
+def fuse_dets(dets, c, provider=None):
+    """The fused boxes of one frame whose candidates are ``dets``, none of them carried."""
+    cands = CandidateSet(0, list(dets), [None] * len(dets), 1)
+    return fuse_candidates(cands, c, provider).labels.detections
+
+
 class TestWorkedExample:
     """Two overlapping boxes, scores 0.8 and 0.4, Thr=0.5, three sources."""
 
     def run(self):
         dets = [det(0.8, (0, 0, 10, 10)), det(0.4, (2, 0, 12, 10))]
-        return fuse_class(dets, cfg(num_sources=3))
+        return fuse_dets(dets, cfg(num_sources=3))
 
     def test_position_is_score_weighted(self):
         (out,) = self.run()
@@ -74,25 +79,25 @@ class TestWorkedExample:
 
 class TestRescaling:
     def test_single_member_times_third_exactly(self):
-        (out,) = fuse_class([det(0.9, (0, 0, 10, 10))], cfg(num_sources=3))
+        (out,) = fuse_dets([det(0.9, (0, 0, 10, 10))], cfg(num_sources=3))
         assert out.score == 0.9 * (1 / 3)
 
     def test_three_members_unchanged(self):
         boxes = [det(0.75, (0, 0, 10, 10)), det(0.5, (0, 0, 10, 10)), det(1.0, (0, 0, 10, 10))]
-        (out,) = fuse_class(boxes, cfg(num_sources=3))
+        (out,) = fuse_dets(boxes, cfg(num_sources=3))
         # mean of 0.75, 0.5, 1.0 is exactly 0.75 and the factor is exactly 1
         assert out.score == 0.75
 
     def test_more_members_than_sources_caps_at_one(self):
         boxes = [det(0.6, (0, 0, 10, 10))] * 5
-        (out,) = fuse_class(boxes, cfg(num_sources=3))
+        (out,) = fuse_dets(boxes, cfg(num_sources=3))
         assert out.score == 0.6
 
     def test_type_b_arithmetic(self):
         # lone 0.8 box among three sources: 0.8/3, below a 0.3 post filter
-        (out,) = fuse_class([det(0.8, (0, 0, 10, 10))], cfg(num_sources=3))
+        (out,) = fuse_dets([det(0.8, (0, 0, 10, 10))], cfg(num_sources=3))
         assert abs(out.score - 0.8 / 3) <= 1e-9
-        assert fuse_class([det(0.8, (0, 0, 10, 10))], cfg(num_sources=3, post_threshold=0.3)) == []
+        assert fuse_dets([det(0.8, (0, 0, 10, 10))], cfg(num_sources=3, post_threshold=0.3)) == []
 
 
 class TestClustering:
@@ -125,7 +130,7 @@ class TestClustering:
 
     def test_empty_input(self):
         assert cluster_class([], cfg()) == []
-        assert fuse_class([], cfg()) == []
+        assert fuse_dets([], cfg()) == []
 
 
 class TestBaselines:
@@ -139,7 +144,7 @@ class TestBaselines:
         for method in ("swbf", "wbf", "nms", "snms", "nmw"):
             c = cfg(method=method, num_sources=1)
             if method in ("swbf", "wbf"):
-                out = fuse_class(dets, c)
+                out = fuse_dets(dets, c, PrecomputedEmbeddings({}))
             elif method == "nms":
                 out = nms(dets, c)
             elif method == "snms":
@@ -202,7 +207,7 @@ class TestOracleEquivalence:
         for _ in range(300):
             dets = _random_instance(rng)
             ns = int(rng.integers(1, 6))
-            got = fuse_class([det(s, b) for s, b in dets], cfg(num_sources=ns))
+            got = fuse_dets([det(s, b) for s, b in dets], cfg(num_sources=ns))
             self._compare(got, oracle_wbf(dets, 0.5, ns))
 
     def test_nms_random_instances(self):
@@ -328,6 +333,61 @@ class TestFuseCandidates:
             fuse_candidates(self._candidates(dets, boxes), cfg(method="swbf"), self._mixed_provider())
         assert str(got.value) == str(want.value) == "feature dimensions differ: 2 vs 9"
 
+    def test_swbf_and_rescore_agree_where_the_primary_crop_lies_outside_the_frame(self):
+        # the patch provider cannot embed a box off its 48 x 40 frame, the table holds it
+        data = ((np.arange(48)[None, :] * 5 + np.arange(40)[:, None] * 3) % 89).astype(np.uint8)
+        frame = Frame(FrameSize(48, 40), data)
+        outside = BBox(60.0, 50.0, 70.0, 60.0)
+        table = {embedding_key(7, outside): FeatureVector(np.array([0.1, 0.4, 0.6, 0.9]))}
+
+        def provider():
+            patch = PatchDescriptor(lambda t: frame, patch_size=2)
+            return FallbackProvider(patch, PrecomputedEmbeddings(table))
+
+        dets = [det(0.9, outside.as_tuple(), offset=1)]
+        boxes = [BBox(1.0, 1.0, 11.0, 11.0)]
+        one = rescore(dets[0], boxes[0], provider(), 7, 6)
+        assert one is not None and one.score < 0.9
+        got = fuse_candidates(self._candidates(dets, boxes), cfg(method="swbf"), provider())
+        assert [d.score for d in got.labels.detections] == [one.score]
+        assert got.dropped_rescore == 0
+
+    def test_swbf_asks_the_provider_nothing_when_no_candidate_is_carried(self):
+        asked = []
+
+        class Spy:
+            def embed_many(self, frame_index, boxes):
+                asked.append((frame_index, list(boxes)))
+                return [FeatureVector(np.array([0.5, 0.5]))] * len(boxes)
+
+        dets = [det(0.9, (0, 0, 10, 10)), det(0.8, (50, 50, 60, 60), class_id=1)]
+        result = fuse_candidates(self._candidates(dets), cfg(method="swbf"), Spy())
+        assert asked == []
+        assert [d.score for d in result.labels.detections] == [0.9, 0.8]
+        carried = [det(0.7, (20, 20, 30, 30), offset=-2)]
+        cands = self._candidates(dets + carried, [None, None, carried[0].bbox])
+        fuse_candidates(cands, cfg(method="swbf"), Spy())
+        assert asked == [(7, [carried[0].bbox]), (9, [carried[0].bbox])]
+
+    def test_swbf_scores_equal_the_reference_cosine_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        pixels = rng.integers(0, 256, (11, 48, 64), dtype=np.uint8)
+        provider = PatchDescriptor(lambda t: Frame(FrameSize(64, 48), pixels[t]), patch_size=5)
+        # disjoint boxes, so each fused box is one candidate with its rescored score
+        dets, boxes = [det(0.95, (1, 1, 9, 9))], [None]
+        for i, offset in enumerate((1, -1, 2, -2, 3, -3, 1, -1)):
+            x = 10.0 + 6.5 * i
+            dets.append(det(0.3 + 0.08 * i, (x, 12.5 + i, x + 5.0, 30.0), class_id=i % 2, offset=offset))
+            boxes.append(BBox(x + 0.75, 11.0, x + 6.0, 29.25 - i))
+        want = {dets[0].bbox: dets[0].score.hex()}
+        for d, b in zip(dets[1:], boxes[1:]):
+            (target,) = provider.embed_many(7, [d.bbox])
+            (source,) = provider.embed_many(7 - d.source_offset, [b])
+            want[d.bbox] = (d.score * ref_cosine(target.values, source.values)).hex()
+        got = fuse_candidates(self._candidates(dets, boxes), cfg(method="swbf"), provider)
+        assert {d.bbox: d.score.hex() for d in got.labels.detections} == want
+        assert len(set(want.values())) == len(dets)
+
     def test_dropped_post_counted(self):
         dets = [det(0.2, (0, 0, 10, 10)), det(0.9, (50, 50, 60, 60))]
         result = fuse_candidates(self._candidates(dets), cfg(post_threshold=0.5))
@@ -356,7 +416,7 @@ class TestProperties:
         dets = [det(s, (x, y, x + w, y + h)) for s, x, y, w, h in rows]
         c = cfg(method=method, num_sources=ns)
         if method == "wbf":
-            out = fuse_class(dets, c)
+            out = fuse_dets(dets, c)
         elif method == "nms":
             out = nms(dets, c)
         elif method == "snms":
@@ -380,7 +440,7 @@ class TestProperties:
             det(s, (300 * i, 300 * i, 300 * i + 10, 300 * i + 10))
             for i, (s, _, _) in enumerate(rows)
         ]
-        out = fuse_class(dets, cfg(num_sources=1))
+        out = fuse_dets(dets, cfg(num_sources=1))
         assert sorted(d.score for d in out) == sorted(d.score for d in dets)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from propfuse.errors import EmbeddingLookupError, EmptyCropError, ValidationError
+from propfuse.errors import EmptyCropError, ValidationError
 from propfuse.geometry import BBox, Detection, FrameSize
 from propfuse.motion import Frame
 from propfuse.similarity import (
@@ -11,7 +11,6 @@ from propfuse.similarity import (
     FeatureVector,
     PatchDescriptor,
     PrecomputedEmbeddings,
-    cosine_sim,
     cosine_sims,
     embedding_key,
     rescore,
@@ -25,25 +24,31 @@ def vec(*values):
     return FeatureVector(np.asarray(values, dtype=np.float64))
 
 
+def cosine(a, b):
+    """``cosine_sims`` of one pair, as one-row arrays."""
+    (sim,) = cosine_sims(a.values[None, :], b.values[None, :])
+    return sim
+
+
 class TestCosine:
     def test_identity_is_exactly_one(self):
         a = vec(0.3, 0.7, 0.1, 0.95)
-        assert cosine_sim(a, a) == 1.0
+        assert cosine(a, a) == 1.0
 
     def test_orthogonal(self):
-        assert cosine_sim(vec(1.0, 0.0), vec(0.0, 1.0)) == 0.0
+        assert cosine(vec(1.0, 0.0), vec(0.0, 1.0)) == 0.0
 
     def test_half(self):
         # dot = 1, |a||b| = sqrt(2)*sqrt(2) = 2
-        assert cosine_sim(vec(1.0, 0.0, 1.0), vec(1.0, 1.0, 0.0)) == 0.5
+        assert cosine(vec(1.0, 0.0, 1.0), vec(1.0, 1.0, 0.0)) == 0.5
 
     def test_power_of_two_scaling_is_exactly_one(self):
         a = np.array([0.813, 0.244, 0.661, 0.092])
-        assert cosine_sim(FeatureVector(a), FeatureVector(a * 0.25)) == 1.0
+        assert cosine(FeatureVector(a), FeatureVector(a * 0.25)) == 1.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
-            cosine_sim(vec(1.0, 0.0), vec(1.0, 0.0, 0.0))
+            cosine(vec(1.0, 0.0), vec(1.0, 0.0, 0.0))
 
     @given(
         st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3),
@@ -51,7 +56,7 @@ class TestCosine:
     )
     def test_bounded_and_matches_reference(self, xs, ys):
         a, b = vec(*xs), vec(*ys)
-        v = cosine_sim(a, b)
+        v = cosine(a, b)
         assert 0.0 <= v <= 1.0
         assert abs(v - ref_cosine(np.asarray(xs), np.asarray(ys))) < 1e-12
 
@@ -59,7 +64,7 @@ class TestCosine:
     def test_underflowing_norms_are_a_validation_error(self):
         tiny = vec(1e-82, 0.0)
         with pytest.raises(ValidationError, match="underflows"):
-            cosine_sim(tiny, tiny)
+            cosine(tiny, tiny)
         rows = np.array([[0.5, 0.25], [1e-82, 0.0]])
         with pytest.raises(ValidationError, match="underflows"):
             cosine_sims(rows, rows)
@@ -78,7 +83,7 @@ def _bundle_rows(bundle, patch_size):
 class TestCosines:
     @pytest.mark.parametrize("patch_size", [2, 7, 16])
     def test_stacked_products_equal_one_pair_at_a_time(self, patch_size):
-        """Every row pair's cosine has the bits of cosine_sim on that pair.
+        """Every row pair's cosine has the bits of the one-pair reference on that pair.
 
         The pairs are the real descriptors of the noisy and benchmark
         bundles: every box of a frame against every box of the next frame,
@@ -102,7 +107,7 @@ class TestCosines:
         a = np.stack([p[0].values for p in pairs])
         b = np.stack([p[1].values for p in pairs])
         got = [x.hex() for x in cosine_sims(a, b).tolist()]
-        assert got == [cosine_sim(p, q).hex() for p, q in pairs]
+        assert got == [ref_cosine(p.values, q.values).hex() for p, q in pairs]
         selves = [g for g, (p, q) in zip(got, pairs) if p is q]
         assert selves and set(selves) == {(1.0).hex()}
 
@@ -173,7 +178,7 @@ class TestPatchDescriptor:
         frame = _gradient_frame()
         desc = PatchDescriptor(lambda t: frame, patch_size=8)
         box = BBox(4.0, 4.0, 20.0, 16.0)
-        assert cosine_sim(desc.embed(0, box), desc.embed(1, box)) == 1.0
+        assert cosine(desc.embed(0, box), desc.embed(1, box)) == 1.0
 
 
 @st.composite
@@ -318,9 +323,10 @@ class TestPrecomputed:
         box = BBox(1.0, 2.0, 3.0, 4.0)
         table = {embedding_key(0, box): vec(0.1, 0.9)}
         pre = PrecomputedEmbeddings(table)
-        assert np.array_equal(pre.embed(0, box).values, [0.1, 0.9])
-        with pytest.raises(EmbeddingLookupError):
-            pre.embed(1, box)
+        (hit,) = pre.embed_many(0, [box])
+        assert np.array_equal(hit.values, [0.1, 0.9])
+        (miss,) = pre.embed_many(1, [box])
+        assert miss is None
 
     def test_load_jsonl(self, tmp_path):
         path = tmp_path / "emb.jsonl"
@@ -329,7 +335,7 @@ class TestPrecomputed:
             encoding="utf-8",
         )
         pre = PrecomputedEmbeddings.load(path)
-        got = pre.embed(0, BBox(1.0, 2.0, 3.0, 4.0))
+        (got,) = pre.embed_many(0, [BBox(1.0, 2.0, 3.0, 4.0)])
         assert np.array_equal(got.values, [0.25, 0.5])
 
     def test_written_file_loads_and_writes_back_to_the_same_bytes(self, tmp_path):
@@ -345,7 +351,7 @@ class TestPrecomputed:
         assert len(lines) == len(table)
         for line, key in zip(lines, sorted(table)):
             assert line.startswith('{"frame": %d, "box": [%.6f, ' % key[:2])
-            got = loaded.embed(key[0], BBox(*key[1:]))
+            (got,) = loaded.embed_many(key[0], [BBox(*key[1:])])
             assert np.allclose(got.values, table[key].values, rtol=0, atol=5e-7)
 
     def test_empty_table_writes_an_empty_file(self, tmp_path):
@@ -369,13 +375,14 @@ class TestPrecomputed:
         pre = PrecomputedEmbeddings({})
         combo = FallbackProvider(pre, patch)
         box = BBox(4.0, 4.0, 12.0, 12.0)
-        assert np.array_equal(combo.embed(0, box).values, patch.embed(0, box).values)
+        (got,) = combo.embed_many(0, [box])
+        assert np.array_equal(got.values, patch.embed(0, box).values)
 
     def test_embed_many_looks_up_each_key(self):
         box = BBox(1.0, 2.0, 3.0, 4.0)
         pre = PrecomputedEmbeddings({embedding_key(0, box): vec(0.1, 0.9)})
         got = pre.embed_many(0, [box, BBox(1.0, 2.0, 3.0, 5.0), box])
-        assert got[0] is got[2] is pre.embed(0, box)
+        assert got[0] is got[2] is pre.embed_many(0, [box])[0]
         assert got[1] is None
 
     def test_fallback_batches_only_the_misses(self):

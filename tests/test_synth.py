@@ -546,11 +546,12 @@ class TestWriteBundle:
         ground_truth = [gt.get(t, LabelSet(frame_index=t)) for t in indices]
         detections = [m.teacher_labels(t) for t in indices]
         stored = PrecomputedEmbeddings.load(m.embeddings_path)
-        embeddings = {
-            embedding_key(ls.frame_index, d.bbox): stored.embed(ls.frame_index, d.bbox)
-            for ls in ground_truth + detections
-            for d in ls.detections
-        }
+        embeddings = {}
+        for ls in ground_truth + detections:
+            boxes = [d.bbox for d in ls.detections]
+            for box, vec in zip(boxes, stored.embed_many(ls.frame_index, boxes)):
+                assert vec is not None
+                embeddings[embedding_key(ls.frame_index, box)] = vec
         frames = [m.frame_image(t) for t in indices]
         read_back = SequenceBundle(
             spec=SceneSpec(m.size, len(indices), m.classes, channels=frames[0].channels),
