@@ -26,9 +26,10 @@ from .errors import (
 from .evaluation import evaluate, self_consistency
 from .geometry import Detection, unchecked_bbox
 from .io import (
+    CandidateMeta,
     DetectionRecord,
-    quote_names,
     read_detections,
+    record_class_ids,
     record_detection,
     write_atomic,
     write_detections,
@@ -38,7 +39,6 @@ from .pipeline import (
     FIELD_TYPES,
     PipelineConfig,
     build_provider,
-    candidate_records,
     carrying_config,
     fuse_frame,
     gather_candidates,
@@ -133,8 +133,8 @@ def cmd_propagate(args) -> int:
     validate_flow_coverage(manifest, carrying.k, [args.frame])
     window = RunWindow([args.frame], carrying.k)
     candidates = gather_candidates(manifest, carrying, args.frame, window)
-    records, meta = candidate_records(candidates, manifest.class_name, config.k)
-    write_detections(records, args.out, meta=meta)
+    meta = CandidateMeta(candidates.frame_index, candidates.effective_sources, config.k)
+    write_detections([candidates], args.out, manifest.classes, meta)
     print(args.out)
     return 0
 
@@ -157,12 +157,12 @@ def _candidates_from_file(path, manifest: SequenceManifest | None):
     frame = frames.pop()
 
     if manifest is not None:
-        name_to_id = {name: manifest.class_id(name) for name in {r.class_name for r in records}}
-        names = manifest.classes
+        names, name_to_id = manifest.classes, manifest.class_ids
     else:
         names = sorted({r.class_name for r in records})
         name_to_id = {name: i for i, name in enumerate(names)}
-    dets = [record_detection(r, name_to_id[r.class_name], r.source_offset) for r in records]
+    ids = record_class_ids(records, name_to_id, path)
+    dets = [record_detection(r, c, r.source_offset) for r, c in zip(records, ids)]
     boxes = [None if r.source_bbox is None else unchecked_bbox(*r.source_bbox) for r in records]
     effective = meta.effective_sources if meta is not None else 1
     cands = CandidateSet(
@@ -186,7 +186,7 @@ def cmd_fuse(args) -> int:
         provider = build_provider(manifest, config)
 
     result, _ = fuse_frame(cands, config, k, provider)
-    write_detections(result.labels, args.out, quoted_names=quote_names(names))
+    write_detections([result.labels], args.out, names)
     print(args.out)
     return 0
 

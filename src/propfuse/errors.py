@@ -16,9 +16,10 @@ class SceneValidationError(ValidationError):
 class VocabularyError(ValidationError):
     """Detections reference classes that are not in the known vocabulary."""
 
-    def __init__(self, unknown):
+    def __init__(self, unknown, path=None):
         self.unknown = sorted(unknown)
-        super().__init__("unknown classes: " + ", ".join(str(u) for u in self.unknown))
+        message = "unknown classes: " + ", ".join(str(u) for u in self.unknown)
+        super().__init__(message if path is None else f"{path}: {message}")
 
 
 class CliUsageError(ValidationError):

@@ -1,14 +1,16 @@
 """Detection JSONL records, the one JSON-lines reader, and PGM/PPM frame files.
 
 One detection per line: {"frame": int, "class": str, "bbox": [x1, y1, x2, y2],
-"score": float} plus optional "source_offset" (omitted when 0) and, for
-candidate files, the originating "source_bbox" on the source frame. Floats
-are always written with 6 decimal places so identical runs produce identical
-bytes; every line starts from one template, ``_LINE_HEAD``. A candidate file
-may start with one {"type": "candidate_meta", ...} line carrying the target
-frame, the number of available sources, and k. ``json_lines`` reads every
-JSON-lines file, embeddings too; ``json_integer`` and ``json_number`` are the
-number rules of every JSON reader.
+"score": float}, and on a candidate file's carried lines the optional
+"source_offset" (omitted when 0) and the originating "source_bbox" on the
+source frame. Floats are always written with 6 decimal places so identical
+runs produce identical bytes. ``write_detections`` writes every such file,
+label, candidate and ground truth, straight from its label sets, each line
+from one template, ``_LINE_HEAD``. A candidate file may start with one
+{"type": "candidate_meta", ...} line carrying the target frame, the number
+of available sources, and k. ``json_lines`` reads every JSON-lines file,
+embeddings too; ``json_integer``, ``json_number`` and ``parse_box`` are the
+number and box rules of every JSON reader.
 
 Every file is written through ``write_atomic``: a reader, or a run that is
 killed, sees a file's old contents or its whole new contents, never a part.
@@ -24,21 +26,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
-from .geometry import Detection, FrameSize, LabelSet, unchecked_bbox, unchecked_detection
+from .errors import ValidationError, VocabularyError
+from .geometry import Detection, FrameSize, unchecked_bbox, unchecked_detection
 from .motion import Frame
 
 __all__ = [
     "DetectionRecord",
     "CandidateMeta",
-    "detection_line",
-    "quote_names",
     "write_detections",
     "read_detections",
     "record_detection",
+    "record_class_ids",
     "json_lines",
     "json_integer",
     "json_number",
+    "parse_box",
     "read_text",
     "write_atomic",
     "write_frame",
@@ -105,50 +107,37 @@ def write_atomic(path: str | Path, data: str | bytes, encoding: str | None = Non
 # a detection line up to its optional keys: %d is int() and %.6f is
 # f"{float(x):.6f}", and the class comes pre-quoted
 _LINE_HEAD = '{"frame": %d, "class": %s, "bbox": [%.6f, %.6f, %.6f, %.6f], "score": %.6f'
-_LABEL_LINE = _LINE_HEAD + "}\n"
-
-
-def detection_line(rec: DetectionRecord) -> str:
-    line = _LINE_HEAD % (rec.frame, json.dumps(rec.class_name), *rec.bbox, rec.score)
-    if rec.source_offset:
-        line += ', "source_offset": %d' % rec.source_offset
-    if rec.source_bbox is not None:
-        line += ', "source_bbox": [%.6f, %.6f, %.6f, %.6f]' % tuple(rec.source_bbox)
-    return line + "}"
-
-
-def quote_names(names) -> list[str]:
-    """Class names as the JSON strings a label line holds, each quoted once."""
-    return [json.dumps(name) for name in names]
 
 
 def write_detections(
-    records,
-    path: str | Path,
-    meta: CandidateMeta | None = None,
-    quoted_names: list[str] | None = None,
+    label_sets, path: str | Path, classes, meta: CandidateMeta | None = None
 ) -> None:
-    """Write a detection or candidate JSONL file.
+    """Write the frames of one label, candidate or ground-truth JSONL file.
 
-    ``records`` is a list of ``DetectionRecord``s, each line written by
-    ``detection_line``, with ``meta`` as the header line of a candidate
-    file. Or it is a ``LabelSet`` of final labels whose class ids index
-    ``quoted_names`` (from ``quote_names``): each line is then formatted
-    straight from its detection, with the text ``detection_line`` gives.
+    ``label_sets`` holds ``LabelSet``s or ``CandidateSet``s, written in
+    order, whose class ids index ``classes``. Each name is quoted once and
+    each line formatted straight from its detection. With ``meta`` the file
+    is a candidate file: ``meta`` is its header line, and a line goes on
+    with its non-zero ``source_offset`` and its ``source_boxes`` entry where
+    that is not None. Without it no line carries a source key.
     """
-    if isinstance(records, LabelSet):
-        frame = records.frame_index
-        lines = []
-        for d in records.detections:
-            b = d.bbox
-            name = quoted_names[d.class_id]
-            lines.append(_LABEL_LINE % (frame, name, b.x1, b.y1, b.x2, b.y2, d.score))
-        write_atomic(path, "".join(lines), "ascii")
-        return
-    lines = [detection_line(r) for r in records]
+    names = [json.dumps(name) for name in classes]
+    lines = []
     if meta is not None:
-        lines.insert(0, json.dumps({"type": "candidate_meta", **asdict(meta)}, sort_keys=True))
-    write_atomic(path, "".join(line + "\n" for line in lines), "ascii")
+        lines.append(json.dumps({"type": "candidate_meta", **asdict(meta)}, sort_keys=True) + "\n")
+    for labels in label_sets:
+        frame = labels.frame_index
+        for i, d in enumerate(labels.detections):
+            b = d.bbox
+            line = _LINE_HEAD % (frame, names[d.class_id], b.x1, b.y1, b.x2, b.y2, d.score)
+            if meta is not None:
+                if d.source_offset:
+                    line += ', "source_offset": %d' % d.source_offset
+                src = labels.source_boxes[i]
+                if src is not None:
+                    line += ', "source_bbox": [%.6f, %.6f, %.6f, %.6f]' % src.as_tuple()
+            lines.append(line + "}\n")
+    write_atomic(path, "".join(lines), "ascii")
 
 
 _META_KEYS = ("frame", "effective_sources", "k")
@@ -226,7 +215,7 @@ def json_lines(path: str | Path):
         yield lineno, value
 
 
-def _parse_box(value, path, lineno, key) -> tuple[float, float, float, float]:
+def parse_box(value, path, lineno, key) -> tuple[float, float, float, float]:
     """Four finite numbers with x1 < x2 and y1 < y2, as floats: what ``BBox`` checks."""
     if type(value) is not list or len(value) != 4:
         raise ValidationError(f"{path}:{lineno}: {key} must be a list of 4 numbers")
@@ -274,10 +263,16 @@ def read_detections(
         try:
             if is_meta:
                 meta = CandidateMeta(*(json_integer(obj[key], key) for key in _META_KEYS))
+                if meta.effective_sources < 1:
+                    raise ValidationError(
+                        f"{path}:{lineno}: effective_sources must be >= 1, got {meta.effective_sources}"
+                    )
+                if meta.k < 0:
+                    raise ValidationError(f"{path}:{lineno}: k must be >= 0, got {meta.k}")
                 continue
             rec_frame = json_integer(obj["frame"], "frame")
             class_name = obj["class"]
-            bbox = _parse_box(obj["bbox"], path, lineno, "bbox")
+            bbox = parse_box(obj["bbox"], path, lineno, "bbox")
             score = _parse_score(obj["score"], path, lineno)
             if type(class_name) is not str:
                 raise ValidationError(
@@ -291,7 +286,7 @@ def read_detections(
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
         source_bbox = obj.get("source_bbox")
         if source_bbox is not None:
-            source_bbox = _parse_box(source_bbox, path, lineno, "source_bbox")
+            source_bbox = parse_box(source_bbox, path, lineno, "source_bbox")
         if frame is not None and rec_frame != frame:
             raise ValidationError(
                 f"{path}:{lineno}: record names frame {rec_frame}, expected frame {frame}"
@@ -309,6 +304,18 @@ def record_detection(rec: DetectionRecord, class_id: int, source_offset: int = 0
     the objects are built unchecked.
     """
     return unchecked_detection(class_id, unchecked_bbox(*rec.bbox), rec.score, source_offset)
+
+
+def record_class_ids(records, class_ids: dict[str, int], path) -> list[int]:
+    """Each record's class id in ``class_ids``, for the records of the file at ``path``.
+
+    Names not in ``class_ids`` are a ``VocabularyError`` that names ``path``
+    and every such name of the file, sorted.
+    """
+    try:
+        return [class_ids[r.class_name] for r in records]
+    except KeyError:
+        raise VocabularyError({r.class_name for r in records} - class_ids.keys(), path) from None
 
 
 def write_frame(frame: Frame, path: str | Path) -> None:

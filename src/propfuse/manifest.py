@@ -16,9 +16,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .errors import ValidationError, VocabularyError
+from .errors import ValidationError
 from .geometry import FrameSize, LabelSet
-from .io import json_integer, read_detections, read_frame, read_text, record_detection, write_atomic
+from .io import (
+    json_integer,
+    read_detections,
+    read_frame,
+    read_text,
+    record_class_ids,
+    record_detection,
+    write_atomic,
+)
 from .motion import FlowStore, Frame
 
 __all__ = ["FrameEntry", "SequenceManifest", "load_manifest", "write_manifest"]
@@ -51,20 +59,8 @@ class SequenceManifest:
         self.flows = flows
         self.gt_path = gt_path
         self.embeddings_path = embeddings_path
-        self._class_to_id = {name: i for i, name in enumerate(classes)}
-
-    # -- vocabulary ---------------------------------------------------------
-
-    def class_id(self, name: str) -> int:
-        try:
-            return self._class_to_id[name]
-        except KeyError:
-            raise VocabularyError([name])
-
-    def class_name(self, class_id: int) -> str:
-        if not 0 <= class_id < len(self.classes):
-            raise VocabularyError([class_id])
-        return self.classes[class_id]
+        # each class name's id: its index in the vocabulary
+        self.class_ids = {name: i for i, name in enumerate(classes)}
 
     # -- frames and labels --------------------------------------------------
 
@@ -84,9 +80,9 @@ class SequenceManifest:
         if entry is None:
             return None
         records, _ = read_detections(entry.detections_path, frame=index)
+        ids = record_class_ids(records, self.class_ids, entry.detections_path)
         return LabelSet(
-            index,
-            [record_detection(r, self.class_id(r.class_name), r.source_offset) for r in records],
+            index, [record_detection(r, c, r.source_offset) for r, c in zip(records, ids)]
         )
 
     def frame_image(self, index: int) -> Frame:
@@ -104,10 +100,11 @@ class SequenceManifest:
         if self.gt_path is None:
             raise ValidationError("manifest has no ground-truth file")
         records, _ = read_detections(self.gt_path)
+        ids = record_class_ids(records, self.class_ids, self.gt_path)
         by_frame: dict[int, LabelSet] = {}
-        for rec in records:
+        for rec, class_id in zip(records, ids):
             labels = by_frame.setdefault(rec.frame, LabelSet(frame_index=rec.frame))
-            labels.detections.append(record_detection(rec, self.class_id(rec.class_name)))
+            labels.detections.append(record_detection(rec, class_id))
         return by_frame
 
 

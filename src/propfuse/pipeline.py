@@ -35,14 +35,7 @@ from typing import Iterable, Optional, Sequence, get_args, get_type_hints
 from .errors import CliUsageError, PropfuseError, ValidationError
 from .fusion import MATCH_MODES, METHODS, FusionConfig, FusionResult, fuse_candidates
 from .geometry import DEFAULT_SMALL_HEIGHT, LabelSet, check_small_height_threshold
-from .io import (
-    CandidateMeta,
-    DetectionRecord,
-    quote_names,
-    read_text,
-    write_atomic,
-    write_detections,
-)
+from .io import read_text, write_atomic, write_detections
 from .manifest import SequenceManifest
 from .motion import COMPOSITION_MODES, DEFAULT_MIN_COVERAGE
 from .propagation import (
@@ -72,7 +65,6 @@ __all__ = [
     "build_provider",
     "gather_candidates",
     "fuse_frame",
-    "candidate_records",
 ]
 
 log = logging.getLogger("propfuse.pipeline")
@@ -304,32 +296,6 @@ def gather_candidates(
     )
 
 
-def candidate_records(
-    candidates: CandidateSet,
-    class_name,
-    k: int,
-) -> tuple[list[DetectionRecord], CandidateMeta]:
-    """Turn a candidate set into serializable records plus its header line."""
-    records = []
-    for det, src_box in zip(candidates.detections, candidates.source_boxes):
-        records.append(
-            DetectionRecord(
-                frame=candidates.frame_index,
-                class_name=class_name(det.class_id),
-                bbox=det.bbox.as_tuple(),
-                score=det.score,
-                source_offset=det.source_offset,
-                source_bbox=None if src_box is None else src_box.as_tuple(),
-            )
-        )
-    meta = CandidateMeta(
-        frame=candidates.frame_index,
-        effective_sources=candidates.effective_sources,
-        k=k,
-    )
-    return records, meta
-
-
 @dataclass
 class PipelineRun:
     """In-memory results plus the JSON-ready run report."""
@@ -382,7 +348,6 @@ def run_pipeline(
         labels_dir = out_dir / "labels"
         labels_dir.mkdir(parents=True, exist_ok=True)
     window = RunWindow(targets, carrying.k, provider)
-    quoted_names = quote_names(manifest.classes)
 
     def process(t: int) -> tuple[LabelSet, dict]:
         t0 = time.perf_counter()
@@ -392,7 +357,7 @@ def run_pipeline(
         t2 = time.perf_counter()
         if labels_dir is not None:
             path = labels_dir / f"fused_{t:06d}.jsonl"
-            write_detections(result.labels, path, quoted_names=quoted_names)
+            write_detections([result.labels], path, manifest.classes)
         t3 = time.perf_counter()
         stats = {
             "frame": t,

@@ -27,8 +27,8 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import EmptyCropError, ValidationError
-from .geometry import BBox, Detection, unchecked_detection
-from .io import json_integer, json_lines, write_atomic
+from .geometry import BBox, Detection, unchecked_bbox, unchecked_detection
+from .io import json_integer, json_lines, json_number, parse_box, write_atomic
 from .motion import Frame, sample_bilinear
 
 __all__ = [
@@ -243,10 +243,13 @@ class PrecomputedEmbeddings:
         for lineno, obj in json_lines(path):
             try:
                 frame = json_integer(obj["frame"], "frame")
-                box = BBox.from_sequence(obj["box"])
-                vec = FeatureVector(np.asarray(obj["vec"], dtype=np.float64))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                box = obj["box"]
+                values = np.array([json_number(v, "vec") for v in obj["vec"]], dtype=np.float64)
+            except (KeyError, TypeError, OverflowError) as exc:
                 raise ValidationError(f"{path}:{lineno}: malformed embedding record: {exc}") from exc
+            box = unchecked_bbox(*parse_box(box, path, lineno, "box"))
+            try:
+                vec = FeatureVector(values)
             except ValidationError as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from exc
             table[embedding_key(frame, box)] = vec

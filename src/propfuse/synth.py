@@ -26,15 +26,7 @@ import numpy as np
 
 from .errors import EmptyCropError, SceneValidationError, ValidationError
 from .geometry import BBox, Detection, FrameSize, LabelSet, clip_to_frame
-from .io import (
-    DetectionRecord,
-    json_integer,
-    json_number,
-    quote_names,
-    read_text,
-    write_detections,
-    write_frame,
-)
+from .io import json_integer, json_number, read_text, write_detections, write_frame
 from .manifest import write_manifest
 from .motion import DEFAULT_MIN_COVERAGE, FlowStore, Frame, MotionField, write_flow
 from .similarity import DEFAULT_PATCH_SIZE, PatchDescriptor, PrecomputedEmbeddings, embedding_key
@@ -348,7 +340,7 @@ class SceneSpec:
             InjectedFalsePositive(
                 frame=json_integer(f["frame"], "frame"),
                 class_id=class_id_of(f, f"injected_false_positives[{j}]"),
-                bbox=BBox.from_sequence(f["bbox"]),
+                bbox=BBox(*_numbers(f["bbox"], 4, "bbox")),
                 score=_number(f["score"], "score"),
             )
             for j, f in enumerate(obj.get("injected_false_positives", []))
@@ -616,13 +608,12 @@ def write_bundle(bundle: SequenceBundle, out_dir: str | Path) -> Path:
 
     ext = "pgm" if bundle.spec.channels == 1 else "ppm"
     classes = bundle.classes
-    quoted_names = quote_names(classes)
     frame_entries = []
     for t, frame in enumerate(bundle.frames):
         frame_rel = f"frames/frame_{t:04d}.{ext}"
         det_rel = f"dets/det_{t:04d}.jsonl"
         write_frame(frame, root / frame_rel)
-        write_detections(bundle.detections[t], root / det_rel, quoted_names=quoted_names)
+        write_detections([bundle.detections[t]], root / det_rel, classes)
         frame_entries.append((t, frame_rel, det_rel))
 
     flow_entries = []
@@ -632,11 +623,7 @@ def write_bundle(bundle: SequenceBundle, out_dir: str | Path) -> Path:
             write_flow(mf, root / rel)
             flow_entries.append((a, b, rel))
 
-    gt_records = []
-    for t, labels in enumerate(bundle.ground_truth):
-        for d in labels.detections:
-            gt_records.append(DetectionRecord(t, classes[d.class_id], d.bbox.as_tuple(), d.score))
-    write_detections(gt_records, root / "gt.jsonl")
+    write_detections(bundle.ground_truth, root / "gt.jsonl", classes)
 
     embeddings_rel = None if bundle.embeddings is None else "embeddings.jsonl"
     if embeddings_rel:

@@ -7,6 +7,7 @@ performs the canonical arithmetic (sums in member order, numpy dots) so
 that float results are comparable bit for bit.
 """
 
+import json
 import math
 
 import numpy as np
@@ -371,3 +372,29 @@ def ref_candidates(target, k, labels, fields, width, height, threshold, mode, mi
                 if moved is not None:
                     out.append((c, moved, s, offset, b))
     return out
+
+
+def per_value_line(rec) -> str:
+    """A detection line built one value at a time with f"{float(v):.6f}", as the
+    format was first written; ``io.write_detections`` must give these bytes.
+
+    ``rec`` is a ``DetectionRecord`` or anything with its fields.
+    """
+
+    def fmt(value):
+        return f"{float(value):.6f}"
+
+    def fmt_box(box):
+        return "[" + ", ".join(fmt(c) for c in box) + "]"
+
+    parts = [
+        f'"frame": {int(rec.frame)}',
+        f'"class": {json.dumps(rec.class_name)}',
+        f'"bbox": {fmt_box(rec.bbox)}',
+        f'"score": {fmt(rec.score)}',
+    ]
+    if rec.source_offset:
+        parts.append(f'"source_offset": {int(rec.source_offset)}')
+    if rec.source_bbox is not None:
+        parts.append(f'"source_bbox": {fmt_box(rec.source_bbox)}')
+    return "{" + ", ".join(parts) + "}"

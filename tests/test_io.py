@@ -7,15 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 import propfuse.io
+from propfuse.cli import main
 from propfuse.errors import ValidationError
 from propfuse.geometry import BBox, Detection, FrameSize, LabelSet
 from propfuse.io import (
     CandidateMeta,
     DetectionRecord,
     _lines,
-    detection_line,
     json_lines,
-    quote_names,
     read_detections,
     read_frame,
     write_atomic,
@@ -23,6 +22,13 @@ from propfuse.io import (
     write_frame,
 )
 from propfuse.motion import Frame
+from propfuse.propagation import CandidateSet
+
+from _oracles import per_value_line
+
+# the header line of the candidate files below, and its bytes
+META = CandidateMeta(frame=3, effective_sources=3, k=1)
+META_LINE = '{"effective_sources": 3, "frame": 3, "k": 1, "type": "candidate_meta"}\n'
 
 
 def rec(**kw):
@@ -31,45 +37,47 @@ def rec(**kw):
     return DetectionRecord(**base)
 
 
+def write_records(records, path, meta=None):
+    """Write ``records`` with ``write_detections``, one candidate set per record.
+
+    Class ids index the sorted names the records hold.
+    """
+    names = sorted({r.class_name for r in records})
+    sets = [
+        CandidateSet(
+            r.frame,
+            [Detection(names.index(r.class_name), BBox(*r.bbox), r.score, r.source_offset)],
+            [None if r.source_bbox is None else BBox(*r.source_bbox)],
+        )
+        for r in records
+    ]
+    write_detections(sets, path, names, meta)
+
+
+def written_line(tmp_path, record) -> str:
+    """The line ``write_detections`` gives ``record`` in a candidate file."""
+    path = tmp_path / "line.jsonl"
+    write_records([record], path, META)
+    header, line = path.read_text(encoding="ascii").splitlines()
+    return line
+
+
 class TestDetectionLine:
-    def test_exact_format_six_decimals(self):
-        line = detection_line(rec())
+    def test_exact_format_six_decimals(self, tmp_path):
+        line = written_line(tmp_path, rec())
         assert line == (
             '{"frame": 3, "class": "car", '
             '"bbox": [1.000000, 2.000000, 3.500000, 4.250000], "score": 0.500000}'
         )
 
-    def test_offset_omitted_when_zero(self):
-        assert "source_offset" not in detection_line(rec(source_offset=0))
-        line = detection_line(rec(source_offset=-2))
+    def test_offset_omitted_when_zero(self, tmp_path):
+        assert "source_offset" not in written_line(tmp_path, rec(source_offset=0))
+        line = written_line(tmp_path, rec(source_offset=-2))
         assert '"source_offset": -2' in line
 
-    def test_source_bbox_serialized_when_present(self):
-        line = detection_line(rec(source_offset=1, source_bbox=(0.0, 0.0, 1.0, 1.0)))
+    def test_source_bbox_serialized_when_present(self, tmp_path):
+        line = written_line(tmp_path, rec(source_offset=1, source_bbox=(0.0, 0.0, 1.0, 1.0)))
         assert '"source_bbox": [0.000000, 0.000000, 1.000000, 1.000000]' in line
-
-
-def per_value_line(rec: DetectionRecord) -> str:
-    """A detection line built one value at a time with f"{float(v):.6f}", as the
-    format was first written; ``detection_line``'s template must give these bytes."""
-
-    def fmt(value):
-        return f"{float(value):.6f}"
-
-    def fmt_box(box):
-        return "[" + ", ".join(fmt(c) for c in box) + "]"
-
-    parts = [
-        f'"frame": {int(rec.frame)}',
-        f'"class": {json.dumps(rec.class_name)}',
-        f'"bbox": {fmt_box(rec.bbox)}',
-        f'"score": {fmt(rec.score)}',
-    ]
-    if rec.source_offset:
-        parts.append(f'"source_offset": {int(rec.source_offset)}')
-    if rec.source_bbox is not None:
-        parts.append(f'"source_bbox": {fmt_box(rec.source_bbox)}')
-    return "{" + ", ".join(parts) + "}"
 
 
 class TestDetectionLineEdgeValues:
@@ -100,22 +108,23 @@ class TestDetectionLineEdgeValues:
     )
     def test_bytes_match_the_per_value_format(self, tmp_path, fields):
         record = rec(**fields)
-        line = detection_line(record)
+        line = written_line(tmp_path, record)
         assert line == per_value_line(record)
         line.encode("ascii")
         path = tmp_path / "d.jsonl"
-        write_detections([record], path)
-        assert path.read_bytes() == (line + "\n").encode("ascii")
+        write_records([record], path, META)
+        assert path.read_bytes() == (META_LINE + line + "\n").encode("ascii")
 
-    def test_spelled_out(self):
-        line = detection_line(
+    def test_spelled_out(self, tmp_path):
+        line = written_line(
+            tmp_path,
             rec(
                 class_name="caf\u00e9",
                 bbox=(-0.0, 2.5e-7, 1e6, 5e-7),
                 score=1.0,
                 source_offset=-2,
                 source_bbox=(0.0, 0.0, 1.0, 1.0),
-            )
+            ),
         )
         assert line == (
             '{"frame": 3, "class": "caf\\u00e9", "bbox": [-0.000000, 0.000000, 1000000.000000, '
@@ -138,20 +147,93 @@ class TestLabelFile:
             ((0.1, 0.2, 0.30000000000000004, 999999.9999995), 0.9999995),
         ],
     )
-    def test_lines_are_the_bytes_detection_line_gives(self, tmp_path, box, score):
+    def test_lines_are_the_bytes_of_the_per_value_format(self, tmp_path, box, score):
         labels = LabelSet(7, [Detection(c, BBox(*box), score) for c in range(len(self.NAMES))])
         path = tmp_path / "fused.jsonl"
-        write_detections(labels, path, quoted_names=quote_names(self.NAMES))
+        write_detections([labels], path, self.NAMES)
         want = "".join(
-            detection_line(DetectionRecord(7, self.NAMES[d.class_id], box, score)) + "\n"
+            per_value_line(DetectionRecord(7, self.NAMES[d.class_id], box, score)) + "\n"
             for d in labels.detections
         )
         assert path.read_bytes() == want.encode("ascii")
 
     def test_empty_label_set_writes_an_empty_file(self, tmp_path):
         path = tmp_path / "fused.jsonl"
-        write_detections(LabelSet(0, []), path, quoted_names=[])
+        write_detections([LabelSet(0, [])], path, [])
         assert path.read_bytes() == b""
+
+
+class TestWriter:
+    """One writer for label, candidate and ground-truth files, straight from the sets."""
+
+    def test_candidate_file_bytes_match_the_per_value_format(self, tmp_path):
+        names = ["car", "person"]
+        dets = [
+            Detection(1, BBox(10.0, 8.5, 34.0, 24.5), 0.9),
+            Detection(0, BBox(-0.0, 2.5e-7, 5.0, 1e6), 0.25, source_offset=-2),
+            Detection(1, BBox(3.0, 4.0, 5.0000005, 6.25), 5e-7, source_offset=1),
+        ]
+        sources = [None, BBox(1.0, 2.0, 3.0, 4.0), BBox(0.1, 0.2, 0.30000000000000004, 7.0)]
+        path = tmp_path / "cand.jsonl"
+        write_detections([CandidateSet(5, dets, sources, effective_sources=3)], path, names, META)
+        want = META_LINE + "".join(
+            per_value_line(
+                DetectionRecord(
+                    5,
+                    names[d.class_id],
+                    d.bbox.as_tuple(),
+                    d.score,
+                    d.source_offset,
+                    None if src is None else src.as_tuple(),
+                )
+            )
+            + "\n"
+            for d, src in zip(dets, sources)
+        )
+        assert path.read_bytes() == want.encode("ascii")
+        records, meta = read_detections(path)
+        assert meta == META
+        assert [r.source_offset for r in records] == [0, -2, 1]
+
+    def test_without_meta_no_line_carries_source_keys(self, tmp_path):
+        dets = [Detection(0, BBox(1.0, 2.0, 3.0, 4.0), 0.5, source_offset=-1)]
+        path = tmp_path / "labels.jsonl"
+        write_detections([CandidateSet(2, dets, [BBox(0.0, 1.0, 2.0, 3.0)])], path, ["car"])
+        want = per_value_line(DetectionRecord(2, "car", (1.0, 2.0, 3.0, 4.0), 0.5))
+        assert path.read_text(encoding="ascii") == want + "\n"
+
+    def test_fuse_of_a_k0_candidate_file_writes_no_source_keys(self, tmp_path, capsys):
+        # at k=0 fuse keeps the carried lines as they stand, offsets and all,
+        # and writes them as label lines
+        records = [
+            rec(score=0.9),
+            rec(class_name="person", score=0.6, source_offset=-1, source_bbox=(0.5, 1.0, 3.0, 4.0)),
+            rec(score=0.05, source_offset=2, source_bbox=(1.0, 1.0, 2.0, 2.0)),
+            rec(score=0.4, source_offset=1, source_bbox=(2.0, 2.0, 6.0, 7.0)),
+        ]
+        cand, out = tmp_path / "cand.jsonl", tmp_path / "fused.jsonl"
+        write_records(records, cand, CandidateMeta(frame=3, effective_sources=3, k=0))
+        assert main(["fuse", "--in", str(cand), "--out", str(out), "--method", "wbf"]) == 0
+        kept = [rec(class_name=r.class_name, score=r.score) for r in records if r.score > 0.1]
+        assert len(kept) == 3
+        assert out.read_text(encoding="ascii") == "".join(per_value_line(r) + "\n" for r in kept)
+        assert capsys.readouterr().out == f"{out}\n"
+
+    def test_a_multi_frame_file_equals_its_frames_concatenated(self, tmp_path):
+        names = ["car", "person", "caf\u00e9"]
+        frames = [
+            LabelSet(t, [Detection((t + i) % 3, BBox(t, i, t + 2.5, i + 1), i / 8) for i in range(t)])
+            for t in range(6)
+        ]
+        whole = tmp_path / "gt.jsonl"
+        write_detections(frames, whole, names)
+        parts = []
+        for labels in frames:
+            part = tmp_path / f"frame_{labels.frame_index}.jsonl"
+            write_detections([labels], part, names)
+            parts.append(part.read_bytes())
+        assert whole.read_bytes() == b"".join(parts)
+        assert len(read_detections(whole)[0]) == 15
 
 
 class TestDetectionsFile:
@@ -162,26 +244,26 @@ class TestDetectionsFile:
             rec(class_name="person", source_offset=1, source_bbox=(9.0, 9.0, 11.0, 11.0)),
         ]
         meta = CandidateMeta(frame=3, effective_sources=3, k=1)
-        write_detections(records, path, meta=meta)
+        write_records(records, path, meta)
         back, back_meta = read_detections(path)
         assert back == records
         assert back_meta == meta
 
     def test_roundtrip_without_meta(self, tmp_path):
         path = tmp_path / "d.jsonl"
-        write_detections([rec()], path)
+        write_records([rec()], path)
         back, meta = read_detections(path)
         assert meta is None
         assert back == [rec()]
 
     def test_empty_file_roundtrip(self, tmp_path):
         path = tmp_path / "e.jsonl"
-        write_detections([], path)
+        write_detections([], path, [])
         assert read_detections(path) == ([], None)
 
     def test_bad_line_reports_path_and_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text(detection_line(rec()) + "\nnot json\n", encoding="utf-8")
+        path.write_text(per_value_line(rec()) + "\nnot json\n", encoding="utf-8")
         with pytest.raises(ValidationError) as err:
             read_detections(path)
         assert "bad.jsonl" in str(err.value)
@@ -189,7 +271,7 @@ class TestDetectionsFile:
 
     def test_undecodable_bytes_report_path_and_line(self, tmp_path):
         path = tmp_path / "u.jsonl"
-        path.write_bytes((detection_line(rec()) + "\n").encode() + b'{"class": "\xe9"}\n')
+        path.write_bytes((per_value_line(rec()) + "\n").encode() + b'{"class": "\xe9"}\n')
         with pytest.raises(ValidationError) as err:
             read_detections(path)
         assert str(err.value).startswith(f"{path}:2: not ascii text: byte 0xe9")
@@ -202,7 +284,7 @@ class TestDetectionsFile:
 
     def test_record_for_another_frame_names_path_and_line(self, tmp_path):
         path = tmp_path / "det_0003.jsonl"
-        write_detections([rec(), rec(frame=4), rec()], path)
+        write_records([rec(), rec(frame=4), rec()], path)
         assert len(read_detections(path)[0]) == 3
         with pytest.raises(ValidationError) as err:
             read_detections(path, frame=3)
@@ -265,7 +347,7 @@ class TestDetectionsFile:
     )
     def test_malformed_line_names_path_and_line(self, tmp_path, line, needle):
         path = tmp_path / "m.jsonl"
-        path.write_text(detection_line(rec()) + "\n" + line + "\n", encoding="utf-8")
+        path.write_text(per_value_line(rec()) + "\n" + line + "\n", encoding="utf-8")
         with pytest.raises(ValidationError) as err:
             read_detections(path)
         assert str(err.value).startswith(f"{path}:2: ")
@@ -298,7 +380,7 @@ class TestDetectionsFile:
     def test_what_the_checked_constructors_reject_names_path_and_line(self, tmp_path, field, message):
         path = tmp_path / "v.jsonl"
         line = '{"frame": 0, "class": "a", ' + field + "}"
-        path.write_text(detection_line(rec()) + "\n" + line + "\n", encoding="ascii")
+        path.write_text(per_value_line(rec()) + "\n" + line + "\n", encoding="ascii")
         with pytest.raises(ValidationError) as err:
             read_detections(path)
         assert str(err.value).startswith(f"{path}:2: {message}")
@@ -397,7 +479,7 @@ class TestDetectionsFile:
             )
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "r.jsonl"
-            write_detections(records, path)
+            write_records(records, path, META)
             back, _ = read_detections(path)
         assert back == records
 
@@ -479,7 +561,7 @@ class TestAtomicWrite:
         import propfuse.io
 
         path = tmp_path / "fused_000001.jsonl"
-        write_detections([rec()], path)
+        write_records([rec()], path)
         before = path.read_bytes()
         real_open = open
 
@@ -500,7 +582,7 @@ class TestAtomicWrite:
 
         monkeypatch.setattr(propfuse.io, "open", lambda *a: Torn(real_open(*a)), raising=False)
         with pytest.raises(OSError):
-            write_detections([rec(), rec(score=0.75)], path)
+            write_records([rec(), rec(score=0.75)], path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 

@@ -23,7 +23,7 @@ from propfuse.cli import _config_from_args, _parse_frames, build_parser, main
 from propfuse.errors import CliUsageError, FlowFormatError, ValidationError
 from propfuse.fusion import FusionConfig
 from propfuse.geometry import FrameSize
-from propfuse.io import DetectionRecord, detection_line
+from propfuse.io import DetectionRecord
 from propfuse.manifest import load_manifest
 from propfuse.motion import constant_field, write_flow
 from propfuse.pipeline import (
@@ -38,7 +38,7 @@ from propfuse.similarity import PatchDescriptor
 from propfuse.synth import generate, write_bundle
 
 import _bundles
-from _oracles import oracle_wbf, ref_candidates
+from _oracles import oracle_wbf, per_value_line, ref_candidates
 
 
 def thresholded_lines(det_path, threshold):
@@ -642,7 +642,7 @@ class TestRunPipeline:
             for (_, box, _), (_, ref, _) in zip(got, want):
                 assert max(abs(a - b) for a, b in zip(box, ref)) <= 1e-9, (box, ref)
             lines = "".join(
-                detection_line(DetectionRecord(t, bundle.classes[c], box, score)) + "\n"
+                per_value_line(DetectionRecord(t, bundle.classes[c], box, score)) + "\n"
                 for c, box, score in want
             )
             assert (tmp_path / "out" / "labels" / f"fused_{t:06d}.jsonl").read_text() == lines
@@ -973,6 +973,71 @@ class TestCli:
         assert "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "header, method, message",
+        [
+            ('"effective_sources": 2, "k": -1', "wbf", "k must be >= 0, got -1"),
+            ('"effective_sources": 2, "k": -1', "swbf", "k must be >= 0, got -1"),
+            ('"effective_sources": 0, "k": 1', "wbf", "effective_sources must be >= 1, got 0"),
+        ],
+        ids=["negative-k-wbf", "negative-k-swbf", "no-sources"],
+    )
+    def test_candidate_header_out_of_range_names_file_and_line(
+        self, tmp_path, capsys, header, method, message
+    ):
+        cand = tmp_path / "cand.jsonl"
+        cand.write_text(
+            '{"type": "candidate_meta", "frame": 3, ' + header + "}\n"
+            '{"frame": 3, "class": "car", "bbox": [1, 2, 3, 4], "score": 0.5}\n'
+        )
+        rc = main(["fuse", "--in", str(cand), "--method", method, "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {cand}:1: {message}\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_fuse_names_every_unknown_class_of_the_file(self, tmp_path, clean_dir, capsys):
+        cand = tmp_path / "cand.jsonl"
+        names = ["zebra", "car", "apple", "mango", "kiwi", "zebra"]
+        cand.write_text(
+            "".join(
+                json.dumps({"frame": 3, "class": name, "bbox": [1, 2, 3, 4], "score": 0.5}) + "\n"
+                for name in names
+            )
+        )
+        argv = ["fuse", "--in", str(cand), "--out", str(tmp_path / "x"), "--method", "wbf"]
+        assert main(argv + ["--manifest", str(clean_dir)]) == 1
+        assert capsys.readouterr().err == f"error: {cand}: unknown classes: apple, kiwi, mango, zebra\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["pipeline", "selfcheck"])
+    def test_unknown_teacher_classes_name_the_file_and_every_class(
+        self, tmp_path, clean_dir, capsys, command
+    ):
+        root = tmp_path / "bundle"
+        shutil.copytree(clean_dir.parent, root)
+        dets = root / "dets" / "det_0002.jsonl"
+        dets.write_text(
+            "".join(
+                json.dumps({"frame": 2, "class": name, "bbox": [1, 2, 3, 4], "score": 0.5}) + "\n"
+                for name in ("zebra", "bus", "car")
+            )
+        )
+        argv = [command, "--manifest", str(root / "manifest.json"), "--out", str(tmp_path / "o")]
+        if command == "selfcheck":
+            argv += ["--frame", "2", "--source", "dets"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {dets}: unknown classes: bus, zebra\n"
+
+    def test_unknown_ground_truth_class_names_the_file(self, tmp_path, clean_dir, capsys):
+        root = tmp_path / "bundle"
+        shutil.copytree(clean_dir.parent, root)
+        gt = root / "gt.jsonl"
+        with gt.open("a") as fh:
+            fh.write('{"frame": 5, "class": "zebra", "bbox": [1, 2, 3, 4], "score": 1.0}\n')
+        argv = ["selfcheck", "--manifest", str(root / "manifest.json"), "--frame", "2"]
+        assert main(argv + ["--out", str(tmp_path / "r.json")]) == 1
+        assert capsys.readouterr().err == f"error: {gt}: unknown classes: zebra\n"
+
     def _precomputed_bundle(self, tmp_path, clean_dir, embeddings: bytes) -> Path:
         """A copy of the clean bundle whose manifest names the given embeddings file."""
         root = tmp_path / "bundle"
@@ -988,8 +1053,20 @@ class TestCli:
         [
             (b'{"frame": 0, "box": [1, 2, 3, 4], "vec": [0.5]}\n{"frame": "zero"}\n', ":2: "),
             (b'{"frame": 0, "box": [1, 2, 3, 4], "vec": [0.5\xff]}\n', ":1: not ascii text"),
+            (
+                b'{"frame": 0, "box": ["1", "2", "3", "4"], "vec": [0.5]}\n',
+                ":1: non-numeric box: ['1', '2', '3', '4']\n",
+            ),
+            (
+                b'{"frame": 0, "box": [1, 2, 3, 4], "vec": ["0.5", true]}\n',
+                ":1: malformed embedding record: vec must be a number, got str '0.5'\n",
+            ),
+            (
+                b'{"frame": 0, "box": [1, 2, 3, 4], "vec": [0.5, true]}\n',
+                ":1: malformed embedding record: vec must be a number, got bool True\n",
+            ),
         ],
-        ids=["malformed-record", "undecodable"],
+        ids=["malformed-record", "undecodable", "text-box", "text-vec", "bool-vec"],
     )
     def test_bad_embeddings_file_exits_one(self, tmp_path, clean_dir, capsys, embeddings, where):
         root = self._precomputed_bundle(tmp_path, clean_dir, embeddings)

@@ -412,7 +412,7 @@ class TestPrecomputed:
             ('{"frame": 0, "box": [1, "two", 3, 4], "vec": [0.5]}', "two"),
             ('{"frame": 0, "box": [1, 2, 3, 4], "vec": [0.5, "x"]}', "x"),
             ('{"frame": 1e999, "box": [1, 2, 3, 4], "vec": [0.5]}', "infinity"),
-            ('{"frame": 0, "box": [1, 2, 3, 4], "vec": [[0.5], [0.5, 0.5]]}', "inhomogeneous"),
+            ('{"frame": 0, "box": [1, 2, 3, 4], "vec": [[0.5], [0.5, 0.5]]}', "got list [0.5]"),
             ('[0, [1, 2, 3, 4], [0.5]]', "malformed"),
         ],
         ids=["text-frame", "text-box", "text-vec", "infinite-frame", "ragged-vec", "not-an-object"],

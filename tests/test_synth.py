@@ -276,6 +276,25 @@ class TestLoadSpec:
         assert not (tmp_path / "bundle").exists()
 
     @pytest.mark.parametrize(
+        "bbox, message",
+        [
+            (["4", "5", "30", "20"], "bbox must be a number, got str '4'"),
+            ([4, 5, True, 20], "bbox must be a number, got bool True"),
+            ([4, 5, 30], "bbox needs 4 values, got [4, 5, 30]"),
+        ],
+        ids=["text", "bool", "three values"],
+    )
+    def test_injected_box_takes_four_json_numbers(self, tmp_path, capsys, bbox, message):
+        path = tmp_path / "scene.json"
+        path.write_text(_edited(lambda s: s["injected_false_positives"][0].update(bbox=bbox)))
+        rc = main(["synth", "--spec", str(path), "--out", str(tmp_path / "bundle")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert err.endswith(f"{message}\n")
+        assert not (tmp_path / "bundle").exists()
+
+    @pytest.mark.parametrize(
         "length, size, message",
         [
             (10**12, [64, 48], f"sequence length must be at most {MAX_SCENE_LENGTH}, got 1000000000000"),

@@ -8,15 +8,19 @@ the outputs are byte-identical. Usage, from any directory:
     diff a.json b.json
 
 Every scene of ``tests/_bundles.py`` in ``--src`` is written with that tree's
-``write_bundle`` and the written tree is hashed. Each scene, and each extra
-manifest named on the command line, is then run through that tree's CLI:
+``write_bundle`` and the written tree is hashed; so is the directory of each
+extra manifest named on the command line (write those with each tree's
+``bench/worker.py gen`` to compare what the two trees write). Each scene,
+and each extra manifest, is then run through that tree's CLI:
 
 - ``pipeline`` for every fusion method at k 0, 1 and 3 in both compositions,
   plus swbf with the precomputed provider (misses dropped or falling back to
   patches) where the scene has embeddings; each label tree is scored with
   ``eval`` (JSON and CSV), and both are hashed together;
-- ``propagate`` of the first, middle and last frame at k 1 and 3, and
-  ``fuse`` of each candidate file with every method;
+- ``propagate`` of the first, middle and last frame at k 0, 1 and 3, and
+  ``fuse`` of each candidate file with every method and the manifest's
+  classes, and once with wbf and no manifest, so with the classes the file
+  names, sorted;
 - ``selfcheck`` of the first and middle frame, hops 1 and 3, on the ground
   truth and on the detections.
 
@@ -118,7 +122,7 @@ def digest_manifest(runner: Runner, tag: str, manifest_path: Path, load_manifest
                         pipeline(f"{method}-k{k}-{comp}-{provider}-{miss}", flags + more)
 
     for t in sorted({frames[0], frames[len(frames) // 2], frames[-1]}):
-        for k in (1, 3):
+        for k in KS:
             cands = out / f"cand-{t}-k{k}.jsonl"
             argv = ["propagate", *m, "--frame", t, "--k", k, "--out", cands]
             if not runner.run(f"{tag}/propagate/{t}-k{k}", argv, cands):
@@ -127,6 +131,9 @@ def digest_manifest(runner: Runner, tag: str, manifest_path: Path, load_manifest
                 fused = out / f"fused-{t}-k{k}-{method}.jsonl"
                 argv = ["fuse", "--in", cands, "--out", fused, "--method", method, *m]
                 runner.run(f"{tag}/fuse/{t}-k{k}-{method}", argv, fused)
+            fused = out / f"fused-{t}-k{k}-wbf-file-classes.jsonl"
+            argv = ["fuse", "--in", cands, "--out", fused, "--method", "wbf"]
+            runner.run(f"{tag}/fuse/{t}-k{k}-wbf-file-classes", argv, fused)
 
     for t in sorted({frames[0], frames[len(frames) // 2]}):
         for hops in (1, 3):
@@ -166,6 +173,7 @@ def main() -> int:
         digest_manifest(runner, name, manifest_path, load_manifest)
     for i, manifest_path in enumerate(args.manifests):
         tag = f"extra{i}-{manifest_path.parent.name}"
+        runner.digests[f"{tag}/written"] = tree_digest(manifest_path.resolve().parent)
         digest_manifest(runner, tag, manifest_path.resolve(), load_manifest)
 
     json.dump(runner.digests, sys.stdout, indent=1, sort_keys=True)
