@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+from array import array
 from pathlib import Path
 
 from .errors import (
@@ -21,10 +22,12 @@ from .errors import (
     FlowLengthError,
     PropfuseError,
     ValidationError,
-    VocabularyError,
 )
-from .evaluation import evaluate, self_consistency
-from .geometry import Detection, unchecked_bbox
+from .evaluation import evaluate_rows, self_consistency
+# bench/tracer.py patches ``evaluate`` here by name and fails a traced run
+# without the binding, so it stays bound although nothing here calls it
+from .evaluation import evaluate  # noqa: F401
+from .geometry import unchecked_bbox
 from .io import (
     CandidateMeta,
     DetectionRecord,
@@ -206,54 +209,66 @@ def cmd_pipeline(args) -> int:
     return 1 if run.report["errors"] else 0
 
 
-def _read_label_tree(path) -> dict[int, list[DetectionRecord]]:
-    p = Path(path)
-    files = sorted(p.glob("*.jsonl")) if p.is_dir() else [p]
+def _read_label_tree(path) -> list[tuple[str, list[DetectionRecord]]]:
+    """Each ``.jsonl`` file of the directory ``path``, by name, or the file
+    ``path``, with its records.
+
+    File paths are joined as strings. A ``Path`` interns each of its parts,
+    so one per label file would add and drop a table entry per file on every
+    pass, and a long-running process would rebuild that table (a block of
+    about 1 MB, placed wherever the heap has room then) every few hundred
+    passes.
+    """
+    p = str(Path(path))
+    if os.path.isdir(p):
+        names = sorted(e.name for e in os.scandir(p) if e.name.endswith(".jsonl"))
+        # the names str(Path(p) / name) gives, as errors have always shown them
+        files = [name if p == "." else os.path.join(p, name) for name in names]
+    else:
+        files = [p]
     if not files:
         raise ValidationError(f"{path}: no .jsonl files found")
-    by_frame: dict[int, list[DetectionRecord]] = {}
-    for f in files:
-        records, _ = read_detections(f)
-        for r in records:
-            by_frame.setdefault(r.frame, []).append(r)
-    return by_frame
+    return [(f, read_detections(f)[0]) for f in files]
 
 
-def _to_detections(by_frame, name_to_id) -> dict[int, list[Detection]]:
-    """Records of the vocabulary's classes as Detections; others are left out.
+def _label_rows(files, name_to_id, codes: dict[int, int], strict: bool) -> dict[int, array]:
+    """Each class's records as ``evaluate_rows`` rows, in read order.
 
-    ``by_frame`` is emptied frame by frame, so each frame's records are freed
-    once they are converted.
+    A frame's code is its position in ``codes``, which is extended with
+    frames seen for the first time. A record of a class outside
+    ``name_to_id`` is a ``VocabularyError`` naming its file when ``strict``,
+    else it is left out.
     """
-    out: dict[int, list[Detection]] = {}
-    for frame in list(by_frame):
-        records = by_frame.pop(frame)
-        out[frame] = [
-            record_detection(r, name_to_id[r.class_name])
-            for r in records
-            if r.class_name in name_to_id
-        ]
-    return out
+    rows: dict[int, array] = {}
+    for path, records in files:
+        if strict:
+            ids = record_class_ids(records, name_to_id, path)
+        else:
+            ids = [name_to_id.get(r.class_name) for r in records]
+        for r, c in zip(records, ids):
+            if c is None:
+                continue
+            flat = rows.get(c)
+            if flat is None:
+                flat = rows[c] = array("d")
+            x1, y1, x2, y2 = r.bbox
+            flat.extend((codes.setdefault(r.frame, len(codes)), x1, y1, x2, y2, r.score))
+    return rows
 
 
 def cmd_eval(args) -> int:
-    det_records = _read_label_tree(args.dets)
-    gt_records = _read_label_tree(args.gt)
+    det_files = _read_label_tree(args.dets)
+    gt_files = _read_label_tree(args.gt)
     if args.classes:
         names = [n.strip() for n in args.classes.split(",") if n.strip()]
     else:
-        names = sorted({r.class_name for recs in gt_records.values() for r in recs})
+        names = sorted({r.class_name for _, records in gt_files for r in records})
     name_to_id = {name: i for i, name in enumerate(names)}
-    det_names = {r.class_name for recs in det_records.values() for r in recs}
-    unknown = det_names - set(names)
-    if unknown:
-        raise VocabularyError(sorted(unknown))
-    report = evaluate(
-        _to_detections(det_records, name_to_id),
-        _to_detections(gt_records, name_to_id),
-        class_names=names,
-        classes=range(len(names)),
-    )
+    codes: dict[int, int] = {}
+    det_rows = _label_rows(det_files, name_to_id, codes, strict=True)
+    # ground truth of a class outside the vocabulary is not scored
+    gt_rows = _label_rows(gt_files, name_to_id, codes, strict=False)
+    report = evaluate_rows(det_rows, gt_rows, names, range(len(names)))
     payload = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
     write_atomic(args.out, payload, "utf-8")
     if args.csv:
@@ -292,34 +307,30 @@ def cmd_selfcheck(args) -> int:
 # -- wiring --------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="propfuse", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic sequence bundle")
+def _synth_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", required=True, type=Path, help="scene spec JSON")
     p.add_argument("--out", required=True, type=Path, help="bundle output directory")
     p.add_argument("--seed", type=int, default=None, help="override the seed in the scene file")
     p.add_argument("--embeddings", action="store_true", help="also write box embeddings")
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("propagate", help="write the candidate set for one frame")
+
+def _propagate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--manifest", required=True, type=Path)
     p.add_argument("--frame", required=True, type=int)
     p.add_argument("--out", required=True, type=Path)
     _add_config_flags(p)
-    p.set_defaults(func=cmd_propagate)
 
-    p = sub.add_parser("fuse", help="fuse a candidate file into final labels")
+
+def _fuse_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", required=True, type=Path, dest="dets", help="candidate/detection file")
     p.add_argument("--out", required=True, type=Path)
     p.add_argument(
         "--manifest", type=Path, default=None, help="needed for swbf re-scoring"
     )
     _add_config_flags(p)
-    p.set_defaults(func=cmd_fuse)
 
-    p = sub.add_parser("pipeline", help="run propagation and fusion over a sequence")
+
+def _pipeline_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--manifest", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--frames", default=None, help="subset, e.g. 3,5,8 or 2:10")
@@ -329,33 +340,66 @@ def build_parser() -> argparse.ArgumentParser:
         help="record frames that fail on bad input or I/O in the report instead of aborting",
     )
     _add_config_flags(p)
-    p.set_defaults(func=cmd_pipeline)
 
-    p = sub.add_parser("eval", help="score label files against ground truth")
+
+def _eval_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dets", required=True, type=Path, help="label file or directory")
     p.add_argument("--gt", required=True, type=Path, help="ground truth file or directory")
     p.add_argument("--out", required=True, type=Path, help="report JSON path")
     p.add_argument("--csv", type=Path, default=None, help="also write a CSV summary")
     p.add_argument("--classes", default=None, help="comma-separated class vocabulary")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("selfcheck", help="motion round-trip consistency for one frame")
+
+def _selfcheck_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--manifest", required=True, type=Path)
     p.add_argument("--frame", required=True, type=int)
     p.add_argument("--hops", type=int, default=1)
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--source", choices=("gt", "dets"), default="gt")
     _add_config_flags(p)
-    p.set_defaults(func=cmd_selfcheck)
 
+
+def _commands() -> tuple:
+    """(name, help, argument adder, handler) of each subcommand, in help order.
+
+    The table is made at each call, so it holds whatever the module's names
+    are bound to then: bench/tracer.py wraps ``cmd_eval`` on the module.
+    """
+    return (
+        ("synth", "generate a synthetic sequence bundle", _synth_args, cmd_synth),
+        ("propagate", "write the candidate set for one frame", _propagate_args, cmd_propagate),
+        ("fuse", "fuse a candidate file into final labels", _fuse_args, cmd_fuse),
+        ("pipeline", "run propagation and fusion over a sequence", _pipeline_args, cmd_pipeline),
+        ("eval", "score label files against ground truth", _eval_args, cmd_eval),
+        ("selfcheck", "motion round-trip consistency for one frame", _selfcheck_args, cmd_selfcheck),
+    )
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The propfuse parser, with every subcommand listed.
+
+    When ``command`` names a subcommand only that one gets its arguments,
+    which is all that parsing its command line needs; otherwise every
+    subcommand gets them.
+    """
+    commands = _commands()
+    if command not in {name for name, *_ in commands}:
+        command = None
+    parser = _Parser(prog="propfuse", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, add_arguments, handler in commands:
+        p = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            add_arguments(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
     try:
         _configure_logging()
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         return args.func(args)
     except (FlowFormatError, FlowLengthError) as exc:
         print(f"error: {exc}", file=sys.stderr)

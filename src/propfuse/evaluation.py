@@ -6,16 +6,17 @@ box of highest overlap at or above the IoU threshold, and precision is
 max-interpolated over the recall grid 0.00, 0.01, ..., 1.00. The summary
 metric averages AP over IoU thresholds 0.50 to 0.95 in steps of 0.05.
 
-A class is scored by one array core. Its boxes go straight from the
-detections to (n, 6) arrays. Ranks come from a stable argsort of -score,
-ground truth is sorted by frame, and the same-frame (detection, ground
-truth) pairs are built for a block of ranks at a time, at most
-``BLOCK_PAIRS`` pairs to a block, with ``geometry.iou``'s arithmetic on
-arrays. Only the pairs that can match at the lowest threshold are kept. At
-each threshold a pair whose detection and ground truth have no other pair
-matches outright, and the greedy loop runs in Python only over the
-contended pairs. Precision, recall and the interpolation are running sums
-and maxima over the ranks.
+A class is scored by one array core. Its boxes go to (n, 6) arrays
+straight from the detections, or from the records ``propfuse eval``
+reads. Ranks come from a stable argsort of -score, ground truth is
+sorted by frame, and the same-frame (detection, ground truth) pairs are
+built for a block of ranks at a time, at most ``BLOCK_PAIRS`` pairs to a
+block, with ``geometry.iou``'s arithmetic on arrays. Only the pairs that
+can match at the lowest threshold are kept. At each threshold a pair
+whose detection and ground truth have no other pair matches outright,
+and the greedy loop runs in Python only over the contended pairs.
+Precision, recall and the interpolation are running sums and maxima over
+the ranks.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ __all__ = [
     "average_precision",
     "EvalReport",
     "evaluate",
+    "evaluate_rows",
     "ConsistencyReport",
     "self_consistency",
 ]
@@ -282,6 +284,23 @@ def evaluate(
     codes: dict[Any, int] = {}
     det_rows = _class_rows(dets_by_frame, codes)
     gt_rows = _class_rows(gts_by_frame, codes)
+    return evaluate_rows(det_rows, gt_rows, class_names, classes)
+
+
+def evaluate_rows(
+    det_rows: Mapping[Any, array],
+    gt_rows: Mapping[Any, array],
+    class_names: Sequence[str] | Mapping[int, str] | None = None,
+    classes: Iterable[int] | None = None,
+) -> EvalReport:
+    """``evaluate`` from each class's boxes given as flat rows: the one scorer.
+
+    ``det_rows`` and ``gt_rows`` map a class to an ``array("d")`` of
+    ``_table`` rows (frame code, x1, y1, x2, y2, score; unused for ground
+    truth), with one code per frame across both. Rows are taken stably in
+    frame-code order, so detections of equal score rank by frame code,
+    then by row, in whatever order the frames' rows come.
+    """
     allowed = set(classes) if classes is not None else set(gt_rows)
     unknown = set(det_rows) - allowed
     if unknown:
@@ -298,9 +317,8 @@ def evaluate(
         if c not in gt_rows:
             per_class_ap50[key] = None
             continue
-        # each class's rows are dropped once it is scored
-        dets = _table(det_rows.pop(c, array("d")))
-        curves = _pr_curves(dets, _table(gt_rows.pop(c)), IOU_THRESHOLDS)
+        dets = _frame_table(det_rows.get(c, array("d")))
+        curves = _pr_curves(dets, _frame_table(gt_rows[c]), IOU_THRESHOLDS)
         aps = [curve.ap for curve in curves]
         per_class_ap50[key] = aps[0]
         ap50s.append(aps[0])
@@ -319,6 +337,12 @@ def evaluate(
         n_ground_truth=n_gts,
         classes=[_class_key(c, class_names) for c in sorted(allowed)],
     )
+
+
+def _frame_table(rows: array) -> np.ndarray:
+    """``_table(rows)`` sorted by frame code, stably: a frame's rows keep their order."""
+    table = _table(rows)
+    return table[np.argsort(table[:, 0], kind="stable")]
 
 
 def _class_rows(

@@ -70,13 +70,6 @@ class BBox:
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
 
-    @classmethod
-    def from_sequence(cls, seq) -> "BBox":
-        vals = list(seq)
-        if len(vals) != 4:
-            raise ValidationError(f"box needs 4 coordinates, got {len(vals)}")
-        return cls(float(vals[0]), float(vals[1]), float(vals[2]), float(vals[3]))
-
 
 @dataclass(frozen=True)
 class FrameSize:

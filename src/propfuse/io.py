@@ -71,7 +71,9 @@ class CandidateMeta:
 
 def read_text(path: str | Path, encoding: str) -> str:
     """A text file's contents; undecodable bytes raise a ValidationError naming the line."""
-    raw = Path(path).read_bytes()
+    # no Path: it would intern the file name (see cli._read_label_tree)
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
         return raw.decode(encoding)
     except UnicodeDecodeError as exc:
@@ -91,17 +93,25 @@ def write_atomic(path: str | Path, data: str | bytes, encoding: str | None = Non
     path = Path(path)
     if isinstance(data, str):
         data = data.encode(encoding)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    # a string, not a Path, so that the one-off name is not interned
+    tmp = os.path.join(os.path.dirname(path), f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
     except OSError as exc:
-        tmp.unlink(missing_ok=True)
+        _remove(tmp)
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        _remove(tmp)
         raise
+
+
+def _remove(path: str) -> None:
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
 
 
 # a detection line up to its optional keys: %d is int() and %.6f is

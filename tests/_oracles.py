@@ -4,13 +4,17 @@ Everything in here is deliberately written from the documented procedures,
 not from the package source: plain tuples in, plain tuples out, brute force
 throughout. Where a criterion demands exact score equality the oracle
 performs the canonical arithmetic (sums in member order, numpy dots) so
-that float results are comparable bit for bit.
+that float results are comparable bit for bit. The one package name used
+is the checked ``BBox`` constructor, in ``checked_bbox``: the reference the
+readers' unchecked boxes are held to.
 """
 
 import json
 import math
 
 import numpy as np
+
+from propfuse.geometry import BBox
 
 Box = tuple  # (x1, y1, x2, y2)
 
@@ -398,3 +402,9 @@ def per_value_line(rec) -> str:
     if rec.source_bbox is not None:
         parts.append(f'"source_bbox": {fmt_box(rec.source_bbox)}')
     return "{" + ", ".join(parts) + "}"
+
+
+def checked_bbox(coords) -> BBox:
+    """A ``BBox`` of four coordinates, each made a float, built with its checks."""
+    x1, y1, x2, y2 = coords
+    return BBox(float(x1), float(y1), float(x2), float(y2))

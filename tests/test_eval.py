@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import sys
 import tracemalloc
 from array import array
 from collections import Counter
@@ -10,7 +11,10 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import propfuse.cli
 import propfuse.evaluation
+import propfuse.geometry
+import propfuse.io
 from propfuse.cli import main
 from propfuse.errors import MissingFlowError, ValidationError, VocabularyError
 from propfuse.evaluation import (
@@ -405,24 +409,21 @@ class TestContendedMatching:
             assert list(curve.precisions) == oracle_pr(dets, gts, thr)
 
 
-BUNDLES = [
-    "clean_bundle",
-    "occlusion_bundle",
-    "type_b_bundle",
-    "integer_motion_bundle",
-    "fractional_motion_bundle",
-    "noisy_bundle",
-    "crowd_bundle",
-    "benchmark_bundle",
-]
+BUNDLES = sorted(name for name in vars(_bundles) if name.endswith("_bundle"))
 
 
 def checked_by_frame(files, name_to_id):
-    """Each line of ``files`` as a checked ``Detection``, parsed without the package's reader."""
+    """Each line of ``files`` of a class in ``name_to_id`` as a checked ``Detection``.
+
+    The lines are parsed without the package's reader and grouped by frame,
+    frames in first-seen order.
+    """
     by_frame = {}
     for f in files:
         for line in f.read_text(encoding="ascii").splitlines():
             obj = json.loads(line)
+            if obj["class"] not in name_to_id:
+                continue
             box = BBox(*(float(v) for v in obj["bbox"]))
             d = Detection(name_to_id[obj["class"]], box, float(obj["score"]))
             by_frame.setdefault(obj["frame"], []).append(d)
@@ -449,6 +450,90 @@ class TestEvalCommand:
         assert report.n_detections > 0
         assert out.read_text() == json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
         assert csv.read_text() == report.to_csv()
+
+    @pytest.mark.parametrize("classes", [None, "car", "car,person,absent"])
+    def test_rows_keep_the_order_of_detections_grouped_by_frame(self, tmp_path, classes):
+        """A frame split across files, ground truth frames interleaved, ties across frames.
+
+        Read in file order, the tied 0.5 detections would rank frame 2's
+        false alarm before frame 1's hit in b.jsonl; grouped by frame, as
+        ``evaluate`` takes them, the hit ranks first.
+        """
+        line = '{"frame": %d, "class": "%s", "bbox": [%s], "score": %s}\n'
+        tree = tmp_path / "labels"
+        tree.mkdir()
+        (tree / "a.jsonl").write_text(
+            line % (1, "car", "0, 0, 10, 10", 0.9)
+            + line % (2, "car", "50, 50, 60, 60", 0.5)
+            + line % (1, "car", "30, 0, 40, 10", 0.25)
+        )
+        (tree / "b.jsonl").write_text(
+            line % (1, "car", "20, 0, 30, 10", 0.5)
+            + line % (3, "car", "0, 0, 10, 10", 0.5)
+        )
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text(
+            line % (2, "person", "5, 5, 9, 9", 1)
+            + line % (1, "car", "0, 0, 10, 10", 1)
+            + line % (3, "car", "1, 0, 11, 10", 1)
+            + line % (1, "car", "20, 0, 30, 10", 1)
+            + line % (2, "car", "0, 0, 10, 10", 1)
+            + line % (1, "person", "0, 0, 4, 4", 1)
+        )
+        out, csv = tmp_path / "eval.json", tmp_path / "eval.csv"
+        argv = ["eval", "--dets", str(tree), "--gt", str(gt), "--out", str(out), "--csv", str(csv)]
+        assert main(argv + (["--classes", classes] if classes else [])) == 0
+
+        names = classes.split(",") if classes else ["car", "person"]
+        name_to_id = {n: i for i, n in enumerate(names)}
+        report = evaluate(
+            checked_by_frame(sorted(tree.glob("*.jsonl")), name_to_id),
+            checked_by_frame([gt], name_to_id),
+            class_names=names,
+            classes=range(len(names)),
+        )
+        assert out.read_text() == json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        assert csv.read_text() == report.to_csv()
+        if classes and "absent" in classes:
+            assert report.per_class_ap50["absent"] is None
+
+    def test_builds_no_box_or_detection(self, tmp_path, monkeypatch):
+        root = write_bundle(_bundles.clean_bundle(), tmp_path).parent
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eval built a BBox or a Detection")
+
+        for module in (propfuse.cli, propfuse.io, propfuse.geometry):
+            for name in ("unchecked_bbox", "unchecked_detection", "record_detection", "BBox", "Detection"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(propfuse.evaluation, "_class_rows", refuse)
+        argv = ["eval", "--dets", str(root / "dets"), "--gt", str(root / "gt.jsonl")]
+        assert main(argv + ["--out", str(tmp_path / "eval.json")]) == 0
+
+    def test_interns_no_label_file_name(self, tmp_path, monkeypatch):
+        """Label files are read and the report written without a ``Path`` each.
+
+        ``pathlib`` interns every part of a path, and a name interned on
+        every pass churns the interpreter's table of interned strings.
+        """
+        root = write_bundle(_bundles.clean_bundle(), tmp_path).parent
+        out = tmp_path / "report" / "eval.json"
+        out.parent.mkdir()
+        argv = ["eval", "--dets", str(root / "dets"), "--gt", str(root / "gt.jsonl"), "--out", str(out)]
+        interned = []
+        real_intern = sys.intern
+
+        def spy(s):
+            interned.append(s)
+            return real_intern(s)
+
+        monkeypatch.setattr(sys, "intern", spy)
+        assert main(argv) == 0
+        label_files = {p.name for p in (root / "dets").iterdir()}
+        assert len(label_files) > 1
+        assert not label_files & set(interned)
+        assert not [s for s in interned if s.endswith(".tmp")]
 
 
 SIZE = FrameSize(160, 120)

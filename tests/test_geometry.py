@@ -81,11 +81,6 @@ class TestBBox:
         with pytest.raises(ValidationError):
             BBox(math.nan, 0.0, 1.0, 10.0)
 
-    def test_from_sequence(self):
-        assert BBox.from_sequence([1, 2, 3, 4]) == box(1, 2, 3, 4)
-        with pytest.raises(ValidationError):
-            BBox.from_sequence([1, 2, 3])
-
 
 class TestDetection:
     def test_score_range(self):

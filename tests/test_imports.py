@@ -23,6 +23,7 @@ TRACER_ONLY = {
     "propagation": {"transfer_box"},
     "evaluation": {"transfer_box"},
     "fusion": {"rescore"},
+    "cli": {"evaluate"},
 }
 
 

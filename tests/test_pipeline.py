@@ -13,13 +13,14 @@ from pathlib import Path
 import pytest
 
 import propfuse
+import propfuse.cli
 import propfuse.evaluation
 import propfuse.fusion
 import propfuse.io
 import propfuse.manifest
 import propfuse.pipeline
 import propfuse.propagation
-from propfuse.cli import _config_from_args, _parse_frames, build_parser, main
+from propfuse.cli import _commands, _config_from_args, _parse_frames, build_parser, main
 from propfuse.errors import CliUsageError, FlowFormatError, ValidationError
 from propfuse.fusion import FusionConfig
 from propfuse.geometry import FrameSize
@@ -265,6 +266,65 @@ def test_field_is_config_key_and_flag(tmp_path, f):
     assert getattr(from_file, f.name) == value
     assert getattr(from_flag, f.name) == value
     assert from_file == from_flag
+
+
+# a command line of each subcommand, with every argument it requires
+SAMPLE_ARGV = {
+    "synth": ["--spec", "s.json", "--out", "b", "--seed", "3", "--embeddings"],
+    "propagate": ["--manifest", "m", "--frame", "2", "--out", "c", "--k", "3"],
+    "fuse": ["--in", "c", "--out", "f", "--method", "nms", "--manifest", "m"],
+    "pipeline": ["--manifest", "m", "--out", "o", "--frames", "1:3", "--keep-going"],
+    "eval": ["--dets", "d", "--gt", "g", "--out", "r", "--csv", "r.csv", "--classes", "car"],
+    "selfcheck": ["--manifest", "m", "--frame", "2", "--out", "r", "--hops", "2", "--source", "dets"],
+}
+
+
+class TestParserPerCommand:
+    """``build_parser(command)`` parses that command's lines as the full parser does."""
+
+    def test_every_subcommand_has_a_sample(self):
+        assert [name for name, *_ in _commands()] == list(SAMPLE_ARGV)
+
+    @pytest.mark.parametrize("command", sorted(SAMPLE_ARGV))
+    def test_help_namespace_and_usage_error_equal_the_full_parser(self, command, capsys):
+        results = []
+        for parser in (build_parser(), build_parser(command)):
+            with pytest.raises(SystemExit) as exited:
+                parser.parse_args([command, "--help"])
+            assert exited.value.code == 0
+            namespace = vars(parser.parse_args([command, *SAMPLE_ARGV[command]]))
+            with pytest.raises(CliUsageError) as missing:
+                parser.parse_args([command])
+            results.append((capsys.readouterr().out, namespace, str(missing.value)))
+        assert results[0] == results[1]
+        assert "the following arguments are required" in results[0][2]
+
+    def test_top_level_help_is_unchanged_by_the_command(self, capsys):
+        helps = []
+        for command in (None, "eval", "bogus"):
+            with pytest.raises(SystemExit):
+                build_parser(command).parse_args(["--help"])
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1] == helps[2]
+
+    def test_eval_adds_no_config_flags(self, tmp_path, clean_dir, monkeypatch):
+        calls = []
+        add_config_flags = propfuse.cli._add_config_flags
+        monkeypatch.setattr(
+            propfuse.cli, "_add_config_flags", lambda p: calls.append(p.prog) or add_config_flags(p)
+        )
+        gt = str(clean_dir.parent / "gt.jsonl")
+        assert main(["eval", "--dets", gt, "--gt", gt, "--out", str(tmp_path / "r.json")]) == 0
+        assert calls == []
+        build_parser()
+        assert calls == [f"propfuse {c}" for c in ("propagate", "fuse", "pipeline", "selfcheck")]
+
+    def test_main_runs_the_handler_bound_on_the_module(self, monkeypatch):
+        # the benchmark's tracer times eval by wrapping cli.cmd_eval on the module
+        seen = []
+        monkeypatch.setattr(propfuse.cli, "cmd_eval", lambda args: seen.append(args.dets) or 0)
+        assert main(["eval", *SAMPLE_ARGV["eval"]]) == 0
+        assert seen == [Path("d")]
 
 
 class TestRunPipeline:
@@ -555,14 +615,16 @@ class TestRunPipeline:
                 raise OSError(28, "No space left on device")
 
         def failing_open(path, mode="r", *args, **kwargs):
-            opened.append(path)
             fh = real_open(path, mode, *args, **kwargs)
+            if "w" not in mode:
+                return fh
+            opened.append(path)
             return HalfWrite(fh) if len(opened) == 3 else fh
 
         monkeypatch.setattr(propfuse.io, "open", failing_open, raising=False)
         with pytest.raises(OSError, match="No space"):
             run_pipeline(manifest, config, out_dir=out)
-        assert opened[2].name.endswith(".tmp")
+        assert os.path.basename(opened[2]).endswith(".tmp")
         names = sorted(p.name for p in (out / "labels").iterdir())
         assert names == sorted(whole)[:2]
         assert read_labels_tree(out) == {n: whole[n] for n in names}
@@ -1118,6 +1180,20 @@ class TestCli:
         )
         assert rc == 1
         assert "bike" in capsys.readouterr().err
+
+    def test_eval_names_the_first_label_file_with_unknown_classes(self, tmp_path, clean_dir, capsys):
+        tree = tmp_path / "labels"
+        tree.mkdir()
+        line = '{"frame": 0, "class": "%s", "bbox": [0, 0, 5, 5], "score": 0.9}\n'
+        (tree / "a.jsonl").write_text(line % "car")
+        (tree / "b.jsonl").write_text(line % "bike" + line % "abc")
+        (tree / "c.jsonl").write_text(line % "zebra")
+        gt = str(clean_dir.parent / "gt.jsonl")
+        out = tmp_path / "r.json"
+        rc = main(["eval", "--dets", str(tree), "--gt", gt, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {tree / 'b.jsonl'}: unknown classes: abc, bike\n"
+        assert not out.exists()
 
     def test_eval_ignores_ground_truth_outside_classes(self, tmp_path, clean_dir):
         gt = clean_dir.parent / "gt.jsonl"

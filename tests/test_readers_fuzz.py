@@ -14,13 +14,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from propfuse.cli import main
 from propfuse.errors import PropfuseError, ValidationError
-from propfuse.geometry import BBox, Detection, FrameSize, unchecked_bbox
+from propfuse.geometry import Detection, FrameSize, unchecked_bbox
 from propfuse.io import read_detections, read_frame, record_detection, write_frame
 from propfuse.manifest import load_manifest
 from propfuse.motion import Frame, constant_field, read_flow, write_flow
 from propfuse.pipeline import load_config
 from propfuse.similarity import PrecomputedEmbeddings
 from propfuse.synth import load_spec
+
+from _oracles import checked_bbox
 
 DETECTIONS = (
     b'{"type": "candidate_meta", "frame": 1, "effective_sources": 3, "k": 1}\n'
@@ -181,14 +183,14 @@ def test_accepted_detections_build_as_checked_objects(originals, edits):
     except PropfuseError:
         return
     for r in records:
-        checked = Detection(3, BBox.from_sequence(r.bbox), r.score, r.source_offset)
+        checked = Detection(3, checked_bbox(r.bbox), r.score, r.source_offset)
         unchecked = record_detection(r, 3, r.source_offset)
         assert unchecked == checked
         assert hash(unchecked) == hash(checked)
         if r.source_bbox is not None:
             source = unchecked_bbox(*r.source_bbox)
-            assert source == BBox.from_sequence(r.source_bbox)
-            assert hash(source) == hash(BBox.from_sequence(r.source_bbox))
+            assert source == checked_bbox(r.source_bbox)
+            assert hash(source) == hash(checked_bbox(r.source_bbox))
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,10 @@ and each extra manifest, is then run through that tree's CLI:
   plus swbf with the precomputed provider (misses dropped or falling back to
   patches) where the scene has embeddings; each label tree is scored with
   ``eval`` (JSON and CSV), and both are hashed together;
+- ``eval`` of the wbf k=1 (trajectory) tree twice more, with ``--classes``:
+  the manifest's first class alone, on a copy of the tree that keeps only
+  that class's lines (ground truth of the other classes is left out), and
+  every class plus ``absent``, a class with no ground truth;
 - ``propagate`` of the first, middle and last frame at k 0, 1 and 3, and
   ``fuse`` of each candidate file with every method and the manifest's
   classes, and once with wbf and no manifest, so with the classes the file
@@ -120,6 +124,24 @@ def digest_manifest(runner: Runner, tag: str, manifest_path: Path, load_manifest
                     for provider, miss in PROVIDERS:
                         more = ["--feature-provider", provider, "--embed-miss", miss]
                         pipeline(f"{method}-k{k}-{comp}-{provider}-{miss}", flags + more)
+
+    labels = out / "wbf-k1-trajectory" / "labels"
+    if labels.is_dir():
+        first = manifest.classes[0]
+        only_first = out / "wbf-k1-trajectory-first-class"
+        only_first.mkdir()
+        for f in sorted(labels.glob("*.jsonl")):
+            lines = f.read_text(encoding="ascii").splitlines(keepends=True)
+            kept = [line for line in lines if json.loads(line)["class"] == first]
+            (only_first / f.name).write_text("".join(kept), encoding="ascii")
+        vocabularies = [
+            ("first-class", only_first, first),
+            ("with-absent", labels, ",".join([*manifest.classes, "absent"])),
+        ]
+        for name, dets, classes in vocabularies:
+            report, csv = out / f"vocabulary-{name}.json", out / f"vocabulary-{name}.csv"
+            argv = ["eval", "--dets", dets, "--gt", manifest.gt_path, "--classes", classes]
+            runner.run(f"{tag}/eval/wbf-k1-{name}", argv + ["--out", report, "--csv", csv], report, csv)
 
     for t in sorted({frames[0], frames[len(frames) // 2], frames[-1]}):
         for k in KS:
