@@ -31,6 +31,7 @@ from .geometry import unchecked_bbox
 from .io import (
     CandidateMeta,
     DetectionRecord,
+    join_name,
     read_detections,
     record_class_ids,
     record_detection,
@@ -213,17 +214,13 @@ def _read_label_tree(path) -> list[tuple[str, list[DetectionRecord]]]:
     """Each ``.jsonl`` file of the directory ``path``, by name, or the file
     ``path``, with its records.
 
-    File paths are joined as strings. A ``Path`` interns each of its parts,
-    so one per label file would add and drop a table entry per file on every
-    pass, and a long-running process would rebuild that table (a block of
-    about 1 MB, placed wherever the heap has room then) every few hundred
-    passes.
+    File paths are joined as strings (see ``io.join_name``).
     """
     p = str(Path(path))
     if os.path.isdir(p):
         names = sorted(e.name for e in os.scandir(p) if e.name.endswith(".jsonl"))
         # the names str(Path(p) / name) gives, as errors have always shown them
-        files = [name if p == "." else os.path.join(p, name) for name in names]
+        files = [join_name(p, name) for name in names]
     else:
         files = [p]
     if not files:

@@ -5,15 +5,17 @@ running list of fused boxes, keeps every cluster's score-weighted mean
 position and mean score, and then scales each cluster's score by
 min(cluster size, num_sources) / num_sources: a box corroborated by fewer
 sources than were available ends up with proportionally less confidence.
-swbf first rescores the carried boxes (``similarity.rescore_many``). The
-classic suppression baselines (nms, soft-nms, nmw) are provided on the same
-candidate interface for comparison runs.
+swbf first rescores the carried boxes (``similarity.rescore_many``). Both
+work on a candidate set's flat rows and build a ``Detection`` only for each
+label they keep. The classic suppression baselines (nms, soft-nms, nmw) are
+provided on the same candidate interface for comparison runs, through its
+``detections`` view.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import ValidationError
@@ -36,7 +38,6 @@ from .similarity import rescore  # noqa: F401
 __all__ = [
     "METHODS",
     "FusionConfig",
-    "Cluster",
     "FusionResult",
     "fuse_candidates",
     "nms",
@@ -73,16 +74,6 @@ class FusionConfig:
             raise ValidationError(f"unknown match mode {self.match!r}; expected one of {MATCH_MODES}")
 
 
-@dataclass
-class Cluster:
-    """A group of mutually matched boxes and their running fusion."""
-
-    class_id: int
-    members: list[Detection] = field(default_factory=list)
-    fused_bbox: BBox | None = None
-    fused_score: float = 0.0
-
-
 def _order_key(det: Detection, index: int):
     b = det.bbox
     return (-det.score, b.x1, b.y1, b.x2, b.y2, index)
@@ -92,45 +83,57 @@ def _sorted_indices(dets: list[Detection]) -> list[int]:
     return sorted(range(len(dets)), key=lambda i: _order_key(dets[i], i))
 
 
-def cluster_class(dets: list[Detection], cfg: FusionConfig) -> list[Cluster]:
-    """Greedy clustering of one class's boxes against the running fused list.
+def _row_order(rows: list[tuple]) -> list[int]:
+    """The positions of candidate or fused rows in ``_order_key``'s order.
 
-    Boxes are visited in descending score order (ties broken by corners then
-    input position). Each box joins the first fused box it overlaps more than
-    the IoU threshold ("best" match mode picks the highest overlap instead,
-    the first of equal ones), and the cluster's fused box/score are
-    recomputed after every insertion: the mean score and the score-weighted
-    mean corners, or the plain mean corners when every member scores 0.
+    A row starts (class_id, x1, y1, x2, y2, score); the key is
+    (-score, x1, y1, x2, y2, position), so no two keys are equal.
+    """
+    keys = sorted([(-r[5], r[1], r[2], r[3], r[4], i) for i, r in enumerate(rows)])
+    return [key[5] for key in keys]
+
+
+def cluster_class(rows: list[tuple], cfg: FusionConfig) -> list[tuple]:
+    """Greedy clustering of one class's candidate rows against the running fused list.
+
+    ``rows`` are ``propagation.CandidateSet`` rows. They are visited in
+    descending score order (ties broken by corners then input position).
+    Each joins the first fused box it overlaps more than the IoU threshold
+    ("best" match mode picks the highest overlap instead, the first of
+    equal ones), and the cluster's fused box/score are recomputed after
+    every insertion: the mean score and the score-weighted mean corners, or
+    the plain mean corners when every member scores 0. Returns one
+    ``(x1, y1, x2, y2, score, members)`` tuple per cluster, in creation
+    order, where ``members`` lists the input positions of its rows in join
+    order; a lone member keeps its own corners and score.
 
     The overlap is ``geometry.iou`` written out against one flat
-    (x1, y1, x2, y2, area) row per fused box, with the same operations in
-    the same order, so it gives the same bits without a call per pair.
+    (x1, y1, x2, y2, area) row per fused box: disjoint boxes are told by
+    comparing corners, and overlapping ones go through iou's operations in
+    iou's order, so it gives the same bits without a call per pair.
     Each cluster keeps running totals of its members' score, score times
     each corner, and each corner, added in join order from 0.0: at every
     join they are the ``ordered_sum`` of its members.
     """
-    clusters: list[Cluster] = []
-    rows: list[tuple[float, float, float, float, float]] = []
+    fused: list[tuple[float, float, float, float, float]] = []
+    scores: list[float] = []
+    members: list[list[int]] = []
     # per cluster: the totals of (s, s*x1, s*y1, s*x2, s*y2, x1, y1, x2, y2)
     totals: list[tuple[float, ...]] = []
     thr = cfg.iou_threshold
     best_match = cfg.match == "best"
-    for i in _sorted_indices(dets):
-        det = dets[i]
-        box = det.bbox
-        s = det.score
-        x1, y1, x2, y2 = box.x1, box.y1, box.x2, box.y2
+    for i in _row_order(rows):
+        _, x1, y1, x2, y2, s, _, _ = rows[i]
         area = (x2 - x1) * (y2 - y1)
         target: Optional[int] = None
         best = thr
-        for j, (fx1, fy1, fx2, fy2, farea) in enumerate(rows):
+        for j, (fx1, fy1, fx2, fy2, farea) in enumerate(fused):
+            # both boxes have x1 < x2 and y1 < y2, so this is iou's iw <= 0 or ih <= 0
+            if x2 <= fx1 or fx2 <= x1 or y2 <= fy1 or fy2 <= y1:
+                continue
             # min(a, b) is a if a <= b else b, max(a, b) a if a >= b else b
             iw = (x2 if x2 <= fx2 else fx2) - (x1 if x1 >= fx1 else fx1)
-            if iw <= 0:
-                continue
             ih = (y2 if y2 <= fy2 else fy2) - (y1 if y1 >= fy1 else fy1)
-            if ih <= 0:
-                continue
             inter = iw * ih
             overlap = inter / (area + farea - inter)
             if overlap > best:
@@ -139,17 +142,18 @@ def cluster_class(dets: list[Detection], cfg: FusionConfig) -> list[Cluster]:
                     break
                 best = overlap
         if target is None:
-            clusters.append(Cluster(det.class_id, [det], fused_bbox=box, fused_score=s))
-            rows.append((x1, y1, x2, y2, area))
+            fused.append((x1, y1, x2, y2, area))
+            scores.append(s)
+            members.append([i])
             # each total starts from 0.0, as ``ordered_sum`` does
             totals.append((
                 0.0 + s, 0.0 + s * x1, 0.0 + s * y1, 0.0 + s * x2, 0.0 + s * y2,
                 0.0 + x1, 0.0 + y1, 0.0 + x2, 0.0 + y2,
             ))
             continue
-        cl = clusters[target]
-        cl.members.append(det)
-        n = len(cl.members)
+        joined = members[target]
+        joined.append(i)
+        n = len(joined)
         ts, tx1, ty1, tx2, ty2, px1, py1, px2, py2 = totals[target]
         ts, tx1, ty1, tx2, ty2 = ts + s, tx1 + s * x1, ty1 + s * y1, tx2 + s * x2, ty2 + s * y2
         px1, py1, px2, py2 = px1 + x1, py1 + y1, px2 + x2, py2 + y2
@@ -159,24 +163,12 @@ def cluster_class(dets: list[Detection], cfg: FusionConfig) -> list[Cluster]:
         else:
             mx1, my1, mx2, my2 = px1 / n, py1 / n, px2 / n, py2 / n
         # what ``BBox`` checks: finite and not degenerate; a mean of boxes
-        # less than an ulp wide can still collapse, and BBox then raises
-        if -_INF < mx1 < mx2 < _INF and -_INF < my1 < my2 < _INF:
-            cl.fused_bbox = unchecked_bbox(mx1, my1, mx2, my2)
-        else:
-            cl.fused_bbox = BBox(mx1, my1, mx2, my2)
-        cl.fused_score = ts / n
-        rows[target] = (mx1, my1, mx2, my2, (mx2 - mx1) * (my2 - my1))
-    return clusters
-
-
-def _rescaled(clusters: list[Cluster], cfg: FusionConfig) -> list[Detection]:
-    """One detection per cluster with the source-count score rescale applied."""
-    out: list[Detection] = []
-    for cl in clusters:
-        factor = min(len(cl.members), cfg.num_sources) / cfg.num_sources
-        # a mean score in [0, 1] times a factor in (0, 1]
-        out.append(unchecked_detection(cl.class_id, cl.fused_bbox, cl.fused_score * factor))
-    return out
+        # less than an ulp wide can still collapse, and BBox raises its error
+        if not (-_INF < mx1 < mx2 < _INF and -_INF < my1 < my2 < _INF):
+            BBox(mx1, my1, mx2, my2)
+        scores[target] = ts / n
+        fused[target] = (mx1, my1, mx2, my2, (mx2 - mx1) * (my2 - my1))
+    return [(x1, y1, x2, y2, s, m) for (x1, y1, x2, y2, _), s, m in zip(fused, scores, members)]
 
 
 def nms(dets: list[Detection], cfg: FusionConfig) -> list[Detection]:
@@ -261,27 +253,23 @@ class FusionResult:
     dropped_post: int = 0
 
 
-def _apply_rescoring(candidates: CandidateSet, provider) -> tuple[list[Detection], int]:
-    """The candidates with each carried one rescored, and how many were dropped.
+def _apply_rescoring(candidates: CandidateSet, provider) -> tuple[list[tuple], int]:
+    """The candidate rows with each carried one rescored, and how many were dropped.
 
-    The target's own boxes pass through; the carried ones go through one
+    The target's own rows pass through; the carried ones go through one
     ``rescore_many`` batch, which drops those whose crops cannot be embedded.
     """
     if provider is None:
         raise ValidationError("the swbf method needs a feature provider for rescoring")
     target = candidates.frame_index
-    carried: list[Detection] = []
-    sources: list[tuple[int, BBox]] = []
-    for det, src_box in zip(candidates.detections, candidates.source_boxes):
-        if det.source_offset != 0:
-            if src_box is None:
-                raise ValidationError(f"carried candidate on frame {target} has no source box")
-            carried.append(det)
-            sources.append((target - det.source_offset, src_box))
-    rescored = iter(rescore_many(provider, target, carried, sources))
-    dets = [det if det.source_offset == 0 else next(rescored) for det in candidates.detections]
-    kept = [det for det in dets if det is not None]
-    return kept, len(dets) - len(kept)
+    rows = candidates.rows
+    carried = [row for row in rows if row[6]]
+    if any(row[7] is None for row in carried):
+        raise ValidationError(f"carried candidate on frame {target} has no source box")
+    rescored = iter(rescore_many(provider, target, carried))
+    rows = [row if not row[6] else next(rescored) for row in rows]
+    kept = [row for row in rows if row is not None]
+    return kept, len(rows) - len(kept)
 
 
 def fuse_candidates(
@@ -289,42 +277,46 @@ def fuse_candidates(
     cfg: FusionConfig,
     provider=None,
 ) -> FusionResult:
-    """Run the configured method over a candidate set, with bookkeeping."""
+    """Run the configured method over a candidate set, with bookkeeping.
+
+    swbf and wbf cluster the candidate rows; the suppression baselines work
+    on the ``detections`` view. ``Detection``s are built for the labels kept.
+    """
     dropped_rescore = 0
-    if cfg.method == "swbf":
-        dets, dropped_rescore = _apply_rescoring(candidates, provider)
-    else:
-        dets = list(candidates.detections)
-
-    by_class: dict[int, list[Detection]] = {}
-    for det in dets:
-        by_class.setdefault(det.class_id, []).append(det)
-
-    fused: list[Detection] = []
-    for class_id in sorted(by_class):
-        group = by_class[class_id]
-        if cfg.method in ("swbf", "wbf"):
-            fused.extend(_rescaled(cluster_class(group, cfg), cfg))
-        elif cfg.method == "nms":
-            fused.extend(nms(group, cfg))
-        elif cfg.method == "snms":
-            fused.extend(_soft_nms_decay(group, cfg))
+    # one (class_id, x1, y1, x2, y2, score) row per fused box, classes in order
+    fused: list[tuple] = []
+    if cfg.method in ("swbf", "wbf"):
+        if cfg.method == "swbf":
+            rows, dropped_rescore = _apply_rescoring(candidates, provider)
         else:
-            fused.extend(nmw(group, cfg))
+            rows = candidates.rows
+        by_class: dict[int, list[tuple]] = {}
+        for row in rows:
+            by_class.setdefault(row[0], []).append(row)
+        ns = cfg.num_sources
+        for class_id in sorted(by_class):
+            for x1, y1, x2, y2, score, members in cluster_class(by_class[class_id], cfg):
+                # the source-count rescale: a mean score in [0, 1] times a factor in (0, 1]
+                n = len(members)
+                fused.append((class_id, x1, y1, x2, y2, score * ((n if n < ns else ns) / ns)))
+    else:
+        baseline = {"nms": nms, "snms": _soft_nms_decay, "nmw": nmw}[cfg.method]
+        by_class_dets: dict[int, list[Detection]] = {}
+        for det in candidates.detections:
+            by_class_dets.setdefault(det.class_id, []).append(det)
+        for class_id in sorted(by_class_dets):
+            for d in baseline(by_class_dets[class_id], cfg):
+                fused.append((d.class_id, *d.bbox.as_tuple(), d.score))
 
-    pre_filter = len(fused)
-    fused = [d for d in fused if d.score > cfg.post_threshold]
-    ordered = [fused[i] for i in _sorted_indices(fused)]
-    labels = LabelSet(
-        candidates.frame_index,
-        [
-            d if d.source_offset == 0 else unchecked_detection(d.class_id, d.bbox, d.score)
-            for d in ordered
-        ],
-    )
+    kept = [row for row in fused if row[5] > cfg.post_threshold]
+    labels = LabelSet(candidates.frame_index, [])
+    for i in _row_order(kept):
+        c, x1, y1, x2, y2, score = kept[i]
+        # each row holds a checked box and a score in [0, 1]
+        labels.detections.append(unchecked_detection(c, unchecked_bbox(x1, y1, x2, y2), score))
     return FusionResult(
         labels=labels,
-        clusters=pre_filter,
+        clusters=len(fused),
         dropped_rescore=dropped_rescore,
-        dropped_post=pre_filter - len(labels.detections),
+        dropped_post=len(fused) - len(kept),
     )

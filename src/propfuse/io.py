@@ -71,7 +71,7 @@ class CandidateMeta:
 
 def read_text(path: str | Path, encoding: str) -> str:
     """A text file's contents; undecodable bytes raise a ValidationError naming the line."""
-    # no Path: it would intern the file name (see cli._read_label_tree)
+    # no Path: it would intern the file name (see join_name)
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -83,25 +83,38 @@ def read_text(path: str | Path, encoding: str) -> str:
         ) from exc
 
 
+def join_name(root: str, name: str) -> str:
+    """``str(Path(root) / name)`` for a root as ``str(Path(...))`` gives it, joined as a string.
+
+    A ``Path`` interns each of its parts, so one per file written or read
+    would add and drop a table entry per file on every pass, and a
+    long-running process would rebuild that table (a block of about 1 MB,
+    placed wherever the heap has room then) every few hundred passes.
+    """
+    return name if root == "." else os.path.join(root, name)
+
+
 def write_atomic(path: str | Path, data: str | bytes, encoding: str | None = None) -> None:
     """Write text or bytes to a sibling temporary file, then move it over ``path``.
 
     Text is encoded with ``encoding`` before anything is opened. If writing
     fails the temporary file is removed, ``path`` keeps whatever it held
     before, and an ``OSError`` names ``path``, not the temporary file.
+    Names are strings, not ``Path``s (see ``join_name``).
     """
-    path = Path(path)
+    # a trailing separator still names the file, as it did through a Path
+    path = os.fspath(path).rstrip(os.sep)
     if isinstance(data, str):
         data = data.encode(encoding)
-    # a string, not a Path, so that the one-off name is not interned
-    tmp = os.path.join(os.path.dirname(path), f".{path.name}.{os.getpid()}.tmp")
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
     except OSError as exc:
         _remove(tmp)
-        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+        # the name as a Path spells it, as errors have always shown it
+        raise OSError(exc.errno, exc.strerror, str(Path(path))) from exc
     except BaseException:
         _remove(tmp)
         raise
@@ -127,9 +140,10 @@ def write_detections(
     ``label_sets`` holds ``LabelSet``s or ``CandidateSet``s, written in
     order, whose class ids index ``classes``. Each name is quoted once and
     each line formatted straight from its detection. With ``meta`` the file
-    is a candidate file: ``meta`` is its header line, and a line goes on
-    with its non-zero ``source_offset`` and its ``source_boxes`` entry where
-    that is not None. Without it no line carries a source key.
+    is a candidate file of ``CandidateSet``s, each line formatted straight
+    from its row: ``meta`` is its header line, and a line goes on with its
+    non-zero source offset and its source box where that is not None.
+    Without it no line carries a source key.
     """
     names = [json.dumps(name) for name in classes]
     lines = []
@@ -137,15 +151,18 @@ def write_detections(
         lines.append(json.dumps({"type": "candidate_meta", **asdict(meta)}, sort_keys=True) + "\n")
     for labels in label_sets:
         frame = labels.frame_index
-        for i, d in enumerate(labels.detections):
-            b = d.bbox
-            line = _LINE_HEAD % (frame, names[d.class_id], b.x1, b.y1, b.x2, b.y2, d.score)
-            if meta is not None:
-                if d.source_offset:
-                    line += ', "source_offset": %d' % d.source_offset
-                src = labels.source_boxes[i]
-                if src is not None:
-                    line += ', "source_bbox": [%.6f, %.6f, %.6f, %.6f]' % src.as_tuple()
+        if meta is None:
+            for d in labels.detections:
+                b = d.bbox
+                line = _LINE_HEAD % (frame, names[d.class_id], b.x1, b.y1, b.x2, b.y2, d.score)
+                lines.append(line + "}\n")
+            continue
+        for c, x1, y1, x2, y2, score, offset, src in labels.rows:
+            line = _LINE_HEAD % (frame, names[c], x1, y1, x2, y2, score)
+            if offset:
+                line += ', "source_offset": %d' % offset
+            if src is not None:
+                line += ', "source_bbox": [%.6f, %.6f, %.6f, %.6f]' % src
             lines.append(line + "}\n")
     write_atomic(path, "".join(lines), "ascii")
 
@@ -360,7 +377,7 @@ def read_frame(path: str | Path) -> Frame:
     The file is read once into a buffer that the returned pixel array views,
     so the pixels are copied once, from the file, and stay writable.
     """
-    with Path(path).open("rb") as fh:
+    with open(path, "rb") as fh:  # no Path (see join_name)
         raw = bytearray(os.fstat(fh.fileno()).st_size)
         del raw[fh.readinto(raw) :]
     magic, pos = _next_token(raw, 0, path)

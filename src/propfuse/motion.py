@@ -305,27 +305,34 @@ def carried_position(start: np.ndarray, acc: np.ndarray, mode: str) -> np.ndarra
     return acc if mode == "trajectory" else start + acc
 
 
-def box_corners(boxes: Iterable[BBox]) -> np.ndarray:
-    """The four corners of each box as rows 4i..4i+3 of a (4n, 2) array."""
-    rows = []
-    for b in boxes:
-        rows += ((b.x1, b.y1), (b.x2, b.y1), (b.x1, b.y2), (b.x2, b.y2))
-    return np.array(rows, dtype=np.float64).reshape(-1, 2)
+# the columns of an (x1, y1, x2, y2) row that give its corners (x1, y1),
+# (x2, y1), (x1, y2) and (x2, y2), in that order
+_CORNER_COLUMNS = [0, 1, 2, 1, 0, 3, 2, 3]
+
+
+def box_corners(rows: Sequence[tuple] | np.ndarray) -> np.ndarray:
+    """The four corners of each (x1, y1, x2, y2) row as rows 4i..4i+3 of a (4n, 2) array.
+
+    One column take of the (n, 4) array of ``rows``.
+    """
+    return np.asarray(rows, dtype=np.float64).reshape(-1, 4)[:, _CORNER_COLUMNS].reshape(-1, 2)
 
 
 def land_boxes(
     corners: np.ndarray,
     size: FrameSize,
     min_coverage: float = DEFAULT_MIN_COVERAGE,
-) -> list[BBox | None]:
-    """The box each group of four carried corners lands on, or None.
+) -> tuple[np.ndarray, list[list[float]]]:
+    """Which groups of four carried corners land, and the boxes they land on.
 
     Rows 4i..4i+3 of ``corners`` are box i's continuous corner positions.
     They are floored, their axis-aligned hull is clipped to the frame, and
     the box is dropped when degenerate or when less than ``min_coverage``
     of the hull survives the clip. Each step is one IEEE operation per
     element, in ``clip_to_frame``'s order, so the bits are the ones a box at
-    a time gives.
+    a time gives. Returns the (n,) boolean mask of the boxes that land and,
+    in the same order, one [x1, y1, x2, y2] list of floats per landed box:
+    finite, with x1 < x2 and y1 < y2.
     """
     # + 0.0 turns a floored -0.0 into the 0.0 an integer floor gives, so no
     # -0.0 reaches a box whichever zero np.maximum keeps of two equal ones
@@ -340,11 +347,7 @@ def land_boxes(
         coverage = (kept[:, 0] * kept[:, 1]) / (hull[:, 0] * hull[:, 1])
     # lo <= clo < chi <= hi, so this drops degenerate hulls too
     lands = (clo < chi).all(axis=1) & (coverage >= min_coverage)
-    out: list[BBox | None] = [None] * len(pts)
-    boxes = np.concatenate((clo, chi), axis=1)[lands].tolist()
-    for i, (x1, y1, x2, y2) in zip(np.flatnonzero(lands).tolist(), boxes):
-        out[i] = unchecked_bbox(x1, y1, x2, y2)
-    return out
+    return lands, np.concatenate((clo, chi), axis=1)[lands].tolist()
 
 
 def carry_boxes(
@@ -359,9 +362,12 @@ def carry_boxes(
     work element by element, so each box lands bit for bit where it would
     carried alone.
     """
-    start = box_corners(boxes)
+    start = box_corners([b.as_tuple() for b in boxes])
     acc = carry(start, motion.fields, motion.mode)
-    return land_boxes(carried_position(start, acc, motion.mode), size, min_coverage)
+    lands, landed = land_boxes(carried_position(start, acc, motion.mode), size, min_coverage)
+    found = iter(landed)
+    # land_boxes checked each landed box
+    return [unchecked_bbox(*next(found)) if ok else None for ok in lands.tolist()]
 
 
 def transfer_box(

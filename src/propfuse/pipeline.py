@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import os
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -35,7 +36,7 @@ from typing import Iterable, Optional, Sequence, get_args, get_type_hints
 from .errors import CliUsageError, PropfuseError, ValidationError
 from .fusion import MATCH_MODES, METHODS, FusionConfig, FusionResult, fuse_candidates
 from .geometry import DEFAULT_SMALL_HEIGHT, LabelSet, check_small_height_threshold
-from .io import read_text, write_atomic, write_detections
+from .io import join_name, read_text, write_atomic, write_detections
 from .manifest import SequenceManifest
 from .motion import COMPOSITION_MODES, DEFAULT_MIN_COVERAGE
 from .propagation import (
@@ -345,8 +346,10 @@ def run_pipeline(
     labels_dir = None
     if out_dir is not None:
         out_dir = Path(out_dir)
-        labels_dir = out_dir / "labels"
-        labels_dir.mkdir(parents=True, exist_ok=True)
+        # file names are joined as strings (see io.join_name)
+        root = str(out_dir)
+        labels_dir = join_name(root, "labels")
+        os.makedirs(labels_dir, exist_ok=True)
     window = RunWindow(targets, carrying.k, provider)
 
     def process(t: int) -> tuple[LabelSet, dict]:
@@ -356,7 +359,7 @@ def run_pipeline(
         result, num_sources = fuse_frame(candidates, config, config.k, provider)
         t2 = time.perf_counter()
         if labels_dir is not None:
-            path = labels_dir / f"fused_{t:06d}.jsonl"
+            path = os.path.join(labels_dir, f"fused_{t:06d}.jsonl")
             write_detections([result.labels], path, manifest.classes)
         t3 = time.perf_counter()
         stats = {
@@ -413,5 +416,5 @@ def run_pipeline(
     }
     if out_dir is not None:
         report = json.dumps(run.report, indent=2, sort_keys=True) + "\n"
-        write_atomic(Path(out_dir) / "run_report.json", report, "utf-8")
+        write_atomic(join_name(root, "run_report.json"), report, "utf-8")
     return run

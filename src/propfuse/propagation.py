@@ -20,18 +20,24 @@ meets the same fields in the same order as along its own chain, the
 floor comes only at the end, and the sampling and the additive sums work
 corner by corner. The labels and fields a target reads live in the run's
 ``RunWindow`` while the next target to run reads them.
+
+A target's candidates are flat rows (see ``CandidateSet``), not objects:
+the thresholded teacher boxes' corners go into one array per direction,
+one ``land_boxes`` call gives the mask of the boxes that land and their
+corners, and each landed box becomes one row with its source's class,
+score and corners.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import BBox, Detection, FrameSize, LabelSet, unchecked_detection
+from .geometry import BBox, Detection, FrameSize, LabelSet, unchecked_bbox, unchecked_detection
 from .motion import (
     DEFAULT_MIN_COVERAGE,
     FlowStore,
@@ -99,30 +105,62 @@ def threshold_labels(labels: LabelSet, threshold: float) -> list[Detection]:
     return [d for d in labels.detections if d.score > threshold]
 
 
-@dataclass
+@dataclass(init=False)
 class CandidateSet:
     """Everything gathered for one target frame, fusion not yet applied.
 
-    ``source_boxes`` runs parallel to ``detections``: the box each carried
-    candidate occupied on its source frame (None for offset-0 entries).
+    ``rows`` holds one flat tuple per candidate: ``(class_id, x1, y1, x2,
+    y2, score, source_offset, source)``, where ``source`` is the (x1, y1,
+    x2, y2) tuple of the box a carried candidate occupied on its source
+    frame and None for the target's own (offset-0) boxes. Built from
+    ``detections`` and ``source_boxes``, which run parallel, the set holds
+    their rows; read back, ``detections`` and ``source_boxes`` are views
+    made from the rows on each access.
     """
 
     frame_index: int
-    detections: list[Detection] = field(default_factory=list)
-    source_boxes: list[Optional[BBox]] = field(default_factory=list)
-    effective_sources: int = 1
+    rows: list[tuple]
+    effective_sources: int
 
-    def __post_init__(self):
-        if len(self.detections) != len(self.source_boxes):
-            raise ValidationError("detections and source_boxes must run parallel")
-        if self.effective_sources < 1:
+    def __init__(
+        self,
+        frame_index: int,
+        detections: Sequence[Detection] = (),
+        source_boxes: Sequence[Optional[BBox]] = (),
+        effective_sources: int = 1,
+        *,
+        rows: Optional[list[tuple]] = None,
+    ):
+        if rows is None:
+            if len(detections) != len(source_boxes):
+                raise ValidationError("detections and source_boxes must run parallel")
+            rows = [
+                (d.class_id, *d.bbox.as_tuple(), d.score, d.source_offset, src and src.as_tuple())
+                for d, src in zip(detections, source_boxes)  # src is a BBox or None
+            ]
+        if effective_sources < 1:
             raise ValidationError("effective_sources must be >= 1")
+        self.frame_index = frame_index
+        self.rows = rows
+        self.effective_sources = effective_sources
 
     def __len__(self) -> int:
-        return len(self.detections)
+        return len(self.rows)
+
+    @property
+    def detections(self) -> list[Detection]:
+        # every row holds a checked box and score
+        return [
+            unchecked_detection(c, unchecked_bbox(x1, y1, x2, y2), s, offset)
+            for c, x1, y1, x2, y2, s, offset, _ in self.rows
+        ]
+
+    @property
+    def source_boxes(self) -> list[Optional[BBox]]:
+        return [None if src is None else unchecked_bbox(*src) for *_, src in self.rows]
 
     def count_by_offset(self) -> dict[int, int]:
-        counts = Counter(d.source_offset for d in self.detections)
+        counts = Counter(row[6] for row in self.rows)
         return dict(sorted(counts.items()))
 
 
@@ -239,23 +277,22 @@ def build_candidates(
     teacher = window.labels(target, get_labels)
     if teacher is None:
         raise ValidationError(f"no teacher labels available for target frame {target}")
-    cand = CandidateSet(frame_index=target)
-    for det in threshold_labels(teacher, teacher_threshold):
-        if det.source_offset != 0:
-            det = unchecked_detection(det.class_id, det.bbox, det.score)
-        cand.detections.append(det)
-        cand.source_boxes.append(None)
+    rows = []
+    for d in threshold_labels(teacher, teacher_threshold):
+        b = d.bbox
+        rows.append((d.class_id, b.x1, b.y1, b.x2, b.y2, d.score, 0, None))
     reach = reachable(target, k, lambda f: window.labels(f, get_labels) is not None)
     chains = [(offset, pairs) for offset, pairs in reach if all(flows.has(*p) for p in pairs)]
     # offset 0, the teacher on the target itself, always counts
-    cand.effective_sources = 1 + len(chains)
+    effective_sources = 1 + len(chains)
     if not chains:
-        return cand
-    kept = {
-        offset: threshold_labels(window.labels(target - offset, get_labels), teacher_threshold)
-        for offset, _ in chains
-    }
-    corners = {offset: box_corners(d.bbox for d in kept[offset]) for offset in kept}
+        return CandidateSet(target, rows=rows, effective_sources=effective_sources)
+    # each source's kept boxes as (class id, score, corners): the corners are
+    # carried, and a landed box keeps them as its source
+    kept = {}
+    for offset, _ in chains:
+        sources = threshold_labels(window.labels(target - offset, get_labels), teacher_threshold)
+        kept[offset] = [(d.class_id, d.score, d.bbox.as_tuple()) for d in sources]
     at_target = {}
     for sign in (1, -1):
         # the farthest offset's chain ends with every nearer one's: its corners
@@ -264,26 +301,28 @@ def build_candidates(
         side = [(offset, pairs) for offset, pairs in reversed(chains) if offset * sign > 0]
         if not side:
             continue
-        start = np.concatenate([corners[offset] for offset, _ in side])
+        start = box_corners([box for offset, _ in side for _, _, box in kept[offset]])
         acc = start.copy() if mode == "trajectory" else np.zeros_like(start)
+        joins = {target - offset: 4 * len(kept[offset]) for offset, _ in side}
         n = 0
         for a, b in side[0][1]:
-            n += len(corners.get(target - a, ()))  # offset target-a's source is frame a
+            n += joins.get(a, 0)  # offset target-a's source is frame a
             acc[:n] = carry(start[:n], [window.field(a, b, flows)], mode, acc[:n])
         rest = carried_position(start, acc, mode)
         for offset, _ in side:
-            rows = len(corners[offset])
-            at_target[offset], rest = rest[:rows], rest[rows:]
+            corners = 4 * len(kept[offset])
+            at_target[offset], rest = rest[:corners], rest[corners:]
     # one landing for all offsets: land_boxes works box by box, so each
     # offset's boxes land as they would alone, in the same order
-    all_corners = np.concatenate([at_target[offset] for offset, _ in chains])
-    landed = iter(land_boxes(all_corners, size, min_coverage))
+    lands, landed = land_boxes(
+        np.concatenate([at_target[offset] for offset, _ in chains]), size, min_coverage
+    )
+    lands = iter(lands.tolist())
+    landed = iter(landed)
     for offset, _ in chains:
         # zip takes from ``kept`` first, so it stops at this offset's last box
-        for src, box in zip(kept[offset], landed):
-            if box is not None:
-                # the source was checked, and land_boxes checked the landed box
-                det = unchecked_detection(src.class_id, box, src.score, offset)
-                cand.detections.append(det)
-                cand.source_boxes.append(src.bbox)
-    return cand
+        for (class_id, score, source), ok in zip(kept[offset], lands):
+            if ok:
+                x1, y1, x2, y2 = next(landed)
+                rows.append((class_id, x1, y1, x2, y2, score, offset, source))
+    return CandidateSet(target, rows=rows, effective_sources=effective_sources)

@@ -7,15 +7,17 @@ the cosine similarity of the two crop descriptors. Descriptor values live in
 [0, 1], so a carried box can never gain confidence.
 
 Every provider answers ``embed_many(frame, boxes)`` for many crops of one
-frame, with None where a crop cannot be embedded. ``PatchDescriptor``
-computes a frame's new crops in one batch and keeps each descriptor, and the
+frame, each box an (x1, y1, x2, y2) tuple of corners, with None where a
+crop cannot be embedded. ``PatchDescriptor`` computes a frame's new crops in
+one batch and keeps each descriptor, keyed by its corner tuple, and the
 plane it samples (a grey frame's own uint8 pixels, an RGB frame's
 luminance), until ``release(frame)``; ``held_frames()`` names the frames a
 provider keeps.
 
-``rescore_many`` is the one rescoring rule, for all the carried boxes of a
-target at once, through one ``cosine_sims`` over stacked descriptor rows;
-``rescore`` is its one-pair case.
+``rescore_many`` is the one rescoring rule, for all the carried candidate
+rows of a target at once (``propagation.CandidateSet.rows``), through one
+``cosine_sims`` over stacked descriptor rows; ``rescore`` is its one-pair
+case for a ``Detection``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import EmptyCropError, ValidationError
-from .geometry import BBox, Detection, unchecked_bbox, unchecked_detection
+from .geometry import BBox, Detection, unchecked_detection
 from .io import json_integer, json_lines, json_number, parse_box, write_atomic
 from .motion import Frame, sample_bilinear
 
@@ -117,13 +119,13 @@ def cosine_sims(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def embedding_key(frame_index: int, bbox: BBox) -> tuple[int, float, float, float, float]:
     """Lookup key for precomputed descriptors: corners rounded to 2 decimals."""
-    return (
-        int(frame_index),
-        round(bbox.x1, 2),
-        round(bbox.y1, 2),
-        round(bbox.x2, 2),
-        round(bbox.y2, 2),
-    )
+    return _corners_key(frame_index, bbox.as_tuple())
+
+
+def _corners_key(frame_index: int, corners: tuple) -> tuple[int, float, float, float, float]:
+    """``embedding_key`` of the box with these (x1, y1, x2, y2) corners."""
+    x1, y1, x2, y2 = corners
+    return (int(frame_index), round(x1, 2), round(y1, 2), round(x2, 2), round(y2, 2))
 
 
 class PatchDescriptor:
@@ -149,8 +151,8 @@ class PatchDescriptor:
         self._loader = frame_loader
         self.patch_size = int(patch_size)
         self._planes: dict[int, np.ndarray] = {}
-        # frame -> box -> descriptor, None where the crop lies outside the frame
-        self._memo: dict[int, dict[BBox, Optional[FeatureVector]]] = {}
+        # frame -> corners -> descriptor, None where the crop lies outside the frame
+        self._memo: dict[int, dict[tuple, Optional[FeatureVector]]] = {}
 
     @property
     def dim(self) -> int:
@@ -175,15 +177,16 @@ class PatchDescriptor:
         return plane
 
     def embed(self, frame_index: int, bbox: BBox) -> FeatureVector:
-        (vec,) = self.embed_many(frame_index, (bbox,))
+        (vec,) = self.embed_many(frame_index, (bbox.as_tuple(),))
         if vec is None:
             raise EmptyCropError(f"box {bbox.as_tuple()} lies outside frame {frame_index}")
         return vec
 
-    def embed_many(self, frame_index: int, boxes: Sequence[BBox]) -> list[Optional[FeatureVector]]:
+    def embed_many(self, frame_index: int, boxes: Sequence[tuple]) -> list[Optional[FeatureVector]]:
         """Descriptors of crops of one frame, None where a crop lies outside it.
 
-        The crops not computed before are computed together.
+        Each box is a valid (x1, y1, x2, y2) tuple. The crops not computed
+        before are computed together.
         """
         memo = self._memo.setdefault(frame_index, {})
         todo = [b for b in dict.fromkeys(boxes) if b not in memo]
@@ -191,12 +194,12 @@ class PatchDescriptor:
             memo.update(zip(todo, self._compute(frame_index, todo)))
         return [memo[b] for b in boxes]
 
-    def _compute(self, frame_index: int, boxes: list[BBox]) -> list[Optional[FeatureVector]]:
+    def _compute(self, frame_index: int, boxes: list[tuple]) -> list[Optional[FeatureVector]]:
         """Every crop's sampling grid as one array, one bilinear lookup for all."""
         plane = self._plane(frame_index)
         h, w = plane.shape
         # geometry.clip_to_frame for every box at once: the same max/min per corner
-        corners = np.array([b.as_tuple() for b in boxes], dtype=np.float64)
+        corners = np.array(boxes, dtype=np.float64)
         x1, y1 = np.maximum(corners[:, 0], 0.0), np.maximum(corners[:, 1], 0.0)
         x2, y2 = np.minimum(corners[:, 2], float(w)), np.minimum(corners[:, 3], float(h))
         inside = np.flatnonzero((x1 < x2) & (y1 < y2))
@@ -247,12 +250,12 @@ class PrecomputedEmbeddings:
                 values = np.array([json_number(v, "vec") for v in obj["vec"]], dtype=np.float64)
             except (KeyError, TypeError, OverflowError) as exc:
                 raise ValidationError(f"{path}:{lineno}: malformed embedding record: {exc}") from exc
-            box = unchecked_bbox(*parse_box(box, path, lineno, "box"))
+            corners = parse_box(box, path, lineno, "box")
             try:
                 vec = FeatureVector(values)
             except ValidationError as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-            table[embedding_key(frame, box)] = vec
+            table[_corners_key(frame, corners)] = vec
         return cls(table)
 
     def write(self, path: str | Path) -> None:
@@ -264,8 +267,8 @@ class PrecomputedEmbeddings:
             lines.append(f'{{"frame": {key[0]}, "box": [{box}], "vec": [{vals}]}}\n')
         write_atomic(path, "".join(lines), "ascii")
 
-    def embed_many(self, frame_index: int, boxes: Sequence[BBox]) -> list[Optional[FeatureVector]]:
-        return [self._table.get(embedding_key(frame_index, b)) for b in boxes]
+    def embed_many(self, frame_index: int, boxes: Sequence[tuple]) -> list[Optional[FeatureVector]]:
+        return [self._table.get(_corners_key(frame_index, b)) for b in boxes]
 
     def held_frames(self) -> set[int]:
         """None: the table is the input itself."""
@@ -282,7 +285,7 @@ class FallbackProvider:
         self.primary = primary
         self.fallback = fallback
 
-    def embed_many(self, frame_index: int, boxes: Sequence[BBox]) -> list[Optional[FeatureVector]]:
+    def embed_many(self, frame_index: int, boxes: Sequence[tuple]) -> list[Optional[FeatureVector]]:
         """The primary's descriptors, with only its misses asked of the fallback."""
         vecs = self.primary.embed_many(frame_index, boxes)
         misses = [b for b, vec in zip(boxes, vecs) if vec is None]
@@ -297,32 +300,30 @@ class FallbackProvider:
         self.fallback.release(frame_index)
 
 
-def rescore_many(
-    provider,
-    target_frame: int,
-    candidates: Sequence[Detection],
-    sources: Sequence[tuple[int, BBox]],
-) -> list[Optional[Detection]]:
-    """Each candidate's score scaled by crop similarity, or None where a crop cannot be embedded.
+def rescore_many(provider, target_frame: int, rows: Sequence[tuple]) -> list[Optional[tuple]]:
+    """Each carried row with its score scaled by crop similarity, or None where a crop
+    cannot be embedded.
 
-    ``sources[i]`` is the (frame, box) crop candidate i was carried from.
-    The provider is asked once per frame, the target first, for all that
-    frame's crops; pairs of one descriptor length share one ``cosine_sims``.
+    ``rows`` are candidate rows (see ``propagation.CandidateSet``): row i's
+    box on ``target_frame`` is compared with its source box on frame
+    ``target_frame - source_offset``. The provider is asked once per frame,
+    the target first, for all that frame's crops; pairs of one descriptor
+    length share one ``cosine_sims``.
     """
-    if not candidates:
+    if not rows:
         return []
-    crops: dict[int, list[BBox]] = {target_frame: [det.bbox for det in candidates]}
-    for frame, box in sources:
-        crops.setdefault(frame, []).append(box)
+    crops: dict[int, list[tuple]] = {target_frame: [row[1:5] for row in rows]}
+    for row in rows:
+        crops.setdefault(target_frame - row[6], []).append(row[7])
     # each frame's descriptors in listing order: on the target frame its crops, then any source's
     vecs = {frame: iter(provider.embed_many(frame, boxes)) for frame, boxes in crops.items()}
-    target_feats = [next(vecs[target_frame]) for _ in candidates]
+    target_feats = [next(vecs[target_frame]) for _ in rows]
 
-    out: list[Optional[Detection]] = [None] * len(candidates)
-    # descriptor length -> (candidate positions, target rows, source rows)
+    out: list[Optional[tuple]] = [None] * len(rows)
+    # descriptor length -> (row positions, target rows, source rows)
     pairs: dict[int, tuple[list[int], list[np.ndarray], list[np.ndarray]]] = {}
-    for i, (target_feat, (frame, _)) in enumerate(zip(target_feats, sources)):
-        source_feat = next(vecs[frame])
+    for i, (target_feat, row) in enumerate(zip(target_feats, rows)):
+        source_feat = next(vecs[target_frame - row[6]])
         if target_feat is None or source_feat is None:
             continue  # a crop outside its frame, or a lookup miss without a fallback
         if target_feat.dim != source_feat.dim:
@@ -333,9 +334,9 @@ def rescore_many(
         rows_s.append(source_feat.values)
     for slots, rows_t, rows_s in pairs.values():
         for i, sim in zip(slots, cosine_sims(np.stack(rows_t), np.stack(rows_s)).tolist()):
-            det = candidates[i]
+            c, x1, y1, x2, y2, score, offset, source = rows[i]
             # a score and a cosine both in [0, 1] give a product in [0, 1]
-            out[i] = unchecked_detection(det.class_id, det.bbox, det.score * sim, det.source_offset)
+            out[i] = (c, x1, y1, x2, y2, score * sim, offset, source)
     return out
 
 
@@ -347,5 +348,12 @@ def rescore(
     source_frame: int,
 ) -> Detection | None:
     """``rescore_many`` of one candidate carried from ``source_bbox`` on ``source_frame``."""
-    (out,) = rescore_many(provider, target_frame, [candidate], [(source_frame, source_bbox)])
-    return out
+    b = candidate.bbox
+    row = (
+        candidate.class_id, b.x1, b.y1, b.x2, b.y2, candidate.score,
+        target_frame - source_frame, source_bbox.as_tuple(),
+    )
+    (out,) = rescore_many(provider, target_frame, [row])
+    if out is None:
+        return None
+    return unchecked_detection(candidate.class_id, b, out[5], candidate.source_offset)

@@ -588,7 +588,7 @@ def _bundle_embeddings(bundle: SequenceBundle, patch_size: int = DEFAULT_PATCH_S
     for labels in list(bundle.ground_truth) + list(bundle.detections):
         t = labels.frame_index
         boxes = [det.bbox for det in labels.detections]
-        for box, vec in zip(boxes, descriptor.embed_many(t, boxes)):
+        for box, vec in zip(boxes, descriptor.embed_many(t, [b.as_tuple() for b in boxes])):
             if vec is None:
                 raise EmptyCropError(f"box {box.as_tuple()} lies outside frame {t}")
             table.setdefault(embedding_key(t, box), vec)

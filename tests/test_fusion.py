@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from propfuse.errors import ValidationError
 from propfuse.fusion import (
     MATCH_MODES,
     FusionConfig,
+    _order_key,
+    _row_order,
     cluster_class,
     fuse_candidates,
     nms,
@@ -37,6 +40,23 @@ def cfg(**kw):
     base = dict(method="wbf", iou_threshold=0.5, num_sources=1, post_threshold=0.0)
     base.update(kw)
     return FusionConfig(**base)
+
+
+def rows_of(dets):
+    """The candidate rows of ``dets``, none of them carried from a source box."""
+    return [(d.class_id, *d.bbox.as_tuple(), d.score, d.source_offset, None) for d in dets]
+
+
+def cluster_dets(dets, c):
+    """``cluster_class`` of the detections' candidate rows, each cluster read
+    back as its member detections in join order, fused box and fused score."""
+    rows = rows_of(dets)
+    return [
+        SimpleNamespace(
+            members=[dets[i] for i in members], fused_bbox=BBox(x1, y1, x2, y2), fused_score=s
+        )
+        for x1, y1, x2, y2, s, members in cluster_class(rows, c)
+    ]
 
 
 def fuse_dets(dets, c, provider=None):
@@ -106,7 +126,7 @@ class TestClustering:
         a = det(0.9, (0, 0, 10, 10))
         b = det(0.8, (8, 0, 18, 10))
         c = det(0.7, (4, 0, 14, 10))
-        clusters = cluster_class([a, b, c], cfg(iou_threshold=0.2))
+        clusters = cluster_dets([a, b, c], cfg(iou_threshold=0.2))
         assert [len(cl.members) for cl in clusters] == [2, 1]
         assert clusters[0].members[0].score == 0.9
         assert clusters[0].members[1].score == 0.7
@@ -118,18 +138,18 @@ class TestClustering:
         a = det(0.9, (0, 0, 10, 10))
         b = det(0.9, (4, 0, 14, 10))
         c = det(0.5, (7.5, 0, 17.5, 10))
-        clusters = cluster_class([a, b, c], cfg(iou_threshold=0.25))
+        clusters = cluster_dets([a, b, c], cfg(iou_threshold=0.25))
         assert len(clusters) == 1
         assert len(clusters[0].members) == 3
 
     def test_score_ties_broken_by_coordinates(self):
         a = det(0.5, (20, 0, 30, 10))
         b = det(0.5, (0, 0, 10, 10))
-        clusters = cluster_class([a, b], cfg())
+        clusters = cluster_dets([a, b], cfg())
         assert clusters[0].fused_bbox.x1 == 0.0
 
     def test_empty_input(self):
-        assert cluster_class([], cfg()) == []
+        assert cluster_dets([], cfg()) == []
         assert fuse_dets([], cfg()) == []
 
 
@@ -367,7 +387,7 @@ class TestFuseCandidates:
         carried = [det(0.7, (20, 20, 30, 30), offset=-2)]
         cands = self._candidates(dets + carried, [None, None, carried[0].bbox])
         fuse_candidates(cands, cfg(method="swbf"), Spy())
-        assert asked == [(7, [carried[0].bbox]), (9, [carried[0].bbox])]
+        assert asked == [(7, [carried[0].bbox.as_tuple()]), (9, [carried[0].bbox.as_tuple()])]
 
     def test_swbf_scores_equal_the_reference_cosine_bit_for_bit(self):
         rng = np.random.default_rng(11)
@@ -381,8 +401,8 @@ class TestFuseCandidates:
             boxes.append(BBox(x + 0.75, 11.0, x + 6.0, 29.25 - i))
         want = {dets[0].bbox: dets[0].score.hex()}
         for d, b in zip(dets[1:], boxes[1:]):
-            (target,) = provider.embed_many(7, [d.bbox])
-            (source,) = provider.embed_many(7 - d.source_offset, [b])
+            (target,) = provider.embed_many(7, [d.bbox.as_tuple()])
+            (source,) = provider.embed_many(7 - d.source_offset, [b.as_tuple()])
             want[d.bbox] = (d.score * ref_cosine(target.values, source.values)).hex()
         got = fuse_candidates(self._candidates(dets, boxes), cfg(method="swbf"), provider)
         assert {d.bbox: d.score.hex() for d in got.labels.detections} == want
@@ -450,8 +470,8 @@ class TestMatchModes:
         a = det(0.9, (0, 0, 10, 10))
         b = det(0.8, (7, 0, 17, 10))
         c = det(0.7, (6, 0, 16, 10))
-        first = cluster_class([a, b, c], cfg(iou_threshold=0.2, match="first"))
-        best = cluster_class([a, b, c], cfg(iou_threshold=0.2, match="best"))
+        first = cluster_dets([a, b, c], cfg(iou_threshold=0.2, match="first"))
+        best = cluster_dets([a, b, c], cfg(iou_threshold=0.2, match="best"))
         assert [len(cl.members) for cl in first] == [2, 1]
         assert [len(cl.members) for cl in best] == [1, 2]
 
@@ -525,10 +545,10 @@ def iou_loop_clusters(dets, c):
 
 
 def _clusters(dets, c):
-    position = {id(d): i for i, d in enumerate(dets)}
+    rows = rows_of(dets)
     return [
-        ([position[id(m)] for m in cl.members], cl.fused_bbox, cl.fused_score)
-        for cl in cluster_class(dets, c)
+        (members, BBox(x1, y1, x2, y2), score)
+        for x1, y1, x2, y2, score, members in cluster_class(rows, c)
     ]
 
 
@@ -567,7 +587,7 @@ class TestClusterClassAgainstIouLoop:
         c = cfg(iou_threshold=0.5, match=match)
         assert iou(dets[0].bbox, dets[1].bbox) == 0.5
         assert _clusters(dets, c) == iou_loop_clusters(dets, c)
-        assert len(cluster_class(dets, c)) == 2
+        assert len(cluster_dets(dets, c)) == 2
 
     def test_best_mode_tie_goes_to_the_first_cluster(self):
         # c overlaps both disjoint clusters by exactly 50 / 150
@@ -575,7 +595,7 @@ class TestClusterClassAgainstIouLoop:
         b = det(0.8, (10, 0, 20, 10))
         c = det(0.7, (5, 0, 15, 10))
         assert iou(c.bbox, a.bbox) == iou(c.bbox, b.bbox) > 0.3
-        clusters = cluster_class([a, b, c], cfg(iou_threshold=0.3, match="best"))
+        clusters = cluster_dets([a, b, c], cfg(iou_threshold=0.3, match="best"))
         assert [len(cl.members) for cl in clusters] == [2, 1]
         assert _clusters([a, b, c], cfg(iou_threshold=0.3, match="best")) == iou_loop_clusters(
             [a, b, c], cfg(iou_threshold=0.3, match="best")
@@ -609,7 +629,7 @@ class TestClusterRunningTotals:
         for i in copies:
             d = dets[i % len(rows)]
             dets.append(det(d.score, d.bbox.as_tuple()))
-        for cl in cluster_class(dets, cfg(iou_threshold=thr, match=match)):
+        for cl in cluster_dets(dets, cfg(iou_threshold=thr, match=match)):
             if len(cl.members) == 1:
                 continue  # a lone member keeps its own box, not s * x / s
             assert _bits(cl.fused_bbox, cl.fused_score) == _bits(*member_order_fuse(cl.members))
@@ -619,7 +639,54 @@ class TestClusterRunningTotals:
         x2 = math.nextafter(x1, 2.0)
         dets = [det(0.7, (x1, 0.0, x2, 10.0)), det(0.6, (x1, 0.0, x2, 10.0))]
         with pytest.raises(ValidationError, match="degenerate box"):
-            cluster_class(dets, cfg())
+            cluster_dets(dets, cfg())
+
+
+# few corners and scores, so that ties in score and equal boxes are common,
+# and scores of 0 so that all-zero clusters occur
+_tied_row = st.tuples(
+    st.integers(0, 1),
+    st.sampled_from([(0, 0, 10, 10), (0, 0, 10, 10), (5, 0, 15, 10), (20, 20, 30, 26), (2, 1, 9, 8)]),
+    st.sampled_from([0.0, 0.0, 0.3, 0.6, 0.6, 0.9]),
+)
+
+
+class TestRowOrder:
+    """Rows are clustered, and labels written, in ``_order_key``'s order of their detections."""
+
+    @pytest.mark.parametrize("match", MATCH_MODES)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.lists(_tied_row, max_size=40),
+        st.sampled_from([0.3, 0.5, 0.9]),
+        st.integers(1, 3),
+        st.sampled_from([0.0, 0.2]),
+    )
+    def test_clustered_and_written_in_order_key_order(self, match, drawn, thr, ns, post):
+        dets = [det(s, box, class_id=c) for c, box, s in drawn]
+        rows = rows_of(dets)
+        want = sorted(range(len(dets)), key=lambda i: _order_key(dets[i], i))
+        assert _row_order(rows) == want
+
+        c = cfg(iou_threshold=thr, match=match, num_sources=ns, post_threshold=post)
+        rank = {i: r for r, i in enumerate(want)}
+        fused = []
+        for class_id in sorted({d.class_id for d in dets}):
+            group = [i for i, d in enumerate(dets) if d.class_id == class_id]
+            clusters = cluster_class([rows[i] for i in group], c)
+            # each row is visited once; clusters are made, and rows join them, in that order
+            assert sorted(i for *_, members in clusters for i in members) == list(range(len(group)))
+            made = [rank[group[members[0]]] for *_, members in clusters]
+            assert made == sorted(made)
+            for x1, y1, x2, y2, score, members in clusters:
+                joined = [rank[group[i]] for i in members]
+                assert joined == sorted(joined)
+                scaled = score * (min(len(members), ns) / ns)
+                fused.append(Detection(class_id, BBox(x1, y1, x2, y2), scaled))
+
+        kept = [d for d in fused if d.score > post]
+        got = fuse_dets(dets, c)
+        assert got == [kept[i] for i in sorted(range(len(kept)), key=lambda i: _order_key(kept[i], i))]
 
 
 class TestBatchedRescoring:

@@ -380,9 +380,18 @@ _quad = st.one_of(
 )
 
 
+def land(corners, *args):
+    """``land_boxes`` read back as one ``BBox`` or None per group of four corners."""
+    lands, landed = land_boxes(corners, *args)
+    assert lands.dtype == bool and len(lands) * 4 == len(corners)
+    assert len(landed) == lands.sum()
+    found = iter(landed)
+    return [BBox(*next(found)) if ok else None for ok in lands]
+
+
 def _check_against_reference(quads, width, height, coverage):
     corners = np.array([p for q in quads for p in q], dtype=np.float64).reshape(-1, 2)
-    got = land_boxes(corners, FrameSize(width, height), coverage)
+    got = land(corners, FrameSize(width, height), coverage)
     want = [ref_land(q, width, height, coverage) for q in quads]
     assert [_bits(b and b.as_tuple()) for b in got] == [_bits(b) for b in want]
 
@@ -426,8 +435,8 @@ class TestLandBoxes:
         # the hull is [-10, 10) x [0, 10), half of it inside a 20x20 frame
         corners = np.array([(-10.0, 0.0), (10.0, 0.0), (-10.0, 10.0), (10.0, 10.0)])
         size = FrameSize(20, 20)
-        assert land_boxes(corners, size, 0.5) == [BBox(0.0, 0.0, 10.0, 10.0)]
-        assert land_boxes(corners, size, math.nextafter(0.5, 1.0)) == [None]
+        assert land(corners, size, 0.5) == [BBox(0.0, 0.0, 10.0, 10.0)]
+        assert land(corners, size, math.nextafter(0.5, 1.0)) == [None]
 
     def test_degenerate_and_outside_hulls_are_dropped(self):
         corners = np.array(
@@ -435,11 +444,11 @@ class TestLandBoxes:
             + [(21.0, 1.0), (25.0, 1.0), (21.0, 5.0), (25.0, 5.0)]  # right of the frame
             + [(1.0, 1.0), (5.0, 1.0), (1.0, 5.0), (5.0, 5.0)]
         )
-        got = land_boxes(corners, FrameSize(20, 20), 0.0)
+        got = land(corners, FrameSize(20, 20), 0.0)
         assert got == [None, None, BBox(1.0, 1.0, 5.0, 5.0)]
 
     def test_no_boxes(self):
-        assert land_boxes(np.zeros((0, 2)), FrameSize(4, 4)) == []
+        assert land(np.zeros((0, 2)), FrameSize(4, 4)) == []
 
 
 class TestFlowStore:

@@ -374,7 +374,7 @@ class TestRunPipeline:
             return real_fuse(candidates, *args)
 
         def write(records, path, *args, **kwargs):
-            written.append(path.name)
+            written.append(os.path.basename(path))
             return real_write(records, path, *args, **kwargs)
 
         monkeypatch.setattr(propfuse.pipeline, "fuse_candidates", fuse)
@@ -628,6 +628,30 @@ class TestRunPipeline:
         names = sorted(p.name for p in (out / "labels").iterdir())
         assert names == sorted(whole)[:2]
         assert read_labels_tree(out) == {n: whole[n] for n in names}
+
+    def test_interns_no_label_frame_or_report_file_name(self, tmp_path, clean_dir, monkeypatch):
+        """Labels and the report are written, and frames read, without a ``Path`` each.
+
+        ``pathlib`` interns every part of a path, and a name interned on
+        every run churns the interpreter's table of interned strings.
+        """
+        manifest = load_manifest(clean_dir)
+        interned = []
+        real_intern = sys.intern
+
+        def spy(s):
+            interned.append(s)
+            return real_intern(s)
+
+        monkeypatch.setattr(sys, "intern", spy)
+        run = run_pipeline(manifest, PipelineConfig(k=1, method="swbf"), out_dir=tmp_path / "out")
+        monkeypatch.undo()
+        label_files = {p.name for p in (tmp_path / "out" / "labels").iterdir()}
+        frame_files = {e.frame_path.name for e in manifest.frames.values()}
+        assert len(label_files) > 1 and len(frame_files) > 1
+        assert not (label_files | frame_files | {"labels", "run_report.json"}) & set(interned)
+        assert not [s for s in interned if s.endswith(".tmp")]
+        assert isinstance(run.out_dir, Path)
 
     def test_serial_run_starts_no_thread_and_stops_at_first_failure(self, clean_dir, monkeypatch):
         def no_thread(*args, **kwargs):

@@ -75,7 +75,7 @@ def _bundle_rows(bundle, patch_size):
     desc = PatchDescriptor(lambda t: bundle.frames[t], patch_size=patch_size)
     out = []
     for t, labels in enumerate(bundle.detections):
-        vecs = desc.embed_many(t, [d.bbox for d in labels.detections])
+        vecs = desc.embed_many(t, [d.bbox.as_tuple() for d in labels.detections])
         out.append([v for v in vecs if v is not None])
     return out
 
@@ -97,7 +97,7 @@ class TestCosines:
             pairs += [(a, a) for frame in rows for a in frame]
         flat = Frame(FrameSize(24, 16), np.full((16, 24), 93, dtype=np.uint8))
         flats = PatchDescriptor(lambda t: flat, patch_size=patch_size).embed_many(
-            0, [BBox(0.0, 0.0, 5.0, 7.0), BBox(3.5, 2.25, 24.0, 16.0)]
+            0, [(0.0, 0.0, 5.0, 7.0), (3.5, 2.25, 24.0, 16.0)]
         )
         assert all(np.all(f.values == 0.5) for f in flats)
         pairs += [(flats[0], flats[1]), (flats[1], flats[1])]
@@ -211,7 +211,8 @@ class TestPatchDescriptorBatch:
         frame, boxes = case
         desc = PatchDescriptor(lambda t: frame, patch_size=n)
         # a repeated box and a second call exercise the memo as well
-        for got, box in zip(desc.embed_many(3, boxes + boxes[:1]), boxes + boxes[:1]):
+        asked = [b.as_tuple() for b in boxes + boxes[:1]]
+        for got, box in zip(desc.embed_many(3, asked), boxes + boxes[:1]):
             want = ref_patch_descriptor(frame.data.tolist(), box.as_tuple(), n)
             if want is None:
                 assert got is None
@@ -234,10 +235,10 @@ class TestPatchDescriptorBatch:
         monkeypatch.setattr(similarity, "sample_bilinear", counting)
         desc = PatchDescriptor(lambda t: _gradient_frame(), patch_size=4)
         boxes = [BBox(1.0, 1.0, 9.0, 9.0), BBox(5.0, 2.0, 20.0, 30.0), BBox(-9.0, -9.0, -1.0, -1.0)]
-        first = desc.embed_many(0, boxes)
+        first = desc.embed_many(0, [b.as_tuple() for b in boxes])
         assert calls == [2]
         assert first[2] is None
-        again = desc.embed_many(0, boxes[:2] + [BBox(2.0, 2.0, 6.0, 6.0)])
+        again = desc.embed_many(0, [b.as_tuple() for b in boxes[:2]] + [(2.0, 2.0, 6.0, 6.0)])
         assert calls == [2, 1]
         assert again[:2] == first[:2]
 
@@ -285,7 +286,9 @@ class TestSampledPlane:
         data = np.random.default_rng(7).integers(0, 256, shape, dtype=np.uint8)
         frame = Frame(FrameSize(w, h), data)
         boxes = _edge_boxes(w, h)
-        got = PatchDescriptor(lambda t: frame, patch_size=patch_size).embed_many(0, boxes)
+        got = PatchDescriptor(lambda t: frame, patch_size=patch_size).embed_many(
+            0, [b.as_tuple() for b in boxes]
+        )
         plane = frame.luminance().tolist()
         outside = 0
         for vec, box in zip(got, boxes):
@@ -305,7 +308,8 @@ class TestSampledPlane:
         desc = PatchDescriptor(lambda t: Frame(FrameSize(w, h), data.copy()), patch_size=16)
         tracemalloc.start()
         try:
-            assert all(v is not None for v in desc.embed_many(0, _edge_boxes(w, h)[:6]))
+            boxes = [b.as_tuple() for b in _edge_boxes(w, h)[:6]]
+            assert all(v is not None for v in desc.embed_many(0, boxes))
             held, peak = tracemalloc.get_traced_memory()
             desc.release(0)
             after, _ = tracemalloc.get_traced_memory()
@@ -323,9 +327,9 @@ class TestPrecomputed:
         box = BBox(1.0, 2.0, 3.0, 4.0)
         table = {embedding_key(0, box): vec(0.1, 0.9)}
         pre = PrecomputedEmbeddings(table)
-        (hit,) = pre.embed_many(0, [box])
+        (hit,) = pre.embed_many(0, [box.as_tuple()])
         assert np.array_equal(hit.values, [0.1, 0.9])
-        (miss,) = pre.embed_many(1, [box])
+        (miss,) = pre.embed_many(1, [box.as_tuple()])
         assert miss is None
 
     def test_load_jsonl(self, tmp_path):
@@ -335,7 +339,7 @@ class TestPrecomputed:
             encoding="utf-8",
         )
         pre = PrecomputedEmbeddings.load(path)
-        (got,) = pre.embed_many(0, [BBox(1.0, 2.0, 3.0, 4.0)])
+        (got,) = pre.embed_many(0, [(1.0, 2.0, 3.0, 4.0)])
         assert np.array_equal(got.values, [0.25, 0.5])
 
     def test_written_file_loads_and_writes_back_to_the_same_bytes(self, tmp_path):
@@ -351,7 +355,7 @@ class TestPrecomputed:
         assert len(lines) == len(table)
         for line, key in zip(lines, sorted(table)):
             assert line.startswith('{"frame": %d, "box": [%.6f, ' % key[:2])
-            (got,) = loaded.embed_many(key[0], [BBox(*key[1:])])
+            (got,) = loaded.embed_many(key[0], [key[1:]])
             assert np.allclose(got.values, table[key].values, rtol=0, atol=5e-7)
 
     def test_empty_table_writes_an_empty_file(self, tmp_path):
@@ -375,14 +379,14 @@ class TestPrecomputed:
         pre = PrecomputedEmbeddings({})
         combo = FallbackProvider(pre, patch)
         box = BBox(4.0, 4.0, 12.0, 12.0)
-        (got,) = combo.embed_many(0, [box])
+        (got,) = combo.embed_many(0, [box.as_tuple()])
         assert np.array_equal(got.values, patch.embed(0, box).values)
 
     def test_embed_many_looks_up_each_key(self):
         box = BBox(1.0, 2.0, 3.0, 4.0)
         pre = PrecomputedEmbeddings({embedding_key(0, box): vec(0.1, 0.9)})
-        got = pre.embed_many(0, [box, BBox(1.0, 2.0, 3.0, 5.0), box])
-        assert got[0] is got[2] is pre.embed_many(0, [box])[0]
+        got = pre.embed_many(0, [box.as_tuple(), (1.0, 2.0, 3.0, 5.0), box.as_tuple()])
+        assert got[0] is got[2] is pre.embed_many(0, [box.as_tuple()])[0]
         assert got[1] is None
 
     def test_fallback_batches_only_the_misses(self):
@@ -399,8 +403,8 @@ class TestPrecomputed:
 
         stored = vec(0.25, 0.5)
         combo = FallbackProvider(PrecomputedEmbeddings({embedding_key(0, hit): stored}), Spy())
-        got = combo.embed_many(0, [misses[0], hit, misses[1]])
-        assert asked == [misses]
+        got = combo.embed_many(0, [misses[0].as_tuple(), hit.as_tuple(), misses[1].as_tuple()])
+        assert asked == [[m.as_tuple() for m in misses]]
         assert got[1] is stored
         assert got[0] is patch.embed(0, misses[0])
         assert got[2] is None

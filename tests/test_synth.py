@@ -568,7 +568,7 @@ class TestWriteBundle:
         embeddings = {}
         for ls in ground_truth + detections:
             boxes = [d.bbox for d in ls.detections]
-            for box, vec in zip(boxes, stored.embed_many(ls.frame_index, boxes)):
+            for box, vec in zip(boxes, stored.embed_many(ls.frame_index, [b.as_tuple() for b in boxes])):
                 assert vec is not None
                 embeddings[embedding_key(ls.frame_index, box)] = vec
         frames = [m.frame_image(t) for t in indices]

@@ -46,7 +46,7 @@ def most_held(n, k, shuffled):
     for t in targets:
         build_candidates(t, k, table.get, flows, size, window=window)
         for f in range(max(t - k, 0), min(t + k + 1, n)):
-            provider.embed_many(f, [d.bbox for d in table[f].detections])
+            provider.embed_many(f, [d.bbox.as_tuple() for d in table[f].detections])
         window.finish(t)
     assert window.held() == NOTHING_HELD
     return {kind: s["most_held"] for kind, s in window.stats.items()}

@@ -10,8 +10,11 @@ the outputs are byte-identical. Usage, from any directory:
 Every scene of ``tests/_bundles.py`` in ``--src`` is written with that tree's
 ``write_bundle`` and the written tree is hashed; so is the directory of each
 extra manifest named on the command line (write those with each tree's
-``bench/worker.py gen`` to compare what the two trees write). Each scene,
-and each extra manifest, is then run through that tree's CLI:
+``bench/worker.py gen`` to compare what the two trees write). A benchmark
+input directory, ``bench/.work/inputs/<workload>-<seed>/``, can be passed as
+it is: its ``ready.json`` holds the checkout's own paths and source stamp,
+so it is left out of the hash. Each scene, and each extra manifest, is then
+run through that tree's CLI:
 
 - ``pipeline`` for every fusion method at k 0, 1 and 3 in both compositions,
   plus swbf with the precomputed provider (misses dropped or falling back to
@@ -50,10 +53,19 @@ COMPOSITIONS = ("trajectory", "additive")
 PROVIDERS = (("precomputed", "drop"), ("precomputed", "fallback"))
 
 
-def tree_digest(root: Path) -> str:
-    """sha256 over every file under ``root``: its relative path, then its bytes."""
+def tree_digest(root: Path, skip: tuple[str, ...] = ()) -> str:
+    """sha256 over every file under ``root``: its relative path, then its bytes.
+
+    Files directly under ``root`` named in ``skip`` are left out.
+    """
     h = hashlib.sha256()
-    files = [root] if root.is_file() else sorted(p for p in root.rglob("*") if p.is_file())
+    if root.is_file():
+        files = [root]
+    else:
+        files = [
+            p for p in sorted(root.rglob("*"))
+            if p.is_file() and not (p.parent == root and p.name in skip)
+        ]
     for path in files:
         data = path.read_bytes()
         if path.name == "run_report.json":
@@ -195,7 +207,9 @@ def main() -> int:
         digest_manifest(runner, name, manifest_path, load_manifest)
     for i, manifest_path in enumerate(args.manifests):
         tag = f"extra{i}-{manifest_path.parent.name}"
-        runner.digests[f"{tag}/written"] = tree_digest(manifest_path.resolve().parent)
+        # a bench input directory's ready.json holds that checkout's paths
+        written = tree_digest(manifest_path.resolve().parent, skip=("ready.json",))
+        runner.digests[f"{tag}/written"] = written
         digest_manifest(runner, tag, manifest_path.resolve(), load_manifest)
 
     json.dump(runner.digests, sys.stdout, indent=1, sort_keys=True)
