@@ -27,14 +27,12 @@ from .evaluation import evaluate_rows, self_consistency
 # bench/tracer.py patches ``evaluate`` here by name and fails a traced run
 # without the binding, so it stays bound although nothing here calls it
 from .evaluation import evaluate  # noqa: F401
-from .geometry import unchecked_bbox
 from .io import (
     CandidateMeta,
     DetectionRecord,
     join_name,
     read_detections,
     record_class_ids,
-    record_detection,
     write_atomic,
     write_detections,
 )
@@ -166,13 +164,9 @@ def _candidates_from_file(path, manifest: SequenceManifest | None):
         names = sorted({r.class_name for r in records})
         name_to_id = {name: i for i, name in enumerate(names)}
     ids = record_class_ids(records, name_to_id, path)
-    dets = [record_detection(r, c, r.source_offset) for r, c in zip(records, ids)]
-    boxes = [None if r.source_bbox is None else unchecked_bbox(*r.source_bbox) for r in records]
+    rows = [(c, *r.bbox, r.score, r.source_offset, r.source_bbox) for r, c in zip(records, ids)]
     effective = meta.effective_sources if meta is not None else 1
-    cands = CandidateSet(
-        frame_index=frame, detections=dets, source_boxes=boxes, effective_sources=effective
-    )
-    return cands, names, meta
+    return CandidateSet(frame, rows=rows, effective_sources=effective), names, meta
 
 
 def cmd_fuse(args) -> int:
@@ -187,6 +181,11 @@ def cmd_fuse(args) -> int:
             raise ValidationError(
                 "similarity re-scoring needs frame pixels; pass --manifest"
             )
+        t = cands.frame_index
+        for *_, offset, src in cands.rows:
+            if offset and (src is None or not manifest.has_frame(t - offset)):
+                why = "no source box" if src is None else f"no source frame {t - offset} in the manifest"
+                raise ValidationError(f"{args.dets}: carried candidate on frame {t} has {why}")
         provider = build_provider(manifest, config)
 
     result, _ = fuse_frame(cands, config, k, provider)
@@ -256,8 +255,13 @@ def _label_rows(files, name_to_id, codes: dict[int, int], strict: bool) -> dict[
 def cmd_eval(args) -> int:
     det_files = _read_label_tree(args.dets)
     gt_files = _read_label_tree(args.gt)
-    if args.classes:
+    if args.classes is not None:
         names = [n.strip() for n in args.classes.split(",") if n.strip()]
+        if not names:
+            raise CliUsageError(f"--classes names no class: {args.classes!r}")
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise CliUsageError(f"--classes repeats {', '.join(repeated)}")
     else:
         names = sorted({r.class_name for _, records in gt_files for r in records})
     name_to_id = {name: i for i, name in enumerate(names)}

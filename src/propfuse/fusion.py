@@ -6,10 +6,10 @@ position and mean score, and then scales each cluster's score by
 min(cluster size, num_sources) / num_sources: a box corroborated by fewer
 sources than were available ends up with proportionally less confidence.
 swbf first rescores the carried boxes (``similarity.rescore_many``). Both
-work on a candidate set's flat rows and build a ``Detection`` only for each
-label they keep. The classic suppression baselines (nms, soft-nms, nmw) are
-provided on the same candidate interface for comparison runs, through its
-``detections`` view.
+work on a candidate set's flat rows, and every method's fused labels are
+one ``LabelSet`` row each. The classic suppression baselines (nms,
+soft-nms, nmw) are provided on the same candidate interface for comparison
+runs, through its ``detections`` view.
 """
 
 from __future__ import annotations
@@ -19,15 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import ValidationError
-from .geometry import (
-    BBox,
-    Detection,
-    LabelSet,
-    iou,
-    ordered_sum,
-    unchecked_bbox,
-    unchecked_detection,
-)
+from .geometry import BBox, Detection, LabelSet, iou, ordered_sum
 from .propagation import CandidateSet
 from .similarity import rescore_many
 # bench/tracer.py patches ``rescore`` in this module by name and fails a
@@ -280,10 +272,11 @@ def fuse_candidates(
     """Run the configured method over a candidate set, with bookkeeping.
 
     swbf and wbf cluster the candidate rows; the suppression baselines work
-    on the ``detections`` view. ``Detection``s are built for the labels kept.
+    on the ``detections`` view. The labels kept are rows, in score order.
     """
     dropped_rescore = 0
-    # one (class_id, x1, y1, x2, y2, score) row per fused box, classes in order
+    # one ``LabelSet`` row per fused box, classes in order; each holds a
+    # checked box and a score in [0, 1]
     fused: list[tuple] = []
     if cfg.method in ("swbf", "wbf"):
         if cfg.method == "swbf":
@@ -298,7 +291,8 @@ def fuse_candidates(
             for x1, y1, x2, y2, score, members in cluster_class(by_class[class_id], cfg):
                 # the source-count rescale: a mean score in [0, 1] times a factor in (0, 1]
                 n = len(members)
-                fused.append((class_id, x1, y1, x2, y2, score * ((n if n < ns else ns) / ns)))
+                score *= (n if n < ns else ns) / ns
+                fused.append((class_id, x1, y1, x2, y2, score, 0, None))
     else:
         baseline = {"nms": nms, "snms": _soft_nms_decay, "nmw": nmw}[cfg.method]
         by_class_dets: dict[int, list[Detection]] = {}
@@ -306,16 +300,12 @@ def fuse_candidates(
             by_class_dets.setdefault(det.class_id, []).append(det)
         for class_id in sorted(by_class_dets):
             for d in baseline(by_class_dets[class_id], cfg):
-                fused.append((d.class_id, *d.bbox.as_tuple(), d.score))
+                fused.append((d.class_id, *d.bbox.as_tuple(), d.score, 0, None))
 
     kept = [row for row in fused if row[5] > cfg.post_threshold]
-    labels = LabelSet(candidates.frame_index, [])
-    for i in _row_order(kept):
-        c, x1, y1, x2, y2, score = kept[i]
-        # each row holds a checked box and a score in [0, 1]
-        labels.detections.append(unchecked_detection(c, unchecked_bbox(x1, y1, x2, y2), score))
+    labels = [kept[i] for i in _row_order(kept)]
     return FusionResult(
-        labels=labels,
+        labels=LabelSet(candidates.frame_index, rows=labels),
         clusters=len(fused),
         dropped_rescore=dropped_rescore,
         dropped_post=len(fused) - len(kept),

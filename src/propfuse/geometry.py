@@ -1,14 +1,17 @@
-"""Axis-aligned boxes, scored detections, and the overlap math every stage shares.
+"""Axis-aligned boxes, scored detections, label sets, and the overlap math every stage shares.
 
 Coordinates are continuous, measured in pixels, origin at the top-left corner.
 A box is the half-open region [x1, x2) x [y1, y2); area is (x2-x1)*(y2-y1)
 with no +1 pixel convention anywhere.
+
+A frame's labels are a ``LabelSet`` of flat rows, which every stage works on
+from the readers to the writer; its ``detections`` are a view for callers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import add
 from typing import Iterable
@@ -101,15 +104,36 @@ class Detection:
             raise ValidationError(f"score must lie in [0, 1], got {self.score}")
 
 
-@dataclass
+@dataclass(init=False)
 class LabelSet:
-    """All detections attached to a single frame."""
+    """All labels attached to a single frame, as flat rows.
+
+    ``rows`` holds one tuple per label: ``(class_id, x1, y1, x2, y2, score,
+    source_offset, source)``, where ``source`` is the (x1, y1, x2, y2) tuple
+    of the box a carried label occupied on its source frame, else None.
+    Every row holds a checked box and a score in [0, 1]. Built from
+    ``detections``, the set holds their rows; ``detections`` read back is a
+    view made from the rows on each access.
+    """
 
     frame_index: int
-    detections: list[Detection] = field(default_factory=list)
+    rows: list[tuple]
+
+    def __init__(self, frame_index: int, detections: Iterable[Detection] = (), *, rows=None):
+        self.frame_index = frame_index
+        self.rows = rows if rows is not None else [
+            (d.class_id, *d.bbox.as_tuple(), d.score, d.source_offset, None) for d in detections
+        ]
 
     def __len__(self) -> int:
-        return len(self.detections)
+        return len(self.rows)
+
+    @property
+    def detections(self) -> list[Detection]:
+        return [
+            unchecked_detection(c, unchecked_bbox(x1, y1, x2, y2), s, offset)
+            for c, x1, y1, x2, y2, s, offset, _ in self.rows
+        ]
 
 
 # The package's own boxes and detections, built where the checks hold by

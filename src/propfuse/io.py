@@ -5,10 +5,10 @@ One detection per line: {"frame": int, "class": str, "bbox": [x1, y1, x2, y2],
 "source_offset" (omitted when 0) and the originating "source_bbox" on the
 source frame. Floats are always written with 6 decimal places so identical
 runs produce identical bytes. ``write_detections`` writes every such file,
-label, candidate and ground truth, straight from its label sets, each line
-from one template, ``_LINE_HEAD``. A candidate file may start with one
-{"type": "candidate_meta", ...} line carrying the target frame, the number
-of available sources, and k. ``json_lines`` reads every JSON-lines file,
+label, candidate and ground truth, straight from its label sets' rows, each
+line from one template, ``_LINE_HEAD``. A candidate file may hold one
+{"type": "candidate_meta", ...} line, written first, carrying the target
+frame, the number of available sources, and k. ``json_lines`` reads every JSON-lines file,
 embeddings too; ``json_integer``, ``json_number`` and ``parse_box`` are the
 number and box rules of every JSON reader.
 
@@ -137,13 +137,12 @@ def write_detections(
 ) -> None:
     """Write the frames of one label, candidate or ground-truth JSONL file.
 
-    ``label_sets`` holds ``LabelSet``s or ``CandidateSet``s, written in
-    order, whose class ids index ``classes``. Each name is quoted once and
-    each line formatted straight from its detection. With ``meta`` the file
-    is a candidate file of ``CandidateSet``s, each line formatted straight
-    from its row: ``meta`` is its header line, and a line goes on with its
-    non-zero source offset and its source box where that is not None.
-    Without it no line carries a source key.
+    ``label_sets`` holds ``LabelSet``s (a ``CandidateSet`` is one), written
+    in order, whose class ids index ``classes``. Each name is quoted once
+    and each line formatted straight from its row. With ``meta`` the file
+    is a candidate file: ``meta`` is its header line, and a line goes on
+    with its non-zero source offset and its source box where that is not
+    None. Without it no line carries a source key.
     """
     names = [json.dumps(name) for name in classes]
     lines = []
@@ -151,18 +150,13 @@ def write_detections(
         lines.append(json.dumps({"type": "candidate_meta", **asdict(meta)}, sort_keys=True) + "\n")
     for labels in label_sets:
         frame = labels.frame_index
-        if meta is None:
-            for d in labels.detections:
-                b = d.bbox
-                line = _LINE_HEAD % (frame, names[d.class_id], b.x1, b.y1, b.x2, b.y2, d.score)
-                lines.append(line + "}\n")
-            continue
         for c, x1, y1, x2, y2, score, offset, src in labels.rows:
             line = _LINE_HEAD % (frame, names[c], x1, y1, x2, y2, score)
-            if offset:
-                line += ', "source_offset": %d' % offset
-            if src is not None:
-                line += ', "source_bbox": [%.6f, %.6f, %.6f, %.6f]' % src
+            if meta is not None:
+                if offset:
+                    line += ', "source_offset": %d' % offset
+                if src is not None:
+                    line += ', "source_bbox": [%.6f, %.6f, %.6f, %.6f]' % src
             lines.append(line + "}\n")
     write_atomic(path, "".join(lines), "ascii")
 
@@ -278,17 +272,22 @@ def read_detections(
     """Parse a detection or candidate JSONL file, checking each line once.
 
     A record passes every check ``BBox`` and ``Detection`` would make, so
-    ``record_detection`` can build it unchecked. With ``frame`` given, a
-    record that names any other frame is an error.
+    a label row or ``record_detection`` can take it unchecked. A second
+    candidate_meta line is an error that names the first. With ``frame``
+    given, a record that names any other frame is an error.
     """
     records: list[DetectionRecord] = []
     meta: CandidateMeta | None = None
+    meta_line = 0
     for lineno, obj in json_lines(path):
         if type(obj) is not dict:
             raise ValidationError(f"{path}:{lineno}: expected a JSON object")
         is_meta = obj.get("type") == "candidate_meta"
         try:
             if is_meta:
+                if meta_line:
+                    raise ValidationError(f"{path}:{lineno}: second candidate_meta line, after line {meta_line}")
+                meta_line = lineno
                 meta = CandidateMeta(*(json_integer(obj[key], key) for key in _META_KEYS))
                 if meta.effective_sources < 1:
                     raise ValidationError(

@@ -24,7 +24,6 @@ from .io import (
     read_frame,
     read_text,
     record_class_ids,
-    record_detection,
     write_atomic,
 )
 from .motion import FlowStore, Frame
@@ -81,9 +80,8 @@ class SequenceManifest:
             return None
         records, _ = read_detections(entry.detections_path, frame=index)
         ids = record_class_ids(records, self.class_ids, entry.detections_path)
-        return LabelSet(
-            index, [record_detection(r, c, r.source_offset) for r, c in zip(records, ids)]
-        )
+        rows = [(c, *r.bbox, r.score, r.source_offset, None) for r, c in zip(records, ids)]
+        return LabelSet(index, rows=rows)
 
     def frame_image(self, index: int) -> Frame:
         """Frame ``index``'s image, read from its file on every call."""
@@ -102,9 +100,8 @@ class SequenceManifest:
         records, _ = read_detections(self.gt_path)
         ids = record_class_ids(records, self.class_ids, self.gt_path)
         by_frame: dict[int, LabelSet] = {}
-        for rec, class_id in zip(records, ids):
-            labels = by_frame.setdefault(rec.frame, LabelSet(frame_index=rec.frame))
-            labels.detections.append(record_detection(rec, class_id))
+        for r, c in zip(records, ids):
+            by_frame.setdefault(r.frame, LabelSet(r.frame)).rows.append((c, *r.bbox, r.score, 0, None))
         return by_frame
 
 

@@ -163,8 +163,11 @@ FIELD_TYPES: dict[str, type] = {
 }
 
 
-def parse_config_file(path: str | Path) -> dict:
-    """Flat key=value config, '#' comments, unknown keys rejected by name."""
+def parse_config_file(path: str | Path, overridden=()) -> dict:
+    """Flat key=value config, '#' comments; unknown keys and failed checks name their line.
+
+    A value for a key in ``overridden`` is not checked: the flag replaces it.
+    """
     values: dict = {}
     try:
         text = read_text(path, "utf-8")
@@ -186,17 +189,21 @@ def parse_config_file(path: str | Path) -> dict:
             values[key] = caster(value)
         except ValueError as exc:
             raise CliUsageError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
+        if key not in overridden:
+            try:
+                PipelineConfig(**{key: values[key]})  # every check is of one field
+            except ValidationError as exc:
+                raise CliUsageError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
 def load_config(path: str | Path | None = None, overrides: dict | None = None) -> PipelineConfig:
     """Defaults, then config file values, then explicit flag overrides."""
+    flags = {key: val for key, val in (overrides or {}).items() if val is not None}
     values: dict = {}
     if path is not None:
-        values.update(parse_config_file(path))
-    for key, val in (overrides or {}).items():
-        if val is None:
-            continue
+        values.update(parse_config_file(path, flags))
+    for key, val in flags.items():
         if key not in FIELD_TYPES:
             raise CliUsageError(f"unknown config key {key!r}")
         values[key] = val
@@ -315,8 +322,8 @@ def fuse_frame(
     candidates above the post threshold, as they stand, with no clustering.
     """
     if k == 0:
-        kept = [d for d in candidates.detections if d.score > config.post_threshold]
-        labels = LabelSet(candidates.frame_index, kept)
+        kept = [row for row in candidates.rows if row[5] > config.post_threshold]
+        labels = LabelSet(candidates.frame_index, rows=kept)
         return FusionResult(labels, len(kept), dropped_post=len(candidates) - len(kept)), 1
     num_sources = config.source_count(candidates.effective_sources, k)
     return fuse_candidates(candidates, config.fusion_config(num_sources), provider), num_sources
@@ -371,7 +378,7 @@ def run_pipeline(
             "clusters": result.clusters,
             "dropped_rescore": result.dropped_rescore,
             "dropped_post": result.dropped_post,
-            "output": len(result.labels.detections),
+            "output": len(result.labels),
             "seconds": {"build": t1 - t0, "fuse": t2 - t1, "write": t3 - t2},
         }
         log.info("frame %d: %d candidates -> %d fused", t, stats["candidates"], stats["output"])

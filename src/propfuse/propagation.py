@@ -21,8 +21,9 @@ floor comes only at the end, and the sampling and the additive sums work
 corner by corner. The labels and fields a target reads live in the run's
 ``RunWindow`` while the next target to run reads them.
 
-A target's candidates are flat rows (see ``CandidateSet``), not objects:
-the thresholded teacher boxes' corners go into one array per direction,
+A target's candidates are flat rows, as its teacher labels are:
+``CandidateSet`` is a ``LabelSet``. ``threshold_labels`` keeps the teacher
+rows above the threshold; their corners go into one array per direction,
 one ``land_boxes`` call gives the mask of the boxes that land and their
 corners, and each landed box becomes one row with its source's class,
 score and corners.
@@ -37,7 +38,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import BBox, Detection, FrameSize, LabelSet, unchecked_bbox, unchecked_detection
+from .geometry import BBox, Detection, FrameSize, LabelSet, unchecked_bbox
 from .motion import (
     DEFAULT_MIN_COVERAGE,
     FlowStore,
@@ -100,26 +101,22 @@ def reachable(
             yield offset, chain_pairs(target, offset)
 
 
-def threshold_labels(labels: LabelSet, threshold: float) -> list[Detection]:
-    """Detections whose score strictly exceeds the teacher threshold."""
-    return [d for d in labels.detections if d.score > threshold]
+def threshold_labels(labels: LabelSet, threshold: float) -> list[tuple]:
+    """The label rows whose score strictly exceeds the teacher threshold."""
+    return [row for row in labels.rows if row[5] > threshold]
 
 
 @dataclass(init=False)
-class CandidateSet:
+class CandidateSet(LabelSet):
     """Everything gathered for one target frame, fusion not yet applied.
 
-    ``rows`` holds one flat tuple per candidate: ``(class_id, x1, y1, x2,
-    y2, score, source_offset, source)``, where ``source`` is the (x1, y1,
-    x2, y2) tuple of the box a carried candidate occupied on its source
-    frame and None for the target's own (offset-0) boxes. Built from
-    ``detections`` and ``source_boxes``, which run parallel, the set holds
-    their rows; read back, ``detections`` and ``source_boxes`` are views
-    made from the rows on each access.
+    Its ``rows`` are ``LabelSet`` rows: a carried candidate's ``source`` is
+    the box it occupied on its source frame, and the target's own (offset-0)
+    boxes have None. Built from ``detections`` and ``source_boxes``, which
+    run parallel, the set holds their rows; read back, ``source_boxes`` is
+    a view made from the rows on each access, as ``detections`` is.
     """
 
-    frame_index: int
-    rows: list[tuple]
     effective_sources: int
 
     def __init__(
@@ -134,26 +131,12 @@ class CandidateSet:
         if rows is None:
             if len(detections) != len(source_boxes):
                 raise ValidationError("detections and source_boxes must run parallel")
-            rows = [
-                (d.class_id, *d.bbox.as_tuple(), d.score, d.source_offset, src and src.as_tuple())
-                for d, src in zip(detections, source_boxes)  # src is a BBox or None
-            ]
+            own = LabelSet(frame_index, detections).rows
+            rows = [row[:7] + (src and src.as_tuple(),) for row, src in zip(own, source_boxes)]
         if effective_sources < 1:
             raise ValidationError("effective_sources must be >= 1")
-        self.frame_index = frame_index
-        self.rows = rows
+        super().__init__(frame_index, rows=rows)
         self.effective_sources = effective_sources
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    @property
-    def detections(self) -> list[Detection]:
-        # every row holds a checked box and score
-        return [
-            unchecked_detection(c, unchecked_bbox(x1, y1, x2, y2), s, offset)
-            for c, x1, y1, x2, y2, s, offset, _ in self.rows
-        ]
 
     @property
     def source_boxes(self) -> list[Optional[BBox]]:
@@ -277,10 +260,8 @@ def build_candidates(
     teacher = window.labels(target, get_labels)
     if teacher is None:
         raise ValidationError(f"no teacher labels available for target frame {target}")
-    rows = []
-    for d in threshold_labels(teacher, teacher_threshold):
-        b = d.bbox
-        rows.append((d.class_id, b.x1, b.y1, b.x2, b.y2, d.score, 0, None))
+    # the target's own boxes come from no other frame, whatever their lines say
+    rows = [row[:6] + (0, None) for row in threshold_labels(teacher, teacher_threshold)]
     reach = reachable(target, k, lambda f: window.labels(f, get_labels) is not None)
     chains = [(offset, pairs) for offset, pairs in reach if all(flows.has(*p) for p in pairs)]
     # offset 0, the teacher on the target itself, always counts
@@ -292,7 +273,7 @@ def build_candidates(
     kept = {}
     for offset, _ in chains:
         sources = threshold_labels(window.labels(target - offset, get_labels), teacher_threshold)
-        kept[offset] = [(d.class_id, d.score, d.bbox.as_tuple()) for d in sources]
+        kept[offset] = [(row[0], row[5], row[1:5]) for row in sources]
     at_target = {}
     for sign in (1, -1):
         # the farthest offset's chain ends with every nearer one's: its corners

@@ -487,7 +487,7 @@ def generate(spec: SceneSpec, include_embeddings: bool = False) -> SequenceBundl
     backgrounds = _backgrounds(spec, bg_rng)
     for t in range(spec.length):
         img = backgrounds[t]
-        labels = LabelSet(frame_index=t)
+        boxes: list[Detection] = []
         for obj in spec.objects:
             if not obj.visible(t):
                 continue
@@ -496,11 +496,9 @@ def generate(spec: SceneSpec, include_embeddings: bool = False) -> SequenceBundl
             clipped = clip_to_frame(box, size)
             if clipped is None:
                 continue
-            labels.detections.append(
-                Detection(obj.class_id, _quant_box(clipped[0]), 1.0)
-            )
+            boxes.append(Detection(obj.class_id, _quant_box(clipped[0]), 1.0))
         frames.append(Frame(size, img))
-        gt.append(labels)
+        gt.append(LabelSet(t, boxes))
 
     bg_du, bg_dv = float(spec.background_motion[0]), float(spec.background_motion[1])
     forward: dict[tuple[int, int], MotionField] = {}
@@ -525,7 +523,7 @@ def generate(spec: SceneSpec, include_embeddings: bool = False) -> SequenceBundl
 
     detections: list[LabelSet] = []
     for t in range(spec.length):
-        labels = LabelSet(frame_index=t)
+        dets: list[Detection] = []
         for obj in spec.objects:
             if not obj.visible(t) or obj.occluded(t):
                 continue
@@ -544,9 +542,7 @@ def generate(spec: SceneSpec, include_embeddings: bool = False) -> SequenceBundl
             clipped = clip_to_frame(box, size)
             if clipped is None:
                 continue
-            labels.detections.append(
-                Detection(obj.class_id, _quant_box(clipped[0]), _quant(score))
-            )
+            dets.append(Detection(obj.class_id, _quant_box(clipped[0]), _quant(score)))
         if noise.fp_rate > 0.0:
             used = sorted({o.class_id for o in spec.objects}) or list(range(len(spec.classes)))
             for _ in range(int(fp_rng.poisson(noise.fp_rate))):
@@ -558,16 +554,14 @@ def generate(spec: SceneSpec, include_embeddings: bool = False) -> SequenceBundl
                 y = float(fp_rng.uniform(0.0, h - fh_))
                 cls_id = int(used[int(fp_rng.integers(len(used)))])
                 score = float(fp_rng.uniform(*noise.fp_score_range))
-                labels.detections.append(
+                dets.append(
                     Detection(cls_id, _quant_box(BBox(x, y, x + fw_, y + fh_)), _quant(score))
                 )
         for fp in spec.injected:
             if fp.frame == t:
                 clipped = clip_to_frame(fp.bbox, size)
-                labels.detections.append(
-                    Detection(fp.class_id, _quant_box(clipped[0]), _quant(fp.score))
-                )
-        detections.append(labels)
+                dets.append(Detection(fp.class_id, _quant_box(clipped[0]), _quant(fp.score)))
+        detections.append(LabelSet(t, dets))
 
     bundle = SequenceBundle(
         spec=spec,

@@ -497,6 +497,24 @@ class TestEvalCommand:
         if classes and "absent" in classes:
             assert report.per_class_ap50["absent"] is None
 
+    @pytest.mark.parametrize(
+        "classes, message",
+        [
+            ("car,person,car", "--classes repeats car"),
+            ("person, car ,person,car", "--classes repeats car, person"),
+            (" , ", "--classes names no class: ' , '"),
+            ("", "--classes names no class: ''"),
+        ],
+        ids=["one-repeat", "two-repeats", "blank-names", "empty"],
+    )
+    def test_classes_without_repeats_or_blanks(self, tmp_path, capsys, classes, message):
+        root = write_bundle(_bundles.clean_bundle(), tmp_path).parent
+        out = tmp_path / "eval.json"
+        argv = ["eval", "--dets", str(root / "dets"), "--gt", str(root / "gt.jsonl")]
+        assert main(argv + ["--classes", classes, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_builds_no_box_or_detection(self, tmp_path, monkeypatch):
         root = write_bundle(_bundles.clean_bundle(), tmp_path).parent
 

@@ -430,6 +430,27 @@ class TestDetectionsFile:
             read_detections(path)
         assert str(err.value) == f"{path}:1: k must be an integer, got float 1.5"
 
+    def test_second_header_names_both_lines(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text(
+            META_LINE
+            + '{"frame": 3, "class": "car", "bbox": [1, 2, 3, 4], "score": 0.9, "source_offset": 1}\n'
+            + '{"type": "candidate_meta", "frame": 3, "effective_sources": 1, "k": 0}\n'
+        )
+        with pytest.raises(ValidationError) as err:
+            read_detections(path)
+        assert str(err.value) == f"{path}:3: second candidate_meta line, after line 1"
+
+    def test_second_header_fails_fuse(self, tmp_path, capsys):
+        path = tmp_path / "m.jsonl"
+        path.write_text(META_LINE + META_LINE)
+        out = tmp_path / "fused.jsonl"
+        assert main(["fuse", "--in", str(path), "--out", str(out), "--method", "wbf"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:2: second candidate_meta line, after line 1\n"
+        )
+        assert not out.exists()
+
     def test_integer_too_long_to_convert_names_path_and_line(self, tmp_path):
         path = tmp_path / "l.jsonl"
         path.write_text('{"frame": ' + "9" * 5000 + ', "class": "a", "bbox": [1, 2, 3, 4], "score": 0.5}\n')

@@ -16,10 +16,13 @@ import propfuse
 import propfuse.cli
 import propfuse.evaluation
 import propfuse.fusion
+import propfuse.geometry
 import propfuse.io
 import propfuse.manifest
+import propfuse.motion
 import propfuse.pipeline
 import propfuse.propagation
+import propfuse.similarity
 from propfuse.cli import _commands, _config_from_args, _parse_frames, build_parser, main
 from propfuse.errors import CliUsageError, FlowFormatError, ValidationError
 from propfuse.fusion import FusionConfig
@@ -128,6 +131,37 @@ class TestConfig:
         with pytest.raises(CliUsageError) as err:
             parse_config_file(cfg_file)
         assert f"{cfg_file}:1:" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("teacher_threshold = 2", "teacher_threshold must lie in [0, 1], got 2.0"),
+            ("method = foo", "unknown method 'foo'; expected one of ('swbf', 'wbf', 'nms', 'snms', 'nmw')"),
+            ("jobs = 2", "jobs must be 1 (frames run one at a time), got 2"),
+            ("iou_threshold = 1.5", "iou_threshold must lie in (0, 1), got 1.5"),
+            ("num_sources = 0", "num_sources must be >= 1, got 0"),
+        ],
+        ids=["threshold", "method", "jobs", "fusion-iou", "fusion-sources"],
+    )
+    def test_file_value_that_fails_a_check_names_file_and_line(
+        self, tmp_path, clean_dir, capsys, line, message
+    ):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"# run settings\nk = 1\n{line}\n")
+        with pytest.raises(ValidationError) as err:
+            load_config(cfg_file)
+        assert str(err.value) == f"{cfg_file}:3: {message}"
+        out = tmp_path / "out"
+        argv = ["pipeline", "--manifest", str(clean_dir), "--out", str(out), "--config", str(cfg_file)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {cfg_file}:3: {message}\n"
+        assert not out.exists()
+
+    def test_flag_that_replaces_a_bad_file_value_wins(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("teacher_threshold = 2\nmethod = foo\n")
+        cfg = load_config(cfg_file, {"teacher_threshold": 0.5, "method": "wbf", "k": None})
+        assert (cfg.teacher_threshold, cfg.method) == (0.5, "wbf")
 
     def test_jobs_other_than_one_rejected(self, tmp_path, clean_dir, capsys):
         with pytest.raises(ValidationError, match="jobs"):
@@ -328,6 +362,28 @@ class TestParserPerCommand:
 
 
 class TestRunPipeline:
+    @pytest.mark.parametrize(
+        "method, k", [("wbf", 1), ("wbf", 3), ("swbf", 1), ("swbf", 3), ("swbf", 0)]
+    )
+    def test_builds_no_box_or_detection(self, tmp_path, noisy_dir, monkeypatch, method, k):
+        """Labels stay rows from the teacher files to the label files."""
+        manifest = load_manifest(noisy_dir)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pipeline built a BBox or a Detection")
+
+        modules = (
+            propfuse.geometry, propfuse.io, propfuse.manifest, propfuse.propagation,
+            propfuse.fusion, propfuse.similarity, propfuse.motion, propfuse.pipeline,
+        )
+        for module in modules:
+            for name in ("BBox", "Detection", "unchecked_bbox", "unchecked_detection", "record_detection"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        run = run_pipeline(manifest, PipelineConfig(k=k, method=method), out_dir=tmp_path / "out")
+        assert run.report["totals"]["output"] == sum(map(len, run.labels.values())) > 0
+        assert len(list((tmp_path / "out" / "labels").glob("*.jsonl"))) == len(run.labels)
+
     def test_k_zero_reproduces_thresholded_teacher(self, tmp_path, noisy_dir):
         manifest = load_manifest(noisy_dir)
         cfg = PipelineConfig(k=0, method="wbf", post_threshold=0.0)
@@ -1094,6 +1150,30 @@ class TestCli:
         assert main(argv + ["--manifest", str(clean_dir)]) == 1
         assert capsys.readouterr().err == f"error: {cand}: unknown classes: apple, kiwi, mango, zebra\n"
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({}, "carried candidate on frame 1 has no source box"),
+            (
+                {"source_offset": 7, "source_bbox": [1, 2, 3, 4]},
+                "carried candidate on frame 1 has no source frame -6 in the manifest",
+            ),
+        ],
+        ids=["no-source-box", "no-source-frame"],
+    )
+    def test_fuse_swbf_names_the_file_of_an_unusable_source(
+        self, tmp_path, clean_dir, capsys, extra, message
+    ):
+        cand = tmp_path / "cand.jsonl"
+        line = {"frame": 1, "class": "car", "bbox": [1, 2, 30, 40], "score": 0.9, "source_offset": 1}
+        cand.write_text(json.dumps({**line, **extra}) + "\n")
+        argv = ["fuse", "--in", str(cand), "--out", str(tmp_path / "x"), "--manifest", str(clean_dir)]
+        assert main(argv + ["--method", "swbf", "--k", "1"]) == 1
+        assert capsys.readouterr().err == f"error: {cand}: {message}\n"
+        assert not (tmp_path / "x").exists()
+        # wbf rescores nothing, so it takes the same line
+        assert main(argv + ["--method", "wbf", "--k", "1"]) == 0
 
     @pytest.mark.parametrize("command", ["pipeline", "selfcheck"])
     def test_unknown_teacher_classes_name_the_file_and_every_class(

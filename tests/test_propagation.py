@@ -186,7 +186,7 @@ class TestThreshold:
     def test_strictly_above(self):
         ls = labels(0, det(0.4, (0, 0, 1, 1)), det(0.41, (0, 0, 1, 1)))
         kept = threshold_labels(ls, 0.4)
-        assert [d.score for d in kept] == [0.41]
+        assert [r[5] for r in kept] == [0.41]
 
 
 class TestBuildCandidates:
